@@ -40,6 +40,7 @@ from .evaluation import (
     closed_set_eval,
     open_set_eval,
     tar_at_far,
+    transfer_eval,
     verification_eval,
     verification_scores,
 )
@@ -110,37 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", default=None,
                          help="INI file; section [%s] supplies option defaults" % command)
         for key, default in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if key in ("seed", "jobs"):
-                sub.add_argument(flag, type=int, default=argparse.SUPPRESS)
-            elif isinstance(default, bool):
-                sub.add_argument(flag, type=_parse_bool, default=argparse.SUPPRESS)
-            elif isinstance(default, int):
-                sub.add_argument(flag, type=int, default=argparse.SUPPRESS)
-            elif isinstance(default, float):
-                sub.add_argument(flag, type=float, default=argparse.SUPPRESS)
-            else:
-                sub.add_argument(flag, default=argparse.SUPPRESS)
+            sub.add_argument("--" + key.replace("_", "-"), type=_option_type(default),
+                             default=argparse.SUPPRESS)
     return parser
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
-def _cast_like(default, raw: str):
-    if isinstance(default, bool):
-        return _parse_bool(raw)
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+def _option_type(default) -> type:
+    """int, float or str: the type of the built-in default (str when None)."""
+    return str if default is None else type(default)
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
@@ -157,9 +135,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
                 key = key.replace("-", "_")
                 if key not in options:
                     raise ValueError(f"unknown config key {key!r} in [{command}]")
-                reference = _DEFAULTS[command][key]
-                options[key] = _cast_like(reference if reference is not None else "",
-                                          raw)
+                options[key] = _option_type(options[key])(raw)
     for key, value in vars(args).items():
         if key in options:
             options[key] = value
@@ -322,10 +298,9 @@ def cmd_eval(options: dict) -> None:
                 mean_tau = float(np.mean(report.thresholds))
                 rows.append(("open_set", i, report.mean, report.std, repr(mean_tau)))
             if "verification" in protocols:
-                report = verification_eval(embeddings, test_labels, cfg)
-                rows.append(("verification", i, report.mean, report.std,
-                             repr(report.thresholds[0])))
                 positives, negatives = verification_scores(embeddings, test_labels)
+                tar, tau = tar_at_far(positives, negatives, cfg.far_target)
+                rows.append(("verification", i, tar, 0.0, repr(tau)))
                 roc_tars = [tar_at_far(positives, negatives, far)[0]
                             for far in _ROC_GRID]
         if "classification" in protocols:
@@ -371,19 +346,12 @@ def cmd_transfer(options: dict) -> None:
     _require(options, "model", "data")
     head = load_head(options["model"])
     ds = load_dataset(options["data"])
-    if ds.dim != head.input_dim:
-        raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
-                         f"{head.input_dim}")
     source = options["source_name"] or Path(options["model"]).stem
     target = Path(options["data"]).stem
     pair = f"{source}->{target}"
-    split = identity_disjoint_split(ds, options["test_fraction"], options["seed"])
-    embeddings = embed(head, ds.features[split.test_indices])
-    test_labels = ds.labels[split.test_indices]
-    cfg = _trial_config(options, options["seed"])
-    closed = closed_set_eval(embeddings, test_labels, cfg)
-    opened = open_set_eval(embeddings, test_labels, cfg)
-    verif = verification_eval(embeddings, test_labels, cfg)
+    reports = transfer_eval(head, ds, _trial_config(options, options["seed"]),
+                            options["test_fraction"])
+    closed, opened, verif = reports["closed_set"], reports["open_set"], reports["verification"]
     out = _out_dir(options)
     header = _header("transfer", options)
     rows = [

@@ -116,6 +116,9 @@ def cosine_similarity(a, b) -> float:
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite {what} embedding at index {int(bad[0])}")
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -155,11 +158,9 @@ def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
         (P, G_id) array of per-identity scores and the sorted identity ids
         forming its columns.
     """
-    ids = np.unique(sm.gallery_labels)
-    pooled = np.empty((sm.scores.shape[0], ids.size))
-    for col, ident in enumerate(ids):
-        pooled[:, col] = sm.scores[:, sm.gallery_labels == ident].max(axis=1)
-    return pooled, ids
+    order = np.argsort(sm.gallery_labels, kind="stable")
+    ids, starts = np.unique(sm.gallery_labels[order], return_index=True)
+    return np.maximum.reduceat(sm.scores[:, order], starts, axis=1), ids
 
 
 def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
@@ -201,14 +202,22 @@ def far_threshold(nonmated_scores, far_target: float) -> float:
         raise ValueError(f"far_target must be in (0, 1], got {far_target}")
     if far_target == 1.0:
         return float("-inf")
-    allowed = math.floor(far_target * scores.size + 1e-9)
-    values = np.unique(scores)  # ascending
+    # A value v qualifies when at most ``allowed`` scores are >= v, i.e. when
+    # v lies above the score at ascending rank n - allowed - 1.
+    rank = scores.size - 1 - math.floor(far_target * scores.size + 1e-9)
     ordered = np.sort(scores)
-    count_at_or_above = scores.size - np.searchsorted(ordered, values, side="left")
-    qualifying = values[count_at_or_above <= allowed]
-    if qualifying.size:
-        return float(qualifying[0])
-    return float(np.nextafter(values[-1], np.inf))
+    if rank < 0:
+        return float(ordered[0])
+    above = np.searchsorted(ordered, ordered[rank], side="right")
+    if above < ordered.size:
+        return float(ordered[above])
+    return float(np.nextafter(ordered[-1], np.inf))
+
+
+def _accept_rates(scores, thresholds) -> np.ndarray:
+    """Fraction of ``scores`` at or above each threshold: one sort, one search."""
+    ordered = np.sort(np.asarray(scores, dtype=np.float64))
+    return (ordered.size - np.searchsorted(ordered, thresholds, side="left")) / ordered.size
 
 
 def tar_at_far(positive_scores, negative_scores, far_target: float) -> tuple[float, float]:
@@ -217,7 +226,7 @@ def tar_at_far(positive_scores, negative_scores, far_target: float) -> tuple[flo
     if pos.size == 0:
         raise ValueError("no positive scores")
     tau = far_threshold(negative_scores, far_target)
-    return float(np.mean(pos >= tau)), tau
+    return float(_accept_rates(pos, tau)), tau
 
 
 def dir_at_far(mated_scores, mated_rank1_correct, nonmated_scores,
@@ -245,10 +254,8 @@ def roc_points(positive_scores, negative_scores) -> tuple[tuple[float, float], .
         raise ValueError("ROC needs both positive and negative scores")
     pooled = np.unique(np.concatenate([pos, neg]))
     thresholds = np.append(np.nextafter(pooled[-1], np.inf), pooled[::-1])
-    points = []
-    for tau in thresholds:
-        points.append((float(np.mean(neg >= tau)), float(np.mean(pos >= tau))))
-    return tuple(points)
+    return tuple(zip(_accept_rates(neg, thresholds).tolist(),
+                     _accept_rates(pos, thresholds).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +366,7 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
     e = _unit_rows(embeddings, "test")
     sims = np.clip(e @ e.T, -1.0, 1.0)
     np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
-    per_identity = np.empty((labels.size, identities.size))
-    for col, ident in enumerate(identities):
-        per_identity[:, col] = sims[:, labels == ident].max(axis=1)
+    per_identity, _ = identity_max_scores(ScoreMatrix(sims, labels, labels))
     own_col = np.searchsorted(identities, labels)
     rows = np.arange(labels.size)
     positives = per_identity[rows, own_col]

@@ -80,6 +80,8 @@ def _forward_batch(head: EmbeddingHead, x: np.ndarray):
         raise ValueError(
             f"input dim {x.shape[-1] if x.ndim else '?'} does not match head input dim "
             f"{head.input_dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite feature value")
     p = head.params
     if head.architecture == "linear":
         return x, None, x @ p["w"].T + p["b"]
@@ -93,8 +95,6 @@ def forward(head: EmbeddingHead, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("forward expects a single 1-D feature vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value")
     emb, _, logits = _forward_batch(head, x[None, :])
     return emb[0], logits[0]
 

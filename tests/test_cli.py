@@ -14,8 +14,12 @@ from mfid import (
     identity_disjoint_split,
     load_dataset,
     load_head,
+    load_split,
     open_set_eval,
+    save_split,
+    tar_at_far,
     verification_eval,
+    verification_scores,
 )
 from mfid.cli import main
 
@@ -192,6 +196,48 @@ def test_eval_unknown_protocol(synth_dir, trained_dir, tmp_path, capsys):
                    "--model", str(trained_dir / "model.mfhd"),
                    "--protocols", "nonsense", "--out", str(tmp_path)) == 1
     assert "nonsense" in capsys.readouterr().err
+
+
+def test_eval_verification_rows_match_library(trained_dir, tmp_path):
+    # noisy clusters, so TAR varies along the FAR grid
+    data = tmp_path / "noisy" / "dataset.csv"
+    assert run_cli("synth", "--identities", "6", "--per-id", "10", "--dim", "8",
+                   "--sigma", "0.8", "--seed", "3", "--out", str(data.parent)) == 0
+    ds = load_dataset(data)
+    head = load_head(trained_dir / "model.mfhd")
+    stems = []
+    for i, seed in enumerate((11, 12)):
+        stems.append(str(tmp_path / f"split{i}"))
+        save_split(identity_disjoint_split(ds, 0.5, seed=seed), stems[-1])
+    assert run_cli("eval", "--data", str(data),
+                   "--model", str(trained_dir / "model.mfhd"),
+                   "--protocols", "verif", "--far", "0.1",
+                   "--split-file", ",".join(stems), "--out", str(tmp_path / "out")) == 0
+
+    # the CSV values must equal a direct library-call derivation per split
+    grid = np.round(np.linspace(0.01, 1.0, 100), 10)
+    reports, grid_tars = [], []
+    for stem in stems:
+        split = load_split(stem)
+        z = embed(head, ds.features[split.test_indices])
+        labels = ds.labels[split.test_indices]
+        reports.append(verification_eval(z, labels, TrialConfig(far_target=0.1)))
+        positives, negatives = verification_scores(z, labels)
+        grid_tars.append([tar_at_far(positives, negatives, far)[0] for far in grid])
+    rows = [row.split(",") for row in read_rows(tmp_path / "out" / "metrics.csv")]
+    assert [row[:2] for row in rows] == [["verification", "0"], ["verification", "1"],
+                                         ["verification", "mean"]]
+    for (_, _, mean, std, tau), report in zip(rows, reports):
+        assert (float(mean), float(std)) == (report.mean, report.std)
+        assert float(tau) == report.thresholds[0]
+    means = np.array([report.mean for report in reports])
+    assert (float(rows[2][2]), float(rows[2][3])) == (means.mean(), means.std())
+
+    roc = [row.split(",") for row in read_rows(tmp_path / "out" / "roc.csv")]
+    assert [float(far) for far, _ in roc] == grid.tolist()
+    tars = [float(tar) for _, tar in roc]
+    assert tars == np.mean(grid_tars, axis=0).tolist()
+    assert 0.0 < tars[0] < tars[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

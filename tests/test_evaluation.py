@@ -27,7 +27,7 @@ from mfid import (
     verification_scores,
 )
 from mfid.dataset import identity_disjoint_split
-from mfid.evaluation import identity_max_scores
+from mfid.evaluation import ScoreMatrix, identity_max_scores
 from mfid.model import init_head
 
 
@@ -488,3 +488,230 @@ def test_trial_config_validation():
         TrialConfig(far_target=1.5)
     with pytest.raises(ValueError):
         TrialConfig(distractor_mode="sometimes")
+
+
+# ---------------------------------------------------------------------------
+# sorted scoring core against the loops it replaced
+#
+# The reference implementations below are the earlier per-score and
+# per-identity loops.  The sorted core must reproduce them bit for bit.
+
+
+def reference_far_threshold(nonmated_scores, far_target):
+    """One searchsorted per distinct score value."""
+    scores = np.asarray(nonmated_scores, dtype=np.float64)
+    if far_target == 1.0:
+        return float("-inf")
+    allowed = math.floor(far_target * scores.size + 1e-9)
+    values = np.unique(scores)
+    ordered = np.sort(scores)
+    count_at_or_above = scores.size - np.searchsorted(ordered, values, side="left")
+    qualifying = values[count_at_or_above <= allowed]
+    if qualifying.size:
+        return float(qualifying[0])
+    return float(np.nextafter(values[-1], np.inf))
+
+
+def reference_roc_points(positive_scores, negative_scores):
+    """One pass over both score sets per distinct pooled score."""
+    pos = np.asarray(positive_scores, dtype=np.float64)
+    neg = np.asarray(negative_scores, dtype=np.float64)
+    pooled = np.unique(np.concatenate([pos, neg]))
+    thresholds = np.append(np.nextafter(pooled[-1], np.inf), pooled[::-1])
+    return tuple((float(np.mean(neg >= tau)), float(np.mean(pos >= tau)))
+                 for tau in thresholds)
+
+
+def reference_identity_max_scores(scores, gallery_labels):
+    """One masked column max per identity."""
+    ids = np.unique(gallery_labels)
+    pooled = np.empty((scores.shape[0], ids.size))
+    for col, ident in enumerate(ids):
+        pooled[:, col] = scores[:, gallery_labels == ident].max(axis=1)
+    return pooled, ids
+
+
+def reference_verification_scores(embeddings, labels):
+    """Self-excluded similarity matrix pooled by the per-identity loop."""
+    e = embeddings / np.linalg.norm(embeddings, axis=1)[:, None]
+    sims = np.clip(e @ e.T, -1.0, 1.0)
+    np.fill_diagonal(sims, -2.0)
+    per_identity, identities = reference_identity_max_scores(sims, labels)
+    own_col = np.searchsorted(identities, labels)
+    positives = per_identity[np.arange(labels.size), own_col]
+    negatives = per_identity[np.arange(identities.size)[None, :] != own_col[:, None]]
+    return positives, negatives
+
+
+def draw_scores(rng, size, tied):
+    """Continuous normal scores, or scores rounded to one decimal (heavy ties)."""
+    scores = rng.normal(size=size)
+    return np.round(scores, 1) if tied else scores
+
+
+def draw_labelled_embeddings(rng, tied):
+    k = int(rng.integers(2, 7))
+    labels = rng.permutation(np.repeat(rng.choice(50, size=k, replace=False),
+                                       int(rng.integers(2, 6))))
+    emb = draw_scores(rng, (labels.size, 4), tied)
+    emb[np.linalg.norm(emb, axis=1) == 0.0, 0] = 1.0
+    return emb, labels
+
+
+SCORE_CASES = [(seed, tied) for seed in range(3) for tied in (True, False)]
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_far_threshold_matches_reference(seed, tied):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(100):
+        scores = draw_scores(rng, int(rng.integers(1, 80)), tied)
+        target = float(rng.uniform(1e-3, 1.0))
+        assert far_threshold(scores, target) == reference_far_threshold(scores, target)
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_far_threshold_edge_targets_match_reference(seed, tied):
+    rng = np.random.default_rng(110 + seed)
+    for n in (1, 2, 7, 40):
+        scores = draw_scores(rng, n, tied)
+        # allowed = 0, allowed = 1, allowed = n - 1 (none when n = 1), everything
+        for target in [t for t in (0.5 / n, 1.0 / n, (n - 1) / n, 1.0) if t > 0.0]:
+            assert far_threshold(scores, target) == reference_far_threshold(scores, target)
+    # allowed = 0 puts the threshold just above the maximum
+    assert far_threshold(scores, 0.5 / scores.size) == np.nextafter(scores.max(), np.inf)
+    assert far_threshold(scores, 1.0) == -np.inf
+
+
+def test_far_threshold_single_score():
+    assert far_threshold([0.4], 0.5) == np.nextafter(0.4, np.inf)
+    assert far_threshold([0.4], 1.0) == -np.inf
+
+
+def test_far_threshold_guard_decides_the_floor():
+    # 0.29 * 100 evaluates to 28.999999999999996; the 1e-9 guard lets 29
+    # of the 100 distinct scores through instead of 28.
+    assert math.floor(0.29 * 100) == 28
+    scores = np.random.default_rng(120).permutation(np.arange(100.0))
+    assert far_threshold(scores, 0.29) == 71.0
+    assert reference_far_threshold(scores, 0.29) == 71.0
+    assert np.sum(scores >= 71.0) == 29
+    # Just below 1.0 the guard allows all n scores: the threshold is the minimum.
+    assert far_threshold(scores, 1.0 - 1e-12) == 0.0
+    assert reference_far_threshold(scores, 1.0 - 1e-12) == 0.0
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_tar_at_far_matches_mean_over_positives(seed, tied):
+    rng = np.random.default_rng(130 + seed)
+    for _ in range(50):
+        pos = draw_scores(rng, int(rng.integers(1, 60)), tied) + 0.5
+        neg = draw_scores(rng, int(rng.integers(1, 60)), tied)
+        target = float(rng.uniform(1e-3, 1.0))
+        tau = reference_far_threshold(neg, target)
+        assert tar_at_far(pos, neg, target) == (float(np.mean(pos >= tau)), tau)
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_roc_points_match_reference(seed, tied):
+    rng = np.random.default_rng(140 + seed)
+    for _ in range(50):
+        pos = draw_scores(rng, int(rng.integers(1, 60)), tied) + 0.5
+        neg = draw_scores(rng, int(rng.integers(1, 60)), tied)
+        assert roc_points(pos, neg) == reference_roc_points(pos, neg)
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_identity_max_scores_match_reference(seed, tied):
+    rng = np.random.default_rng(150 + seed)
+    for n_probes in (0, 1, 5):
+        labels = rng.integers(0, 6, size=int(rng.integers(1, 20)))
+        sm = ScoreMatrix(draw_scores(rng, (n_probes, labels.size), tied),
+                         np.zeros(n_probes), labels)
+        pooled, ids = identity_max_scores(sm)
+        ref_pooled, ref_ids = reference_identity_max_scores(sm.scores, labels)
+        assert ids.tolist() == ref_ids.tolist()
+        assert pooled.tolist() == ref_pooled.tolist()
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_verification_scores_match_reference(seed, tied):
+    rng = np.random.default_rng(160 + seed)
+    for _ in range(20):
+        emb, labels = draw_labelled_embeddings(rng, tied)
+        positives, negatives = verification_scores(emb, labels)
+        ref_pos, ref_neg = reference_verification_scores(emb, labels)
+        assert positives.tolist() == ref_pos.tolist()
+        assert negatives.tolist() == ref_neg.tolist()
+
+
+# ---------------------------------------------------------------------------
+# properties of the scoring core
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_roc_monotone_from_origin_to_one(seed, tied):
+    rng = np.random.default_rng(170 + seed)
+    for _ in range(30):
+        pos = draw_scores(rng, int(rng.integers(1, 60)), tied) + 0.5
+        neg = draw_scores(rng, int(rng.integers(1, 60)), tied)
+        fars, tars = (np.array(axis) for axis in zip(*roc_points(pos, neg)))
+        assert np.all(np.diff(fars) >= 0.0)
+        assert np.all(np.diff(tars) >= 0.0)
+        assert (fars[0], tars[0]) == (0.0, 0.0)
+        assert (fars[-1], tars[-1]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_far_at_threshold_within_target(seed, tied):
+    rng = np.random.default_rng(180 + seed)
+    for _ in range(100):
+        neg = draw_scores(rng, int(rng.integers(1, 80)), tied)
+        n = neg.size
+        for target in [t for t in (float(rng.uniform(1e-3, 1.0)), 1.0 / n,
+                                   (n - 1) / n, 1.0) if t > 0.0]:
+            assert np.mean(neg >= far_threshold(neg, target)) <= target
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_scoring_invariant_to_row_permutation(seed, tied):
+    rng = np.random.default_rng(190 + seed)
+    for _ in range(20):
+        pos = draw_scores(rng, int(rng.integers(1, 60)), tied) + 0.5
+        neg = draw_scores(rng, int(rng.integers(1, 60)), tied)
+        target = float(rng.uniform(1e-3, 1.0))
+        shuffled_pos, shuffled_neg = rng.permutation(pos), rng.permutation(neg)
+        assert (tar_at_far(shuffled_pos, shuffled_neg, target)
+                == tar_at_far(pos, neg, target))
+        assert roc_points(shuffled_pos, shuffled_neg) == roc_points(pos, neg)
+
+        emb, labels = draw_labelled_embeddings(rng, tied)
+        perm = rng.permutation(labels.size)
+        positives, negatives = verification_scores(emb, labels)
+        perm_pos, perm_neg = verification_scores(emb[perm], labels[perm])
+        # Sample i's K-1 negatives are row i of the negatives, in identity order.
+        # BLAS may round a dot product differently at another matrix position.
+        np.testing.assert_allclose(perm_pos, positives[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(perm_neg.reshape(labels.size, -1),
+                                   negatives.reshape(labels.size, -1)[perm],
+                                   rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# non-finite embeddings
+
+
+def test_score_matrix_reports_non_finite_index():
+    emb = np.ones((3, 2))
+    emb[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite probe embedding at index 2"):
+        score_matrix(emb, np.arange(3), np.ones((2, 2)), np.arange(2))
+    with pytest.raises(ValueError, match="non-finite gallery embedding at index 2"):
+        score_matrix(np.ones((2, 2)), np.arange(2), emb, np.arange(3))
+
+
+def test_verification_scores_reject_infinite_embedding():
+    emb = np.ones((4, 2)) + np.arange(4)[:, None]
+    emb[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite test embedding at index 1"):
+        verification_scores(emb, np.array([0, 0, 1, 1]))

@@ -108,6 +108,22 @@ def test_forward_rejects_non_finite():
         forward(head, np.array([1.0, np.inf]))
 
 
+def test_embed_rejects_non_finite_batch():
+    head = init_head("mlp1", 3, 4, 2, seed=0)
+    x = np.ones((5, 3))
+    x[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite feature value"):
+        embed(head, x)
+
+
+def test_logits_rejects_non_finite_batch():
+    head = init_head("linear", 3, 0, 2, seed=0)
+    x = np.ones((5, 3))
+    x[0, 2] = -np.inf
+    with pytest.raises(ValueError, match="non-finite feature value"):
+        head_logits(head, x)
+
+
 def test_embed_dimension_mismatch():
     head = init_head("linear", 4, 0, 2, seed=0)
     with pytest.raises(ValueError, match="dim"):

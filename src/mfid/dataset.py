@@ -375,77 +375,146 @@ def load_split(stem) -> Split:
 
 
 class PairConstraints:
-    """Exhaustive similar/dissimilar unordered index pairs over a label sequence.
+    """Similar/dissimilar unordered index pairs over a label sequence, by rank.
 
-    Pairs are all (i, j) with i < j; a pair is similar iff the two labels are
-    equal.  ``similar`` / ``dissimilar`` expose the pairs as frozensets; the
-    internal arrays keep sampling fast and deterministic.
+    The pairs are all (i, j) with i < j; a pair is similar iff the two labels
+    are equal.  Each kind is listed in row-major order (by i, then j).  The
+    n(n-1)/2 pairs are never stored: :meth:`pairs_at` decodes a rank in a list
+    straight into (i, j) from an O(n) label index.  ``similar`` /
+    ``dissimilar`` expand the whole lists into frozensets, which costs
+    O(n^2) and is meant for small inputs.
     """
 
-    def __init__(self, similar_array: np.ndarray, dissimilar_array: np.ndarray):
-        self._similar = np.asarray(similar_array, dtype=np.int64).reshape(-1, 2)
-        self._dissimilar = np.asarray(dissimilar_array, dtype=np.int64).reshape(-1, 2)
+    def __init__(self, labels):
+        labels = np.asarray(labels)
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError("labels must be a nonempty 1-D sequence")
+        n = labels.size
+        # Stable sort: every label's rows form one run of slots, in row order.
+        order = np.argsort(labels, kind="stable")
+        ranked = labels[order]
+        first_slot = np.concatenate([[True], ranked[1:] != ranked[:-1]])
+        group = np.cumsum(first_slot) - 1
+        starts = np.flatnonzero(first_slot)
+        member = np.arange(n) - starts[group]
+        group_size = np.diff(np.append(starts, n))
+        slot = np.empty(n, dtype=np.int64)
+        slot[order] = np.arange(n)
+        same_after = np.empty(n, dtype=np.int64)
+        same_after[order] = group_size[group] - 1 - member
+        other_after = (n - 1 - np.arange(n)) - same_after
+        self.n_labels = n
+        self._order = order
+        self._slot = slot
+        # Rank offsets: row i's pairs of a kind start at rank offsets[i].
+        self._offsets = {
+            "similar": np.concatenate([[0], np.cumsum(same_after)]),
+            "dissimilar": np.concatenate([[0], np.cumsum(other_after)]),
+        }
+        # Per slot: group * (n + 1) + (rows of other labels before the row).
+        # Non-decreasing over slots, so one searchsorted counts the same-label
+        # rows that precede a row's r-th different-label successor.
+        self._key = group * (n + 1) + order - member
 
     @property
     def n_similar(self) -> int:
-        return self._similar.shape[0]
+        return int(self._offsets["similar"][-1])
 
     @property
     def n_dissimilar(self) -> int:
-        return self._dissimilar.shape[0]
+        return int(self._offsets["dissimilar"][-1])
+
+    def _offsets_of(self, kind: str) -> np.ndarray:
+        if kind not in self._offsets:
+            raise ValueError(f"unknown pair kind {kind!r}")
+        return self._offsets[kind]
+
+    def _pair_set(self, kind: str) -> frozenset:
+        everything = np.arange(self._offsets[kind][-1])
+        return frozenset(map(tuple, self.pairs_at(kind, everything).tolist()))
 
     @cached_property
     def similar(self) -> frozenset:
-        return frozenset((int(a), int(b)) for a, b in self._similar)
+        return self._pair_set("similar")
 
     @cached_property
     def dissimilar(self) -> frozenset:
-        return frozenset((int(a), int(b)) for a, b in self._dissimilar)
+        return self._pair_set("dissimilar")
+
+    def pairs_at(self, kind: str, ranks) -> np.ndarray:
+        """(count, 2) int64 pairs at ``ranks`` in the row-major ``kind`` list."""
+        offsets = self._offsets_of(kind)
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if ranks.size and (ranks.min() < 0 or ranks.max() >= offsets[-1]):
+            raise ValueError(f"{kind} pair rank out of range [0, {int(offsets[-1])})")
+        i = np.searchsorted(offsets, ranks, side="right") - 1
+        r = ranks - offsets[i]
+        s = self._slot[i]
+        if kind == "similar":
+            j = self._order[s + 1 + r]
+        else:
+            same_between = np.searchsorted(self._key, self._key[s] + r, side="right") - s - 1
+            j = i + 1 + r + same_between
+        return np.column_stack([i, j])
 
     def draw(self, kind: str, count: int, rng: np.random.Generator) -> np.ndarray:
-        pairs = self._similar if kind == "similar" else self._dissimilar
-        picked = rng.choice(pairs.shape[0], size=count, replace=False)
-        return pairs[picked]
+        """``count`` distinct pairs of ``kind``, uniform over its list."""
+        total = int(self._offsets_of(kind)[-1])
+        return self.pairs_at(kind, rng.choice(total, size=count, replace=False))
 
 
 def build_pair_constraints(labels) -> PairConstraints:
-    """All n(n-1)/2 unordered index pairs, partitioned by label equality."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a nonempty 1-D sequence")
-    i_upper, j_upper = np.triu_indices(labels.size, k=1)
-    same = labels[i_upper] == labels[j_upper]
-    similar = np.column_stack([i_upper[same], j_upper[same]])
-    dissimilar = np.column_stack([i_upper[~same], j_upper[~same]])
-    return PairConstraints(similar, dissimilar)
+    """The n(n-1)/2 unordered index pairs, partitioned by label equality."""
+    return PairConstraints(labels)
 
 
-@dataclass(frozen=True)
 class PairBatch:
-    """A sampled batch of index pairs; ``image_count`` counts duplicates."""
+    """A sampled batch of index pairs, held as aligned arrays.
 
-    pairs: tuple
-    image_count: int
+    ``PairBatch(pairs, image_count)`` takes (a, b, similar) triples;
+    :meth:`from_arrays` wraps arrays without a round trip through Python
+    tuples.  ``image_count`` counts duplicates, so it is always 2 * n_pairs.
+    """
 
-    def __post_init__(self) -> None:
-        pairs = tuple((int(a), int(b), bool(sim)) for a, b, sim in self.pairs)
-        if self.image_count != 2 * len(pairs):
+    def __init__(self, pairs, image_count: int):
+        triples = [(int(a), int(b), bool(sim)) for a, b, sim in pairs]
+        if image_count != 2 * len(triples):
             raise ValueError(
-                f"image_count {self.image_count} != 2 * {len(pairs)} pairs")
-        object.__setattr__(self, "pairs", pairs)
+                f"image_count {image_count} != 2 * {len(triples)} pairs")
+        self._set_arrays(*(zip(*triples) if triples else ((), (), ())))
+
+    @classmethod
+    def from_arrays(cls, first, second, similar) -> "PairBatch":
+        """Batch from aligned first-index, second-index and similar-mask arrays."""
+        batch = cls.__new__(cls)
+        batch._set_arrays(first, second, similar)
+        return batch
+
+    def _set_arrays(self, first, second, similar) -> None:
+        arrays = (np.array(first, dtype=np.int64), np.array(second, dtype=np.int64),
+                  np.array(similar, dtype=bool))
+        if any(a.shape != arrays[0].shape or a.ndim != 1 for a in arrays):
+            raise ValueError("pair arrays must be 1-D and of equal length")
+        for a in arrays:
+            a.flags.writeable = False
+        self._arrays = arrays
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return self._arrays[0].size
+
+    @property
+    def image_count(self) -> int:
+        return 2 * self.n_pairs
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The batch as (a, b, similar) triples of Python ints and bools."""
+        return tuple(zip(*(a.tolist() for a in self._arrays)))
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first indices, second indices, similar mask) as aligned arrays."""
-        if not self.pairs:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=bool)
-        a, b, sim = zip(*self.pairs)
-        return (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                np.array(sim, dtype=bool))
+        """(first indices, second indices, similar mask) as aligned read-only arrays."""
+        return self._arrays
 
 
 def sample_pair_batch(ds: Dataset, n_pairs: int, similar_fraction: float,
@@ -454,13 +523,17 @@ def sample_pair_batch(ds: Dataset, n_pairs: int, similar_fraction: float,
     """Draw a pair batch uniformly from the constraint sets, without replacement.
 
     The similar count is round(n_pairs * similar_fraction); the remainder is
-    dissimilar.  ``constraints`` may be passed in to avoid rebuilding the
-    O(n^2) pair sets on every call; it must have been built from ``ds.labels``.
+    dissimilar, and the similar pairs come first.  ``constraints`` may be
+    passed in to reuse one O(n) label index across calls; it must have been
+    built from ``ds.labels``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     if not 0.0 <= similar_fraction <= 1.0:
         raise ValueError(f"similar_fraction must be in [0, 1], got {similar_fraction}")
+    if constraints is not None and constraints.n_labels != ds.n_samples:
+        raise ValueError(f"constraints cover {constraints.n_labels} labels "
+                         f"but the dataset has {ds.n_samples} samples")
     pc = constraints if constraints is not None else build_pair_constraints(ds.labels)
     n_similar = int(math.floor(n_pairs * similar_fraction + 0.5))
     n_dissimilar = n_pairs - n_similar
@@ -470,13 +543,11 @@ def sample_pair_batch(ds: Dataset, n_pairs: int, similar_fraction: float,
     if n_dissimilar > pc.n_dissimilar:
         raise ValueError(
             f"batch needs {n_dissimilar} dissimilar pairs but only {pc.n_dissimilar} exist")
-    pairs = []
-    if n_similar:
-        pairs.extend((int(a), int(b), True) for a, b in pc.draw("similar", n_similar, rng))
-    if n_dissimilar:
-        pairs.extend((int(a), int(b), False)
-                     for a, b in pc.draw("dissimilar", n_dissimilar, rng))
-    return PairBatch(tuple(pairs), 2 * n_pairs)
+    drawn = [pc.draw(kind, count, rng)
+             for kind, count in (("similar", n_similar), ("dissimilar", n_dissimilar))
+             if count]
+    pairs = np.concatenate(drawn)
+    return PairBatch.from_arrays(pairs[:, 0], pairs[:, 1], np.arange(n_pairs) < n_similar)
 
 
 # ---------------------------------------------------------------------------

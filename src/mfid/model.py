@@ -231,6 +231,9 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     if use_pairs:
         subset = Dataset(x, y)
         constraints = build_pair_constraints(y)
+        # Row 2k and 2k + 1 of the gathered batch are the k-th pair's images.
+        local_first = np.arange(0, batch_images, 2)
+        local_second = local_first + 1
     empty_pairs = PairBatch((), 0)
     velocity = ({name: np.zeros_like(p) for name, p in head.params.items()}
                 if cfg.momentum > 0 else None)
@@ -245,11 +248,9 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
                 batch = sample_pair_batch(subset, cfg.batch_pairs,
                                           cfg.similar_fraction, rng,
                                           constraints=constraints)
-                rows = np.fromiter((i for a, b, _ in batch.pairs for i in (a, b)),
-                                   dtype=np.int64, count=batch.image_count)
-                local = PairBatch(tuple((2 * k, 2 * k + 1, sim)
-                                        for k, (_, _, sim) in enumerate(batch.pairs)),
-                                  batch.image_count)
+                first, second, similar = batch.index_arrays()
+                rows = np.column_stack([first, second]).ravel()
+                local = PairBatch.from_arrays(local_first, local_second, similar)
             else:
                 rows = rng.choice(n_train, size=min(batch_images, n_train), replace=False)
                 local = empty_pairs

@@ -1,13 +1,16 @@
 """Dataset loading, splits, pair constraints, and the synthetic generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfid.model
 from mfid import (
     Dataset,
     PairBatch,
+    TrainConfig,
     build_pair_constraints,
     identity_disjoint_split,
     load_dataset,
@@ -17,6 +20,7 @@ from mfid import (
     save_split,
     stratified_splits,
     synth_gaussian,
+    train,
 )
 from mfid.dataset import DISJOINT, STRATIFIED, dense_relabel
 
@@ -318,6 +322,188 @@ def test_pair_batch_rejects_impossible_composition():
 def test_pair_batch_image_count_validation():
     with pytest.raises(ValueError, match="image_count"):
         PairBatch(((0, 1, True),), image_count=3)
+
+
+def test_pair_batch_from_arrays_matches_triples():
+    triples = ((4, 1, True), (0, 3, False), (2, 2, False))
+    batch = PairBatch.from_arrays([4, 0, 2], [1, 3, 2], [True, False, False])
+    assert batch.pairs == PairBatch(triples, 6).pairs == triples
+    assert batch.image_count == 6 and batch.n_pairs == 3
+    for got, want in zip(batch.index_arrays(), PairBatch(triples, 6).index_arrays()):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype and not got.flags.writeable
+
+
+def test_pair_batch_from_arrays_rejects_ragged():
+    with pytest.raises(ValueError, match="equal length"):
+        PairBatch.from_arrays([0, 1], [2], [True, False])
+
+
+def test_pair_batch_rejects_mismatched_constraints():
+    ds = synth_gaussian(4, 3, 2, 1.0, 0.1, seed=1)
+    other = build_pair_constraints(np.repeat(np.arange(4), 4))
+    with pytest.raises(ValueError, match="16 labels but the dataset has 12"):
+        sample_pair_batch(ds, 4, 0.5, np.random.default_rng(0), constraints=other)
+
+
+# ---------------------------------------------------------------------------
+# rank decoding against the exhaustive pair arrays it replaced
+
+
+class ReferencePairConstraints:
+    """Every pair stored as an int64 row, in row-major order."""
+
+    def __init__(self, similar, dissimilar, n_labels):
+        self.arrays = {"similar": similar, "dissimilar": dissimilar}
+        self.n_labels = n_labels
+        self.n_similar = similar.shape[0]
+        self.n_dissimilar = dissimilar.shape[0]
+
+    def draw(self, kind, count, rng):
+        pairs = self.arrays[kind]
+        return pairs[rng.choice(pairs.shape[0], size=count, replace=False)]
+
+
+def reference_pair_constraints(labels):
+    """All n(n-1)/2 unordered index pairs, partitioned by label equality."""
+    labels = np.asarray(labels)
+    i_upper, j_upper = np.triu_indices(labels.size, k=1)
+    same = labels[i_upper] == labels[j_upper]
+    similar = np.column_stack([i_upper[same], j_upper[same]])
+    dissimilar = np.column_stack([i_upper[~same], j_upper[~same]])
+    return ReferencePairConstraints(similar, dissimilar, labels.size)
+
+
+LABEL_CASES = {
+    "one-identity": np.zeros(7, dtype=int),
+    "all-distinct": np.random.default_rng(40).permutation(9),
+    "n=1": np.array([3]),
+    "n=2-same": np.array([5, 5]),
+    "n=2-different": np.array([5, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_CASES))
+def test_pair_ranks_decode_to_reference(name):
+    labels = LABEL_CASES[name]
+    pc = build_pair_constraints(labels)
+    ref = reference_pair_constraints(labels)
+    assert pc.n_labels == labels.size
+    for kind in ("similar", "dissimilar"):
+        total = ref.arrays[kind].shape[0]
+        assert (pc.n_similar, pc.n_dissimilar)[kind == "dissimilar"] == total
+        decoded = pc.pairs_at(kind, np.arange(total))
+        assert decoded.dtype == np.int64 and decoded.shape == (total, 2)
+        np.testing.assert_array_equal(decoded, ref.arrays[kind])
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_CASES))
+def test_pair_frozensets_match_reference(name):
+    labels = LABEL_CASES[name]
+    pc = build_pair_constraints(labels)
+    ref = reference_pair_constraints(labels)
+    assert pc.similar == set(map(tuple, ref.arrays["similar"].tolist()))
+    assert pc.dissimilar == set(map(tuple, ref.arrays["dissimilar"].tolist()))
+
+
+def test_pair_ranks_decode_random_label_sequences():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        # unsorted, sparse and negative label values
+        values = rng.choice([-4, 0, 1, 7, 30, 31, 99], size=int(rng.integers(1, 8)),
+                            replace=False)
+        labels = rng.choice(values, size=int(rng.integers(1, 40)))
+        pc = build_pair_constraints(labels)
+        ref = reference_pair_constraints(labels)
+        for kind in ("similar", "dissimilar"):
+            decoded = pc.pairs_at(kind, np.arange(ref.arrays[kind].shape[0]))
+            np.testing.assert_array_equal(decoded, ref.arrays[kind])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_draw_matches_reference_stream(seed):
+    labels = np.random.default_rng(seed).integers(0, 6, size=80)
+    pc = build_pair_constraints(labels)
+    ref = reference_pair_constraints(labels)
+    ours, theirs = np.random.default_rng(seed + 9), np.random.default_rng(seed + 9)
+    for count in (1, 5, 16, 40):
+        for kind in ("similar", "dissimilar"):
+            np.testing.assert_array_equal(pc.draw(kind, count, ours),
+                                          ref.draw(kind, count, theirs))
+    assert ours.random() == theirs.random()
+
+
+def test_pair_ranks_reject_out_of_range_and_unknown_kind():
+    pc = build_pair_constraints([0, 0, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        pc.pairs_at("similar", [1])
+    with pytest.raises(ValueError, match="out of range"):
+        pc.pairs_at("dissimilar", [-1])
+    with pytest.raises(ValueError, match="kind"):
+        pc.pairs_at("both", [0])
+
+
+def test_pair_constraints_reject_empty_labels():
+    with pytest.raises(ValueError, match="nonempty"):
+        build_pair_constraints([])
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+def test_train_bit_identical_with_reference_constraints(monkeypatch, architecture):
+    ds = synth_gaussian(9, 6, 5, 1.0, 0.6, seed=3)
+    (split,) = stratified_splits(ds, 1, 0.3, seed=2)
+    cfg = TrainConfig(epochs=3, batch_pairs=6, initial_lr=0.05, seed=4,
+                      architecture=architecture, embed_dim=7, similar_fraction=0.4)
+    ours = train(ds, split, cfg)
+    monkeypatch.setattr(mfid.model, "build_pair_constraints", reference_pair_constraints)
+    theirs = train(ds, split, cfg)
+    assert ours.loss_history == theirs.loss_history
+    for name in ours.head.params:
+        assert ours.head.params[name].tobytes() == theirs.head.params[name].tobytes()
+
+
+def test_train_gathers_each_pair_into_adjacent_rows(monkeypatch):
+    ds = synth_gaussian(6, 5, 4, 1.0, 0.5, seed=5)
+    (split,) = stratified_splits(ds, 1, 0.3, seed=1)
+    seen = []
+    real_backprop = mfid.model.backprop
+
+    def recording_backprop(head, x, labels, pairs, loss_cfg):
+        seen.append((np.asarray(labels), pairs))
+        return real_backprop(head, x, labels, pairs, loss_cfg)
+
+    monkeypatch.setattr(mfid.model, "backprop", recording_backprop)
+    train(ds, split, TrainConfig(epochs=2, batch_pairs=4, seed=2, embed_dim=3))
+    assert seen
+    for labels, pairs in seen:
+        a, b, sim = pairs.index_arrays()
+        np.testing.assert_array_equal(a, np.arange(0, 8, 2))
+        np.testing.assert_array_equal(b, a + 1)
+        np.testing.assert_array_equal(labels[a] == labels[b], sim)
+
+
+def test_pair_sampling_bounded_memory_at_50k_rows():
+    # 1250 identities x 40: ~1.25e9 pairs, which the exhaustive arrays
+    # would hold in ~20 GB.
+    per_id, n_ids = 40, 1250
+    labels = np.random.default_rng(5).permutation(np.repeat(np.arange(n_ids), per_id))
+    ds = Dataset(np.zeros((labels.size, 1)), labels)
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        pc = build_pair_constraints(ds.labels)
+        batches = [sample_pair_batch(ds, 16, 0.5, rng, constraints=pc) for _ in range(100)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_similar = n_ids * math.comb(per_id, 2)
+    assert pc.n_similar == n_similar
+    assert pc.n_dissimilar == math.comb(labels.size, 2) - n_similar
+    assert peak < 16 * 2 ** 20
+    for batch in batches:
+        a, b, sim = batch.index_arrays()
+        assert np.all(a < b)
+        np.testing.assert_array_equal(ds.labels[a] == ds.labels[b], sim)
 
 
 # ---------------------------------------------------------------------------

@@ -255,17 +255,26 @@ def _write_array(fh, array: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def _read_array(blob: bytes, offset: int) -> tuple[np.ndarray, int]:
-    (ndim,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    shape = []
-    for _ in range(ndim):
-        (extent,) = struct.unpack_from("<Q", blob, offset)
-        shape.append(int(extent))
-        offset += 8
-    count = int(np.prod(shape)) if shape else 1
+def _within(blob: bytes, end: int, path) -> int:
+    """``end`` if the blob reaches it; a read past its length raises."""
+    if end > len(blob):
+        raise ValueError(f"{path}: truncated: needs at least {end} bytes, "
+                         f"found {len(blob)}")
+    return end
+
+
+def _unpack(fmt: str, blob: bytes, offset: int, path) -> tuple[tuple, int]:
+    end = _within(blob, offset + struct.calcsize(fmt), path)
+    return struct.unpack_from(fmt, blob, offset), end
+
+
+def _read_array(blob: bytes, offset: int, path) -> tuple[np.ndarray, int]:
+    (ndim,), offset = _unpack("<I", blob, offset, path)
+    shape, offset = _unpack(f"<{ndim}Q", blob, offset, path)
+    count = math.prod(shape)
+    end = _within(blob, offset + count * 8, path)
     array = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    return array.reshape(shape).astype(np.float64), offset + count * 8
+    return array.reshape(shape).astype(np.float64), end
 
 
 def save_baseline_model(model, path) -> None:
@@ -291,21 +300,23 @@ def load_baseline_model(path):
     blob = open(path, "rb").read()
     if blob[:4] != BASELINE_MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,), offset = _unpack("<I", blob, 4, path)
     if version != BASELINE_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    (kind,) = struct.unpack_from("<I", blob, 8)
+    (kind,), offset = _unpack("<I", blob, offset, path)
     if kind == _KIND_PCA:
-        threshold, total = struct.unpack_from("<dd", blob, 12)
-        offset = 12 + 16
-        mean, offset = _read_array(blob, offset)
-        components, offset = _read_array(blob, offset)
-        explained, _ = _read_array(blob, offset)
-        return PCAModel(mean, components, explained, float(threshold), float(total))
-    if kind == _KIND_LOGREG:
-        (c_value,) = struct.unpack_from("<d", blob, 12)
-        offset = 12 + 8
-        weights, offset = _read_array(blob, offset)
-        bias, _ = _read_array(blob, offset)
-        return LogRegModel(weights, bias, float(c_value))
-    raise ValueError(f"{path}: unknown model kind {kind}")
+        (threshold, total), offset = _unpack("<dd", blob, offset, path)
+        mean, offset = _read_array(blob, offset, path)
+        components, offset = _read_array(blob, offset, path)
+        explained, offset = _read_array(blob, offset, path)
+        model = PCAModel(mean, components, explained, float(threshold), float(total))
+    elif kind == _KIND_LOGREG:
+        (c_value,), offset = _unpack("<d", blob, offset, path)
+        weights, offset = _read_array(blob, offset, path)
+        bias, offset = _read_array(blob, offset, path)
+        model = LogRegModel(weights, bias, float(c_value))
+    else:
+        raise ValueError(f"{path}: unknown model kind {kind}")
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
+    return model

@@ -15,7 +15,6 @@ import configparser
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +49,14 @@ from .model import TrainConfig, embed, load_head, save_head, train
 _SYNTH_DEFAULTS = {
     "identities": 20, "per_id": 50, "dim": 64,
     "center_scale": 1.0, "sigma": 0.3,
-    "seed": 0, "out": "out", "jobs": 1,
+    "seed": 0, "out": "out",
 }
 _TRAIN_DEFAULTS = {
     "data": None, "split": None, "objective": "mfid", "architecture": "mlp1",
     "embed_dim": 32, "epochs": 50, "batch_pairs": 16, "lr": 1e-3,
     "decay_factor": 0.1, "decay_every": 20, "margin": 1.0,
     "sim_weight": 1.0, "dissim_weight": 1.0, "similar_fraction": 0.5,
-    "momentum": 0.0, "seed": 0, "out": "out", "jobs": 1,
+    "momentum": 0.0, "seed": 0, "out": "out",
 }
 _EVAL_DEFAULTS = {
     "data": None, "model": None, "protocols": "closed,open,verif",
@@ -70,11 +69,11 @@ _TRANSFER_DEFAULTS = {
     "model": None, "data": None, "source_name": None,
     "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
     "distractors": 6, "far": 0.01, "distractor_mode": "fixed",
-    "seed": 0, "out": "out", "jobs": 1,
+    "seed": 0, "out": "out",
 }
 _DETMETRICS_DEFAULTS = {
     "detections": None, "ground_truth": None, "iou_threshold": 0.5,
-    "seed": 0, "out": "out", "jobs": 1,
+    "seed": 0, "out": "out",
 }
 _ABLATE_DEFAULTS = {
     "data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
@@ -82,6 +81,8 @@ _ABLATE_DEFAULTS = {
     "center_scale": 1.0, "sigma": 0.3,
     "architecture": "mlp1", "embed_dim": 32, "epochs": 50, "batch_pairs": 16,
     "lr": 1e-3, "decay_factor": 0.1, "decay_every": 20, "margin": 1.0,
+    "sim_weight": 1.0, "dissim_weight": 1.0, "similar_fraction": 0.5,
+    "momentum": 0.0,
     "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
     "distractors": 6, "far": 0.01,
     "seed": 0, "out": "out", "jobs": 1,
@@ -142,12 +143,23 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     return options
 
 
+_PATH_OPTIONS = ("data", "model", "split", "detections", "ground_truth")
+
+
 def _config_hash(command: str, options: dict) -> str:
-    # out and jobs are execution details: the same experiment written to a
-    # different directory or run in parallel must hash (and byte-compare)
+    # out and jobs are execution details, and an input path counts only by
+    # its final component: the same experiment read from or written to a
+    # different directory, or run in parallel, must hash (and byte-compare)
     # the same.
-    canonical = "\n".join(f"{command}.{key}={options[key]!r}"
-                          for key in sorted(options) if key not in ("out", "jobs"))
+    hashed = {key: value for key, value in options.items()
+              if key not in ("out", "jobs")}
+    for key in _PATH_OPTIONS:
+        if hashed.get(key) is not None:
+            hashed[key] = Path(hashed[key]).name
+    if hashed.get("split_file") is not None:
+        hashed["split_file"] = ",".join(Path(stem.strip()).name
+                                        for stem in hashed["split_file"].split(","))
+    canonical = "\n".join(f"{command}.{key}={hashed[key]!r}" for key in sorted(hashed))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -174,12 +186,31 @@ def _require(options: dict, *keys: str) -> None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
 
 
+# The work of the running _map_indexed call.  Forked workers inherit it with
+# the data its closure holds, so only indices and results are pickled.
+_FORKED_WORK = None
+
+
+def _run_forked(i: int):
+    return _FORKED_WORK(i)
+
+
 def _map_indexed(work, count: int, jobs: int) -> list:
-    """Run ``work(i)`` for i in range(count); parallel only when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, range(count)))
-    return [work(i) for i in range(count)]
+    """``[work(i) for i in range(count)]``, in up to ``jobs`` forked processes."""
+    if jobs <= 1 or count <= 1:
+        return [work(i) for i in range(count)]
+    # Imported here, not at module top, where it adds RSS to every command.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _FORKED_WORK
+    _FORKED_WORK = work
+    try:
+        with ProcessPoolExecutor(min(jobs, count),
+                                 multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_forked, range(count)))
+    finally:
+        _FORKED_WORK = None
 
 
 def _child_seed(root: np.random.SeedSequence) -> int:
@@ -412,13 +443,7 @@ def cmd_ablate(options: dict) -> None:
         trial_seed = _child_seed(trial_stream)
         metrics = []
         for arm in arms:
-            loss_cfg = LossConfig(margin=options["margin"])
-            cfg = TrainConfig(
-                epochs=options["epochs"], batch_pairs=options["batch_pairs"],
-                initial_lr=options["lr"], decay_factor=options["decay_factor"],
-                decay_every=options["decay_every"], objective=arm, loss=loss_cfg,
-                seed=train_seed, architecture=options["architecture"],
-                embed_dim=options["embed_dim"])
+            cfg = _train_config({**options, "objective": arm, "seed": train_seed})
             model = train(ds, split, cfg)
             embeddings = embed(model.head, ds.features[split.test_indices])
             test_labels = ds.labels[split.test_indices]

@@ -1,5 +1,7 @@
 """PCA energy truncation, L2 normalization, and logistic-regression baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,20 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"WHAT" + bytes(16))
     with pytest.raises(ValueError, match="magic"):
         load_baseline_model(path)
+
+
+@pytest.mark.parametrize("kind", ["pca", "logreg"])
+def test_load_rejects_every_truncation_and_padding(tmp_path, kind):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(30, 5))
+    if kind == "pca":
+        model = pca_fit(x, 0.9)
+    else:
+        model = logreg_fit(x, rng.integers(0, 3, size=30), c_grid=[1.0])
+    path = tmp_path / "model.mfbl"
+    save_baseline_model(model, path)
+    blob = path.read_bytes()
+    for damaged in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_baseline_model(path)

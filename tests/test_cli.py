@@ -18,10 +18,11 @@ from mfid import (
     open_set_eval,
     save_split,
     tar_at_far,
+    train,
     verification_eval,
     verification_scores,
 )
-from mfid.cli import main
+from mfid.cli import _DEFAULTS, _config_hash, main
 
 
 def run_cli(*argv):
@@ -119,6 +120,30 @@ def test_train_cross_entropy_zeroes_pair_columns(synth_dir, tmp_path):
         assert float(sim) == 0.0 and float(dissim) == 0.0
         assert int(n_sim) == 0 and int(n_dis) == 0
         assert float(total) == float(ce)
+
+
+def test_train_header_ignores_input_directory(synth_dir, tmp_path):
+    # byte-identical inputs read from two directories give identical bytes
+    outputs = []
+    for where in ("one", "two"):
+        copy = tmp_path / where / "dataset.csv"
+        copy.parent.mkdir()
+        shutil.copyfile(synth_dir / "dataset.csv", copy)
+        out = tmp_path / where / "run"
+        assert run_cli("train", "--data", str(copy), "--epochs", "2",
+                       "--seed", "4", "--out", str(out)) == 0
+        outputs.append((out / "loss_history.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_config_hash_uses_final_path_components():
+    def hash_of(**options):
+        return _config_hash("eval", {**_DEFAULTS["eval"], **options})
+
+    assert (hash_of(data="a/d.bin", model="a/m.mfhd", split_file="a/s1, a/s2")
+            == hash_of(data="b/d.bin", model="c/m.mfhd", split_file="b/s1,c/s2"))
+    assert hash_of(data="a/d.bin") != hash_of(data="a/e.bin")
+    assert hash_of(split_file="a/s1,a/s2") != hash_of(split_file="a/s1,a/s3")
 
 
 def test_train_missing_data_flag(capsys):
@@ -372,6 +397,45 @@ def test_ablate_separable_mfid_at_least_ce(tmp_path):
     assert at_least >= 8
 
 
+_SMALL_ABLATE = ("ablate", "--seeds", "3", "--identities", "6", "--per-id", "6",
+                 "--dim", "6", "--sigma", "0.1", "--epochs", "2",
+                 "--test-fraction", "0.5", "--trials", "5", "--distractors", "1",
+                 "--seed", "5")
+
+
+def test_ablate_jobs_matches_sequential(tmp_path):
+    assert run_cli(*_SMALL_ABLATE, "--jobs", "1", "--out", str(tmp_path / "seq")) == 0
+    assert run_cli(*_SMALL_ABLATE, "--jobs", "2", "--out", str(tmp_path / "par")) == 0
+    assert ((tmp_path / "seq" / "ablation.csv").read_bytes()
+            == (tmp_path / "par" / "ablation.csv").read_bytes())
+
+
+def test_ablate_trains_with_every_training_option(tmp_path, monkeypatch):
+    configs = []
+
+    def recording_train(ds, split, cfg):
+        configs.append(cfg)
+        return train(ds, split, cfg)
+
+    monkeypatch.setattr("mfid.cli.train", recording_train)
+    assert run_cli(*_SMALL_ABLATE, "--sim-weight", "0.5", "--dissim-weight", "2.0",
+                   "--similar-fraction", "0.25", "--momentum", "0.9",
+                   "--out", str(tmp_path)) == 0
+    assert [cfg.objective for cfg in configs] == ["mfid", "cross_entropy"] * 3
+    for cfg in configs:
+        assert (cfg.loss.sim_weight, cfg.loss.dissim_weight) == (0.5, 2.0)
+        assert (cfg.similar_fraction, cfg.momentum) == (0.25, 0.9)
+
+
+def test_ablate_worker_error_reaches_main(tmp_path, capsys):
+    # two images per identity leave too few similar pairs for a batch
+    assert run_cli("ablate", "--jobs", "2", "--seeds", "2", "--identities", "3",
+                   "--per-id", "2", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "similar pairs" in err[0]
+
+
 def test_ablate_requires_two_objectives(tmp_path, capsys):
     assert run_cli("ablate", "--objectives", "mfid", "--out", str(tmp_path)) == 1
     assert "two" in capsys.readouterr().err
@@ -391,6 +455,38 @@ def test_baseline_command(synth_dir, tmp_path):
     assert all(acc >= 0.9 for acc in split_accs)  # near-separable data
     assert rows[2].startswith("mean,")
     assert rows[3].startswith("std,")
+
+
+def test_baseline_jobs_matches_sequential(synth_dir, tmp_path):
+    args = ("baseline", "--data", str(synth_dir / "dataset.csv"), "--splits", "3",
+            "--c-grid", "1.0,100.0", "--seed", "6")
+    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "seq")) == 0
+    assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "par")) == 0
+    assert ((tmp_path / "seq" / "baseline.csv").read_bytes()
+            == (tmp_path / "par" / "baseline.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "transfer", "detmetrics"])
+def test_jobs_only_on_commands_that_fan_out(command):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--jobs", "2")
+    assert exit_info.value.code == 2
+
+
+def test_single_process_commands_import_no_pool(tmp_path):
+    script = (
+        "import sys\n"
+        "from mfid.cli import main\n"
+        f"assert main(['synth', '--identities', '3', '--per-id', '4', '--dim', '2',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['train', '--data', {str(tmp_path / 'dataset.csv')!r},"
+        f" '--epochs', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('multiprocessing', 'concurrent'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dataset loading, splits, pair constraints, and the synthetic generator."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,18 @@ def test_binary_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ValueError, match="bytes"):
         load_dataset(path)
+
+
+def test_binary_rejects_every_truncation_and_padding(tmp_path):
+    rng = np.random.default_rng(14)
+    ds = Dataset(rng.normal(size=(4, 3)), [0, 0, 1, 1])
+    path = tmp_path / "cut.bin"
+    save_dataset(ds, path)
+    blob = path.read_bytes()
+    for damaged in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_dataset(path)
 
 
 def test_empty_csv_rejected(tmp_path):

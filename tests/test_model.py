@@ -1,6 +1,7 @@
 """Embedding heads: init, forward, backprop vs finite differences, SGD, training."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,3 +351,14 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="bytes"):
         load_head(path)
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+def test_checkpoint_rejects_every_truncation_and_padding(tmp_path, architecture):
+    path = tmp_path / "head.mfhd"
+    save_head(init_head(architecture, 4, 3, 2, seed=0), path)
+    blob = path.read_bytes()
+    for damaged in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_head(path)

@@ -46,58 +46,34 @@ from .evaluation import (
 from .loss import LOSS_CSV_HEADER, LossConfig
 from .model import TrainConfig, embed, load_head, save_head, train
 
-_SYNTH_DEFAULTS = {
-    "identities": 20, "per_id": 50, "dim": 64,
-    "center_scale": 1.0, "sigma": 0.3,
-    "seed": 0, "out": "out",
-}
-_TRAIN_DEFAULTS = {
-    "data": None, "split": None, "objective": "mfid", "architecture": "mlp1",
-    "embed_dim": 32, "epochs": 50, "batch_pairs": 16, "lr": 1e-3,
-    "decay_factor": 0.1, "decay_every": 20, "margin": 1.0,
-    "sim_weight": 1.0, "dissim_weight": 1.0, "similar_fraction": 0.5,
-    "momentum": 0.0, "seed": 0, "out": "out",
-}
-_EVAL_DEFAULTS = {
-    "data": None, "model": None, "protocols": "closed,open,verif",
-    "splits": 5, "test_fraction": 0.2, "trials": 100,
-    "gallery_per_identity": 1, "distractors": 6, "far": 0.01,
-    "distractor_mode": "fixed", "split_file": None,
-    "seed": 0, "out": "out", "jobs": 1,
-}
-_TRANSFER_DEFAULTS = {
-    "model": None, "data": None, "source_name": None,
-    "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
-    "distractors": 6, "far": 0.01, "distractor_mode": "fixed",
-    "seed": 0, "out": "out",
-}
-_DETMETRICS_DEFAULTS = {
-    "detections": None, "ground_truth": None, "iou_threshold": 0.5,
-    "seed": 0, "out": "out",
-}
-_ABLATE_DEFAULTS = {
-    "data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
-    "identities": 20, "per_id": 50, "dim": 64,
-    "center_scale": 1.0, "sigma": 0.3,
+# Option groups shared by the commands that make data, train a head, score
+# trials, or write outputs.
+_SYNTH = {"identities": 20, "per_id": 50, "dim": 64, "center_scale": 1.0, "sigma": 0.3}
+_TRAIN = {
     "architecture": "mlp1", "embed_dim": 32, "epochs": 50, "batch_pairs": 16,
     "lr": 1e-3, "decay_factor": 0.1, "decay_every": 20, "margin": 1.0,
     "sim_weight": 1.0, "dissim_weight": 1.0, "similar_fraction": 0.5,
     "momentum": 0.0,
-    "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
-    "distractors": 6, "far": 0.01,
-    "seed": 0, "out": "out", "jobs": 1,
 }
-_BASELINE_DEFAULTS = {
-    "data": None, "splits": 5, "test_fraction": 0.2, "energy": 0.99,
-    "c_grid": ",".join(repr(c) for c in DEFAULT_C_GRID),
-    "validation_fraction": 0.2,
-    "seed": 0, "out": "out", "jobs": 1,
-}
+_TRIAL = {"test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
+          "distractors": 6, "far": 0.01}
+_RUN = {"seed": 0, "out": "out"}
 
 _DEFAULTS = {
-    "synth": _SYNTH_DEFAULTS, "train": _TRAIN_DEFAULTS, "eval": _EVAL_DEFAULTS,
-    "transfer": _TRANSFER_DEFAULTS, "detmetrics": _DETMETRICS_DEFAULTS,
-    "ablate": _ABLATE_DEFAULTS, "baseline": _BASELINE_DEFAULTS,
+    "synth": {**_SYNTH, **_RUN},
+    "train": {"data": None, "split": None, "objective": "mfid", **_TRAIN, **_RUN},
+    "eval": {"data": None, "model": None, "protocols": "closed,open,verif",
+             "splits": 5, **_TRIAL, "distractor_mode": "fixed", "split_file": None,
+             **_RUN, "jobs": 1},
+    "transfer": {"model": None, "data": None, "source_name": None, **_TRIAL,
+                 "distractor_mode": "fixed", **_RUN},
+    "detmetrics": {"detections": None, "ground_truth": None, "iou_threshold": 0.5,
+                   **_RUN},
+    "ablate": {"data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
+               **_SYNTH, **_TRAIN, **_TRIAL, **_RUN, "jobs": 1},
+    "baseline": {"data": None, "splits": 5, "test_fraction": 0.2, "energy": 0.99,
+                 "c_grid": ",".join(repr(c) for c in DEFAULT_C_GRID),
+                 "validation_fraction": 0.2, **_RUN},
 }
 
 
@@ -221,18 +197,19 @@ def _child_seed(root: np.random.SeedSequence) -> int:
 # commands
 
 
+def _synth(options: dict, seed: int) -> Dataset:
+    return synth_gaussian(options["identities"], options["per_id"], options["dim"],
+                          options["center_scale"], options["sigma"], seed)
+
+
 def cmd_synth(options: dict) -> None:
-    ds = synth_gaussian(options["identities"], options["per_id"],
-                        options["dim"], options["center_scale"],
-                        options["sigma"], options["seed"])
+    ds = _synth(options, options["seed"])
     out = _out_dir(options)
     header = _header("synth", options)
     save_dataset(ds, out / "dataset.csv", "csv", header_comment=header)
     save_dataset(ds, out / "dataset.bin", "binary")
     manifest = [f"# {header}"]
-    manifest.extend(f"{key}={options[key]!r}" for key in
-                    ("identities", "per_id", "dim", "center_scale",
-                     "sigma", "seed"))
+    manifest.extend(f"{key}={options[key]!r}" for key in (*_SYNTH, "seed"))
     manifest.append(f"n_samples={ds.n_samples}")
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
@@ -431,24 +408,18 @@ def cmd_ablate(options: dict) -> None:
 
     def run_seed(i: int):
         data_stream, split_stream, train_stream, trial_stream = children[i].spawn(4)
-        if fixed_ds is not None:
-            ds = fixed_ds
-        else:
-            ds = synth_gaussian(options["identities"], options["per_id"],
-                                options["dim"], options["center_scale"],
-                                options["sigma"], _child_seed(data_stream))
+        ds = (_synth(options, _child_seed(data_stream)) if fixed_ds is None
+              else fixed_ds)
         split = identity_disjoint_split(ds, options["test_fraction"],
                                         _child_seed(split_stream))
         train_seed = _child_seed(train_stream)
-        trial_seed = _child_seed(trial_stream)
+        trial_cfg = _trial_config(options, _child_seed(trial_stream))
+        test_labels = ds.labels[split.test_indices]
         metrics = []
         for arm in arms:
             cfg = _train_config({**options, "objective": arm, "seed": train_seed})
             model = train(ds, split, cfg)
             embeddings = embed(model.head, ds.features[split.test_indices])
-            test_labels = ds.labels[split.test_indices]
-            trial_cfg = _trial_config({**options, "distractor_mode": "fixed"},
-                                      trial_seed)
             verif = verification_eval(embeddings, test_labels, trial_cfg)
             closed = closed_set_eval(embeddings, test_labels, trial_cfg)
             metrics.append((verif.mean, closed.mean))
@@ -482,16 +453,12 @@ def cmd_baseline(options: dict) -> None:
     splits = stratified_splits(ds, options["splits"], options["test_fraction"],
                                options["seed"])
 
-    def run_split(i: int):
-        split = splits[i]
-        return baseline_pipeline(
-            ds.features[split.train_indices], ds.labels[split.train_indices],
-            ds.features[split.test_indices], ds.labels[split.test_indices],
-            energy_threshold=options["energy"], c_grid=grid,
-            validation_fraction=options["validation_fraction"],
-            seed=options["seed"])
-
-    accuracies = _map_indexed(run_split, options["splits"], options["jobs"])
+    accuracies = [baseline_pipeline(
+        ds.features[split.train_indices], ds.labels[split.train_indices],
+        ds.features[split.test_indices], ds.labels[split.test_indices],
+        energy_threshold=options["energy"], c_grid=grid,
+        validation_fraction=options["validation_fraction"],
+        seed=options["seed"]) for split in splits]
     rows = [f"{i},{acc!r}" for i, acc in enumerate(accuracies)]
     values = np.asarray(accuracies)
     rows.append(f"mean,{float(values.mean())!r}")

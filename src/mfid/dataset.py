@@ -380,9 +380,7 @@ class PairConstraints:
     The pairs are all (i, j) with i < j; a pair is similar iff the two labels
     are equal.  Each kind is listed in row-major order (by i, then j).  The
     n(n-1)/2 pairs are never stored: :meth:`pairs_at` decodes a rank in a list
-    straight into (i, j) from an O(n) label index.  ``similar`` /
-    ``dissimilar`` expand the whole lists into frozensets, which costs
-    O(n^2) and is meant for small inputs.
+    straight into (i, j) from an O(n) label index.
     """
 
     def __init__(self, labels):
@@ -428,18 +426,6 @@ class PairConstraints:
         if kind not in self._offsets:
             raise ValueError(f"unknown pair kind {kind!r}")
         return self._offsets[kind]
-
-    def _pair_set(self, kind: str) -> frozenset:
-        everything = np.arange(self._offsets[kind][-1])
-        return frozenset(map(tuple, self.pairs_at(kind, everything).tolist()))
-
-    @cached_property
-    def similar(self) -> frozenset:
-        return self._pair_set("similar")
-
-    @cached_property
-    def dissimilar(self) -> frozenset:
-        return self._pair_set("dissimilar")
 
     def pairs_at(self, kind: str, ranks) -> np.ndarray:
         """(count, 2) int64 pairs at ``ranks`` in the row-major ``kind`` list."""

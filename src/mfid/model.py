@@ -308,6 +308,9 @@ def load_head(path) -> EmbeddingHead:
         raise ValueError(f"{path}: unknown architecture tag {tag}")
     architecture = by_tag[tag]
     if architecture == "linear":
+        if embed_dim != input_dim:
+            raise ValueError(f"{path}: linear head with embed_dim {embed_dim} "
+                             f"!= input_dim {input_dim}")
         shapes = {"w": (n_classes, input_dim), "b": (n_classes,)}
     else:
         shapes = {"w1": (embed_dim, input_dim), "b1": (embed_dim,),

@@ -1,12 +1,17 @@
 """End-to-end command-line tests: every command, determinism, exit codes."""
 
+import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfid
 from mfid import (
     TrialConfig,
     closed_set_eval,
@@ -22,11 +27,17 @@ from mfid import (
     verification_eval,
     verification_scores,
 )
-from mfid.cli import _DEFAULTS, _config_hash, main
+from mfid.cli import _DEFAULTS, _config_hash, _resolve_options, build_parser, main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def child_env():
+    """The environment for a child interpreter that must import this mfid."""
+    paths = [str(Path(mfid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def read_rows(path):
@@ -457,16 +468,8 @@ def test_baseline_command(synth_dir, tmp_path):
     assert rows[3].startswith("std,")
 
 
-def test_baseline_jobs_matches_sequential(synth_dir, tmp_path):
-    args = ("baseline", "--data", str(synth_dir / "dataset.csv"), "--splits", "3",
-            "--c-grid", "1.0,100.0", "--seed", "6")
-    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "seq")) == 0
-    assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "par")) == 0
-    assert ((tmp_path / "seq" / "baseline.csv").read_bytes()
-            == (tmp_path / "par" / "baseline.csv").read_bytes())
-
-
-@pytest.mark.parametrize("command", ["synth", "train", "transfer", "detmetrics"])
+@pytest.mark.parametrize("command", ["synth", "train", "transfer", "detmetrics",
+                                     "baseline"])
 def test_jobs_only_on_commands_that_fan_out(command):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(command, "--jobs", "2")
@@ -484,13 +487,75 @@ def test_single_process_commands_import_no_pool(tmp_path):
         "print(sorted(m for m in sys.modules"
         " if m.startswith(('multiprocessing', 'concurrent'))))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True)
+                          text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
-# config file layering
+# option schema and config file layering
+
+# Each command's options in declaration order, with defaults (and so types),
+# and the config hash of those defaults.  Output headers depend on them.
+PINNED_OPTIONS = {
+    "synth": ("72673f3f2b238fa8", {
+        "identities": 20, "per_id": 50, "dim": 64, "center_scale": 1.0,
+        "sigma": 0.3, "seed": 0, "out": "out"}),
+    "train": ("19ef3027a3fc8663", {
+        "data": None, "split": None, "objective": "mfid", "architecture": "mlp1",
+        "embed_dim": 32, "epochs": 50, "batch_pairs": 16, "lr": 0.001,
+        "decay_factor": 0.1, "decay_every": 20, "margin": 1.0, "sim_weight": 1.0,
+        "dissim_weight": 1.0, "similar_fraction": 0.5, "momentum": 0.0,
+        "seed": 0, "out": "out"}),
+    "eval": ("d9c335c23854e0ac", {
+        "data": None, "model": None, "protocols": "closed,open,verif", "splits": 5,
+        "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
+        "distractors": 6, "far": 0.01, "distractor_mode": "fixed",
+        "split_file": None, "seed": 0, "out": "out", "jobs": 1}),
+    "transfer": ("248c2b7ac6ae8485", {
+        "model": None, "data": None, "source_name": None, "test_fraction": 0.2,
+        "trials": 100, "gallery_per_identity": 1, "distractors": 6, "far": 0.01,
+        "distractor_mode": "fixed", "seed": 0, "out": "out"}),
+    "detmetrics": ("13a05c2c3349c307", {
+        "detections": None, "ground_truth": None, "iou_threshold": 0.5,
+        "seed": 0, "out": "out"}),
+    "ablate": ("8d8cf675bf4d97b1", {
+        "data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
+        "identities": 20, "per_id": 50, "dim": 64, "center_scale": 1.0,
+        "sigma": 0.3, "architecture": "mlp1", "embed_dim": 32, "epochs": 50,
+        "batch_pairs": 16, "lr": 0.001, "decay_factor": 0.1, "decay_every": 20,
+        "margin": 1.0, "sim_weight": 1.0, "dissim_weight": 1.0,
+        "similar_fraction": 0.5, "momentum": 0.0, "test_fraction": 0.2,
+        "trials": 100, "gallery_per_identity": 1, "distractors": 6, "far": 0.01,
+        "seed": 0, "out": "out", "jobs": 1}),
+    "baseline": ("87c3e88f3a48c5e2", {
+        "data": None, "splits": 5, "test_fraction": 0.2, "energy": 0.99,
+        "c_grid": "1e-05,0.0001,0.001,0.01,0.1,1.0,10.0,100.0,1000.0,10000.0,"
+                  "100000.0",
+        "validation_fraction": 0.2, "seed": 0, "out": "out"}),
+}
+
+
+def typed_items(options):
+    return [(key, type(value), value) for key, value in options.items()]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+def test_option_schema_is_pinned(command, tmp_path):
+    config_hash, pinned = PINNED_OPTIONS[command]
+    assert typed_items(_DEFAULTS[command]) == typed_items(pinned)
+    assert _config_hash(command, _DEFAULTS[command]) == config_hash
+    # Every option spelled out as text, from an INI file or as flags, parses
+    # back to the pinned value and type.
+    given = {key: str(value) for key, value in pinned.items() if value is not None}
+    ini = tmp_path / "pinned.ini"
+    ini.write_text(f"[{command}]\n" + "".join(f"{key} = {text}\n"
+                                              for key, text in given.items()))
+    flags = [part for key, text in given.items()
+             for part in ("--" + key.replace("_", "-"), text)]
+    for argv in ([command, "--config", str(ini)], [command, *flags]):
+        options = _resolve_options(build_parser().parse_args(argv))
+        assert typed_items(options) == typed_items(pinned)
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -550,8 +615,22 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "dataset.csv").is_file()
 
 
+def test_readme_typical_session_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = next(block for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                   if "mfid synth" in block)
+    commands = [shlex.split(line) for line in session.replace("\\\n", " ").splitlines()
+                if line.startswith("mfid ")]
+    assert [argv[1] for argv in commands] == ["synth", "train", "eval"]
+    for argv in commands:
+        assert not Path(argv[argv.index("--out") + 1]).is_absolute()
+    monkeypatch.chdir(tmp_path)  # so the session's relative paths land here
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+
+
 def test_module_invocation():
     proc = subprocess.run([sys.executable, "-m", "mfid.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("mfid ")

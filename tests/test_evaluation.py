@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfid import (
     EvalReport,
@@ -695,6 +697,64 @@ def test_scoring_invariant_to_row_permutation(seed, tied):
         np.testing.assert_allclose(perm_neg.reshape(labels.size, -1),
                                    negatives.reshape(labels.size, -1)[perm],
                                    rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# order invariance, as hypothesis properties
+
+# A handful of repeated values gives heavy ties; the floats give the rest.
+SCORE_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def pooled_gallery_cases(draw):
+    """Gallery labels (unsorted, sparse ids), probe labels, scores, a column order."""
+    n_ids = draw(st.integers(1, 5))
+    gallery_labels = 3 * np.asarray(draw(st.permutations(
+        list(range(n_ids)) * draw(st.integers(1, 3)))))
+    probe_labels = 3 * np.asarray(draw(st.lists(st.integers(0, n_ids - 1),
+                                                min_size=1, max_size=6)))
+    scores = np.asarray(draw(st.lists(SCORE_VALUES,
+                                      min_size=probe_labels.size * gallery_labels.size,
+                                      max_size=probe_labels.size * gallery_labels.size)))
+    columns = np.asarray(draw(st.permutations(range(gallery_labels.size))))
+    return (ScoreMatrix(scores.reshape(probe_labels.size, -1), probe_labels,
+                        gallery_labels), columns)
+
+
+def closed_set_ranks(sm):
+    pooled, ids = identity_max_scores(sm)
+    ranks = probe_ranks(pooled, ids, sm.probe_labels)
+    return ranks, np.bincount(ranks, minlength=ids.size + 1)[1:]
+
+
+@PROPERTY_SETTINGS
+@given(pooled_gallery_cases())
+def test_ranks_invariant_to_gallery_column_order(case):
+    sm, columns = case
+    shuffled = ScoreMatrix(sm.scores[:, columns], sm.probe_labels,
+                           sm.gallery_labels[columns])
+    ranks, counts = closed_set_ranks(sm)
+    shuffled_ranks, shuffled_counts = closed_set_ranks(shuffled)
+    np.testing.assert_array_equal(shuffled_ranks, ranks)
+    np.testing.assert_array_equal(shuffled_counts, counts)
+
+
+@st.composite
+def permuted_scores(draw):
+    scores = draw(st.lists(SCORE_VALUES, min_size=1, max_size=40))
+    order = draw(st.permutations(range(len(scores))))
+    return np.asarray(scores), np.asarray(scores)[list(order)]
+
+
+@PROPERTY_SETTINGS
+@given(permuted_scores(), permuted_scores(),
+       st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([0.01, 0.5, 1.0]))
+def test_tar_at_far_invariant_to_score_order(positives, negatives, far):
+    assert (tar_at_far(positives[1], negatives[1], far)
+            == tar_at_far(positives[0], negatives[0], far))
 
 
 # ---------------------------------------------------------------------------

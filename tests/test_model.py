@@ -362,3 +362,18 @@ def test_checkpoint_rejects_every_truncation_and_padding(tmp_path, architecture)
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_head(path)
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+def test_checkpoint_rejects_every_header_field_bit_flip(tmp_path, architecture):
+    path = tmp_path / "head.mfhd"
+    save_head(init_head(architecture, 4, 3, 2, seed=0), path)
+    blob = path.read_bytes()
+    # version, architecture tag, input_dim, embed_dim, n_classes: bytes 4-23
+    for byte in range(4, 24):
+        for bit in range(8):
+            damaged = bytearray(blob)
+            damaged[byte] ^= 1 << bit
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_head(path)

@@ -62,6 +62,7 @@ from .evaluation import (
     cosine_similarity,
     dir_at_far,
     far_threshold,
+    far_thresholds,
     open_set_eval,
     probe_ranks,
     roc_points,

@@ -8,7 +8,8 @@ The regression is solved by deterministic full-batch gradient descent with
 a backtracking (Armijo) line search, so repeat runs are bit-identical.
 ``C`` is chosen on a held-out validation slice from a decade grid spanning
 1e-5 .. 1e+5, ties resolved toward the smaller (more regularized) value,
-then the model is refit on all training data.
+then the model is refit on all training data.  Grid values whose fit does
+not converge are skipped.
 """
 
 from __future__ import annotations
@@ -112,15 +113,24 @@ def l2_normalize(x) -> np.ndarray:
 
 
 def _logreg_ce_grad(w, b, x, y):
+    """Cross-entropy at (w, b), and a function that returns its gradient there.
+
+    The line search rejects about half of its trial points, so the gradient
+    product is formed only when the solver accepts the point.
+    """
     z = x @ w.T + b
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    sums = e.sum(axis=1, keepdims=True)
     rows = np.arange(x.shape[0])
-    ce = float(-np.log(np.maximum(probs[rows, y], 1e-300)).sum())
-    residual = probs
-    residual[rows, y] -= 1.0
-    return ce, residual.T @ x, residual.sum(axis=0)
+    ce = float(-np.log(np.maximum(e[rows, y] / sums[:, 0], 1e-300)).sum())
+
+    def gradient():
+        residual = e / sums
+        residual[rows, y] -= 1.0
+        return residual.T @ x, residual.sum(axis=0)
+
+    return ce, gradient
 
 
 def _logreg_solve(x, y, n_classes, c_value, max_iter, tol):
@@ -135,7 +145,8 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol):
     b = np.zeros(n_classes)
     step = 1.0
     history = []
-    ce, gw, gb = _logreg_ce_grad(w, b, x, y)
+    ce, gradient = _logreg_ce_grad(w, b, x, y)
+    gw, gb = gradient()
     value = ce + 0.5 / c_value * float((w * w).sum())
     for _ in range(max_iter):
         history.append(value)
@@ -147,7 +158,7 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol):
         while True:
             new_w = (w - step * gw) / (1.0 + step / c_value)
             new_b = b - step * gb
-            new_ce, new_gw, new_gb = _logreg_ce_grad(new_w, new_b, x, y)
+            new_ce, gradient = _logreg_ce_grad(new_w, new_b, x, y)
             dw, db = new_w - w, new_b - b
             move_sq = float((dw * dw).sum() + (db * db).sum())
             # sufficient decrease on the smooth part (quadratic upper bound)
@@ -155,7 +166,8 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol):
             if new_ce <= bound + 1e-12 * abs(ce) or step < 1e-18:
                 break
             step *= 0.5
-        w, b, ce, gw, gb = new_w, new_b, new_ce, new_gw, new_gb
+        w, b, ce = new_w, new_b, new_ce
+        gw, gb = gradient()
         value = ce + 0.5 / c_value * float((w * w).sum())
     history.append(value)
     full_gw = gw + w / c_value
@@ -175,8 +187,10 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
 
     A per-class slice of ``validation_fraction`` is held out (deterministic
     given ``seed``); every C on the grid is fit on the remainder and scored
-    on the holdout; accuracy ties go to the smaller C.  The winner is refit
-    on all rows.  Raises if gradient descent fails to converge.
+    on the holdout; accuracy ties go to the smaller C.  A C whose fit does
+    not converge within ``max_iter`` iterations is left out of the selection
+    and of ``validation_accuracy``.  The winner is refit on all rows.
+    Raises if no C converges, or if the refit does not.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
@@ -211,15 +225,16 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
         w, b, _, residual = _logreg_solve(x[fit_idx], y[fit_idx], n_classes,
                                           c_value, max_iter, tol)
         if residual > tol:
-            raise RuntimeError(
-                f"logistic regression did not converge for C={c_value:g} "
-                f"within {max_iter} iterations (gradient norm {residual:.3e})")
+            continue
         probe = holdout if holdout.size else fit_idx
         pred = np.argmax(x[probe] @ w.T + b, axis=1)
         acc = float(np.mean(pred == y[probe]))
         record[c_value] = acc
         if acc > best_acc:  # strict: ties keep the earlier (smaller) C
             best_c, best_acc = c_value, acc
+    if best_c is None:
+        raise RuntimeError(f"logistic regression did not converge for any C in "
+                           f"{grid} within {max_iter} iterations")
 
     w, b, history, residual = _logreg_solve(x, y, n_classes, best_c, max_iter, tol)
     if residual > tol:
@@ -274,6 +289,8 @@ def _read_array(blob: bytes, offset: int, path) -> tuple[np.ndarray, int]:
     count = math.prod(shape)
     end = _within(blob, offset + count * 8, path)
     array = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{path}: non-finite value in the array at byte {offset}")
     return array.reshape(shape).astype(np.float64), end
 
 
@@ -296,7 +313,17 @@ def save_baseline_model(model, path) -> None:
             raise ValueError(f"cannot serialize {type(model).__name__}")
 
 
+def _check_positive(name: str, value: float, path) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{path}: {name} must be finite and positive, got {value!r}")
+
+
 def load_baseline_model(path):
+    """Read a PCAModel or LogRegModel from an MFBL file.
+
+    Raises ValueError naming ``path`` for a damaged container, a scalar field
+    out of range, or a non-finite array value.
+    """
     blob = open(path, "rb").read()
     if blob[:4] != BASELINE_MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}")
@@ -306,12 +333,17 @@ def load_baseline_model(path):
     (kind,), offset = _unpack("<I", blob, offset, path)
     if kind == _KIND_PCA:
         (threshold, total), offset = _unpack("<dd", blob, offset, path)
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"{path}: energy_threshold must be in (0, 1], "
+                             f"got {threshold!r}")
+        _check_positive("total_variance", total, path)
         mean, offset = _read_array(blob, offset, path)
         components, offset = _read_array(blob, offset, path)
         explained, offset = _read_array(blob, offset, path)
         model = PCAModel(mean, components, explained, float(threshold), float(total))
     elif kind == _KIND_LOGREG:
         (c_value,), offset = _unpack("<d", blob, offset, path)
+        _check_positive("c_value", c_value, path)
         weights, offset = _read_array(blob, offset, path)
         bias, offset = _read_array(blob, offset, path)
         model = LogRegModel(weights, bias, float(c_value))

@@ -35,8 +35,10 @@ from .dataset import (
 from .detection import detection_report, load_boxes
 from .evaluation import (
     TrialConfig,
+    _accept_rates,
     classification_accuracy,
     closed_set_eval,
+    far_thresholds,
     open_set_eval,
     tar_at_far,
     transfer_eval,
@@ -309,8 +311,8 @@ def cmd_eval(options: dict) -> None:
                 positives, negatives = verification_scores(embeddings, test_labels)
                 tar, tau = tar_at_far(positives, negatives, cfg.far_target)
                 rows.append(("verification", i, tar, 0.0, repr(tau)))
-                roc_tars = [tar_at_far(positives, negatives, far)[0]
-                            for far in _ROC_GRID]
+                roc_tars = _accept_rates(positives,
+                                         far_thresholds(negatives, _ROC_GRID)).tolist()
         if "classification" in protocols:
             split = strat_splits[i]
             accuracy = classification_accuracy(

@@ -22,7 +22,6 @@ above the largest non-mated score.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +150,15 @@ def classification_accuracy(model, features, labels) -> float:
 # ranking
 
 
+# Cells of the label-ordered score copy that pooling holds at once (2 MB).
+_POOL_BLOCK_CELLS = 1 << 18
+
+
 def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool gallery scores per identity.
+
+    Probe rows are pooled in blocks of at most ``_POOL_BLOCK_CELLS`` score
+    cells, so the label-ordered copy of the scores never exceeds one block.
 
     Returns:
         (P, G_id) array of per-identity scores and the sorted identity ids
@@ -160,7 +166,13 @@ def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     order = np.argsort(sm.gallery_labels, kind="stable")
     ids, starts = np.unique(sm.gallery_labels[order], return_index=True)
-    return np.maximum.reduceat(sm.scores[:, order], starts, axis=1), ids
+    n_probes = sm.scores.shape[0]
+    pooled = np.empty((n_probes, ids.size))
+    block = max(1, _POOL_BLOCK_CELLS // max(1, order.size))
+    for lo in range(0, n_probes, block):
+        pooled[lo:lo + block] = np.maximum.reduceat(sm.scores[lo:lo + block, order],
+                                                    starts, axis=1)
+    return pooled, ids
 
 
 def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
@@ -188,6 +200,28 @@ def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
 # thresholds
 
 
+def far_thresholds(nonmated_scores, far_targets) -> np.ndarray:
+    """:func:`far_threshold` for each target, from one sort of the scores."""
+    scores = np.asarray(nonmated_scores, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("no non-mated scores to calibrate a threshold")
+    targets = np.asarray(far_targets, dtype=np.float64)
+    bad = targets[~((targets > 0.0) & (targets <= 1.0))]
+    if bad.size:
+        raise ValueError(f"far_target must be in (0, 1], got {float(bad[0])}")
+    # A value v qualifies when at most ``allowed`` scores are >= v, i.e. when
+    # v lies above the score at ascending rank n - allowed - 1.
+    ordered = np.sort(scores)
+    rank = ordered.size - 1 - np.floor(targets * ordered.size + 1e-9).astype(np.int64)
+    above = np.searchsorted(ordered, ordered[np.maximum(rank, 0)], side="right")
+    thresholds = np.where(above < ordered.size,
+                          ordered[np.minimum(above, ordered.size - 1)],
+                          np.nextafter(ordered[-1], np.inf))
+    thresholds[rank < 0] = ordered[0]
+    thresholds[targets == 1.0] = -np.inf
+    return thresholds
+
+
 def far_threshold(nonmated_scores, far_target: float) -> float:
     """Smallest observed score value whose false accept rate is <= target.
 
@@ -195,23 +229,7 @@ def far_threshold(nonmated_scores, far_target: float) -> float:
     over-accepts, the threshold moves one float ulp above it; a target of 1.0
     returns -inf (accept everything).
     """
-    scores = np.asarray(nonmated_scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("no non-mated scores to calibrate a threshold")
-    if not 0.0 < far_target <= 1.0:
-        raise ValueError(f"far_target must be in (0, 1], got {far_target}")
-    if far_target == 1.0:
-        return float("-inf")
-    # A value v qualifies when at most ``allowed`` scores are >= v, i.e. when
-    # v lies above the score at ascending rank n - allowed - 1.
-    rank = scores.size - 1 - math.floor(far_target * scores.size + 1e-9)
-    ordered = np.sort(scores)
-    if rank < 0:
-        return float(ordered[0])
-    above = np.searchsorted(ordered, ordered[rank], side="right")
-    if above < ordered.size:
-        return float(ordered[above])
-    return float(np.nextafter(ordered[-1], np.inf))
+    return float(far_thresholds(nonmated_scores, [far_target])[0])
 
 
 def _accept_rates(scores, thresholds) -> np.ndarray:
@@ -364,7 +382,8 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"identity {int(lonely[0])} has a single sample; "
                          "verification needs at least two per identity")
     e = _unit_rows(embeddings, "test")
-    sims = np.clip(e @ e.T, -1.0, 1.0)
+    sims = e @ e.T  # the one n x n array: clipped in place, pooled by row blocks
+    np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
     per_identity, _ = identity_max_scores(ScoreMatrix(sims, labels, labels))
     own_col = np.searchsorted(identities, labels)

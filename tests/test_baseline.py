@@ -1,5 +1,6 @@
 """PCA energy truncation, L2 normalization, and logistic-regression baseline."""
 
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ from mfid import (
     save_baseline_model,
     synth_gaussian,
 )
-from mfid.baseline import DEFAULT_C_GRID
+from mfid.baseline import DEFAULT_C_GRID, _logreg_solve
 from mfid.dataset import stratified_splits
 
 
@@ -176,6 +177,86 @@ def test_logreg_converges_across_default_grid():
     assert set(model.validation_accuracy) == set(DEFAULT_C_GRID)
 
 
+def test_logreg_skips_non_converging_c():
+    rng = np.random.default_rng(90)
+    x = rng.normal(size=(40, 3))
+    y = (x[:, 0] > 0).astype(int)
+    # separable rows: C = 1e5 is still far from converged after 30 iterations
+    model = logreg_fit(x, y, c_grid=[1e-5, 1e5], max_iter=30)
+    assert model.c_value == 1e-5
+    assert list(model.validation_accuracy) == [1e-5]
+    with pytest.raises(RuntimeError, match="did not converge for any C"):
+        logreg_fit(x, y, c_grid=[1e5], max_iter=30)
+
+
+def reference_logreg_ce_grad(w, b, x, y):
+    """Cross-entropy and its gradient, formed at every trial point."""
+    z = x @ w.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(x.shape[0])
+    ce = float(-np.log(np.maximum(probs[rows, y], 1e-300)).sum())
+    residual = probs
+    residual[rows, y] -= 1.0
+    return ce, residual.T @ x, residual.sum(axis=0)
+
+
+def reference_logreg_solve(x, y, n_classes, c_value, max_iter, tol):
+    """The solver as it was before the gradient moved to accepted points."""
+    w = np.zeros((n_classes, x.shape[1]))
+    b = np.zeros(n_classes)
+    step = 1.0
+    history = []
+    ce, gw, gb = reference_logreg_ce_grad(w, b, x, y)
+    value = ce + 0.5 / c_value * float((w * w).sum())
+    for _ in range(max_iter):
+        history.append(value)
+        full_gw = gw + w / c_value
+        grad_norm = math.sqrt(float((full_gw * full_gw).sum() + (gb * gb).sum()))
+        if grad_norm / x.shape[0] <= tol:
+            return w, b, history, grad_norm / x.shape[0]
+        step = min(step * 2.0, 1e8)
+        while True:
+            new_w = (w - step * gw) / (1.0 + step / c_value)
+            new_b = b - step * gb
+            new_ce, new_gw, new_gb = reference_logreg_ce_grad(new_w, new_b, x, y)
+            dw, db = new_w - w, new_b - b
+            move_sq = float((dw * dw).sum() + (db * db).sum())
+            bound = ce + float((gw * dw).sum() + (gb * db).sum()) + move_sq / (2.0 * step)
+            if new_ce <= bound + 1e-12 * abs(ce) or step < 1e-18:
+                break
+            step *= 0.5
+        w, b, ce, gw, gb = new_w, new_b, new_ce, new_gw, new_gb
+        value = ce + 0.5 / c_value * float((w * w).sum())
+    history.append(value)
+    full_gw = gw + w / c_value
+    grad_norm = math.sqrt(float((full_gw * full_gw).sum() + (gb * gb).sum()))
+    return w, b, history, grad_norm / x.shape[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_logreg_solve_matches_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    capped = converged = 0
+    for _ in range(15):
+        n, d, k = int(rng.integers(4, 40)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, k, size=n)
+        c_value = float(10.0 ** rng.integers(-4, 5))
+        max_iter = int(rng.choice([2, 20, 300]))
+        w, b, history, residual = _logreg_solve(x, y, k, c_value, max_iter, 1e-6)
+        ref_w, ref_b, ref_history, ref_residual = reference_logreg_solve(
+            x, y, k, c_value, max_iter, 1e-6)
+        assert w.tolist() == ref_w.tolist()
+        assert b.tolist() == ref_b.tolist()
+        assert history == ref_history
+        assert residual == ref_residual
+        capped += len(history) - 1 == max_iter and residual > 1e-6
+        converged += residual <= 1e-6
+    assert capped and converged
+
+
 def test_pipeline_row_permutation_invariant():
     ds = synth_gaussian(5, 20, 8, 2.0, 0.05, seed=81)
     (split,) = stratified_splits(ds, 1, 0.25, seed=0)
@@ -311,3 +392,49 @@ def test_load_rejects_every_truncation_and_padding(tmp_path, kind):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_baseline_model(path)
+
+
+def baseline_model(kind):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(30, 5))
+    if kind == "pca":
+        return pca_fit(x, 0.9)
+    return logreg_fit(x, rng.integers(0, 3, size=30), c_grid=[1.0])
+
+
+# magic, version, kind, then energy_threshold and total_variance (PCA) or C
+HEADER_END = {"pca": 28, "logreg": 20}
+
+
+@pytest.mark.parametrize("kind", ["pca", "logreg"])
+def test_load_rejects_or_keeps_in_range_every_header_bit_flip(tmp_path, kind):
+    path = tmp_path / "model.mfbl"
+    save_baseline_model(baseline_model(kind), path)
+    blob = path.read_bytes()
+    for byte in range(4, HEADER_END[kind]):
+        for bit in range(8):
+            damaged = bytearray(blob)
+            damaged[byte] ^= 1 << bit
+            path.write_bytes(bytes(damaged))
+            try:
+                model = load_baseline_model(path)
+            except ValueError as exc:
+                assert str(path) in str(exc) and "\n" not in str(exc)
+                continue
+            if kind == "pca":
+                assert 0.0 < model.energy_threshold <= 1.0
+                assert math.isfinite(model.total_variance) and model.total_variance > 0.0
+            else:
+                assert math.isfinite(model.c_value) and model.c_value > 0.0
+
+
+@pytest.mark.parametrize("kind", ["pca", "logreg"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_array_value(tmp_path, kind, value):
+    path = tmp_path / "model.mfbl"
+    save_baseline_model(baseline_model(kind), path)
+    blob = path.read_bytes()
+    # the last 8 bytes are the last element of the last array
+    path.write_bytes(blob[:-8] + np.float64(value).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*non-finite"):
+        load_baseline_model(path)

@@ -468,6 +468,17 @@ def test_baseline_command(synth_dir, tmp_path):
     assert rows[3].startswith("std,")
 
 
+def test_baseline_survives_a_non_converging_c(tmp_path):
+    # On this near-separable data the fit at C = 1e4 stops at the iteration
+    # cap with a gradient norm of 7.3e-6; the other grid values converge.
+    assert run_cli("synth", "--identities", "8", "--per-id", "10", "--dim", "6",
+                   "--sigma", "0.3", "--seed", "7", "--out", str(tmp_path / "X")) == 0
+    assert run_cli("baseline", "--data", str(tmp_path / "X" / "dataset.bin"),
+                   "--splits", "2", "--seed", "4", "--out", str(tmp_path / "B")) == 0
+    rows = read_rows(tmp_path / "B" / "baseline.csv")
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "mean", "std"]
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "transfer", "detmetrics",
                                      "baseline"])
 def test_jobs_only_on_commands_that_fan_out(command):

@@ -144,6 +144,22 @@ def test_binary_rejects_every_truncation_and_padding(tmp_path):
             load_dataset(path)
 
 
+def test_binary_rejects_every_header_field_bit_flip(tmp_path):
+    rng = np.random.default_rng(15)
+    ds = Dataset(rng.normal(size=(4, 3)), [0, 0, 1, 1])
+    path = tmp_path / "flip.bin"
+    save_dataset(ds, path)
+    blob = path.read_bytes()
+    # version, sample count, feature dim: bytes 4-23
+    for byte in range(4, 24):
+        for bit in range(8):
+            damaged = bytearray(blob)
+            damaged[byte] ^= 1 << bit
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_dataset(path)
+
+
 def test_empty_csv_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

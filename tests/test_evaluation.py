@@ -1,6 +1,7 @@
 """Evaluation protocols: scores, ranks, thresholds, CMC/DIR/TAR, transfer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mfid import (
     cosine_similarity,
     dir_at_far,
     far_threshold,
+    far_thresholds,
     open_set_eval,
     probe_ranks,
     roc_points,
@@ -29,6 +31,7 @@ from mfid import (
     verification_scores,
 )
 from mfid.dataset import identity_disjoint_split
+import mfid.evaluation
 from mfid.evaluation import ScoreMatrix, identity_max_scores
 from mfid.model import init_head
 
@@ -634,6 +637,66 @@ def test_identity_max_scores_match_reference(seed, tied):
         ref_pooled, ref_ids = reference_identity_max_scores(sm.scores, labels)
         assert ids.tolist() == ref_ids.tolist()
         assert pooled.tolist() == ref_pooled.tolist()
+
+
+# 1-row blocks; 2-row blocks over 7 gallery columns (17 probes leave a
+# ragged last block); one block for everything.
+@pytest.mark.parametrize("block_cells", [1, 15, 10**6])
+@pytest.mark.parametrize("tied", [True, False])
+def test_identity_max_scores_blocks_match_reference(monkeypatch, block_cells, tied):
+    monkeypatch.setattr(mfid.evaluation, "_POOL_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(200 + block_cells)
+    for n_probes in (0, 1, 2, 17):
+        labels = rng.integers(0, 4, size=7)
+        sm = ScoreMatrix(draw_scores(rng, (n_probes, labels.size), tied),
+                         np.zeros(n_probes), labels)
+        pooled, ids = identity_max_scores(sm)
+        ref_pooled, ref_ids = reference_identity_max_scores(sm.scores, labels)
+        assert pooled.shape == (n_probes, ref_ids.size)
+        assert ids.tolist() == ref_ids.tolist()
+        assert pooled.tolist() == ref_pooled.tolist()
+    for _ in range(5):
+        emb, labels = draw_labelled_embeddings(rng, tied)
+        positives, negatives = verification_scores(emb, labels)
+        ref_pos, ref_neg = reference_verification_scores(emb, labels)
+        assert positives.tolist() == ref_pos.tolist()
+        assert negatives.tolist() == ref_neg.tolist()
+
+
+def test_verification_scores_hold_one_square_matrix():
+    rng = np.random.default_rng(205)
+    n = 3000
+    emb = rng.normal(size=(n, 16))
+    labels = np.repeat(np.arange(100), n // 100)
+    tracemalloc.start()
+    try:
+        verification_scores(emb, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+
+
+@pytest.mark.parametrize("seed,tied", SCORE_CASES)
+def test_far_thresholds_match_one_target_at_a_time(seed, tied):
+    rng = np.random.default_rng(210 + seed)
+    for _ in range(50):
+        scores = draw_scores(rng, int(rng.integers(1, 80)), tied)
+        n = scores.size
+        targets = [*rng.uniform(1e-3, 1.0, size=5).tolist(),
+                   0.5 / n, 1.0 / n, (n - 1) / n, 1.0 - 1e-12, 1.0]
+        targets = [t for t in targets if t > 0.0]
+        thresholds = far_thresholds(scores, targets).tolist()
+        assert thresholds == [far_threshold(scores, t) for t in targets]
+        assert thresholds == [reference_far_threshold(scores, t) for t in targets]
+
+
+def test_far_thresholds_reject_bad_input():
+    with pytest.raises(ValueError, match="no non-mated scores"):
+        far_thresholds([], [0.5])
+    for targets in ([0.5, 0.0], [1.5], [float("nan")], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match="far_target must be in"):
+            far_thresholds([0.1, 0.2], targets)
 
 
 @pytest.mark.parametrize("seed,tied", SCORE_CASES)

@@ -149,15 +149,15 @@ def _identity_name(ds: Dataset, label: int, width: int) -> str:
 
 def _save_csv(ds: Dataset, path: Path, header_comment: str | None) -> None:
     width = len(str(ds.n_identities - 1))
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("id,label," + ",".join(f"f{j}" for j in range(ds.dim)))
-    for i in range(ds.n_samples):
-        name = _identity_name(ds, int(ds.labels[i]), width)
-        feats = ",".join(repr(float(v)) for v in ds.features[i])
-        lines.append(f"{i},{name},{feats}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write("id,label," + ",".join(f"f{j}" for j in range(ds.dim)) + "\n")
+        # Row by row, so neither every value as a Python float nor the whole
+        # text is held at once.
+        for i, (label, row) in enumerate(zip(ds.labels.tolist(), ds.features)):
+            feats = ",".join(map(repr, row.tolist()))
+            fh.write(f"{i},{_identity_name(ds, label, width)},{feats}\n")
 
 
 def _load_csv(path: Path) -> Dataset:
@@ -180,10 +180,12 @@ def _load_csv(path: Path) -> Dataset:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {width + 2} fields, got {len(fields)}")
             try:
-                feats = [float(v) for v in fields[2:]]
+                feats = list(map(float, fields[2:]))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-            if not all(math.isfinite(v) for v in feats):
+            # A finite sum means finite values; a sum that overflows does not,
+            # so only then is each value checked.
+            if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
                 raise ValueError(f"{path}: line {lineno}: non-finite feature value")
             names.append(fields[1])
             rows.append(feats)
@@ -503,6 +505,42 @@ class PairBatch:
         return self._arrays
 
 
+def pair_batch_counts(constraints: PairConstraints, n_pairs: int,
+                      similar_fraction: float) -> tuple[int, int]:
+    """(similar, dissimilar) pair counts of a batch, checked against ``constraints``.
+
+    The similar count is round(n_pairs * similar_fraction); the remainder is
+    dissimilar.
+    """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
+    if not 0.0 <= similar_fraction <= 1.0:
+        raise ValueError(f"similar_fraction must be in [0, 1], got {similar_fraction}")
+    n_similar = int(math.floor(n_pairs * similar_fraction + 0.5))
+    n_dissimilar = n_pairs - n_similar
+    if n_similar > constraints.n_similar:
+        raise ValueError(f"batch needs {n_similar} similar pairs "
+                         f"but only {constraints.n_similar} exist")
+    if n_dissimilar > constraints.n_dissimilar:
+        raise ValueError(f"batch needs {n_dissimilar} dissimilar pairs "
+                         f"but only {constraints.n_dissimilar} exist")
+    return n_similar, n_dissimilar
+
+
+def draw_pairs(constraints: PairConstraints, n_similar: int, n_dissimilar: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """(n_similar + n_dissimilar, 2) distinct pairs, the similar ones first.
+
+    The similar ranks are drawn before the dissimilar ranks, and a kind with
+    a zero count draws nothing, so the stream of ``rng`` depends only on the
+    two counts.
+    """
+    drawn = [constraints.draw(kind, count, rng)
+             for kind, count in (("similar", n_similar), ("dissimilar", n_dissimilar))
+             if count]
+    return np.concatenate(drawn)
+
+
 def sample_pair_batch(ds: Dataset, n_pairs: int, similar_fraction: float,
                       rng: np.random.Generator,
                       constraints: PairConstraints | None = None) -> PairBatch:
@@ -513,26 +551,12 @@ def sample_pair_batch(ds: Dataset, n_pairs: int, similar_fraction: float,
     passed in to reuse one O(n) label index across calls; it must have been
     built from ``ds.labels``.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    if not 0.0 <= similar_fraction <= 1.0:
-        raise ValueError(f"similar_fraction must be in [0, 1], got {similar_fraction}")
     if constraints is not None and constraints.n_labels != ds.n_samples:
         raise ValueError(f"constraints cover {constraints.n_labels} labels "
                          f"but the dataset has {ds.n_samples} samples")
     pc = constraints if constraints is not None else build_pair_constraints(ds.labels)
-    n_similar = int(math.floor(n_pairs * similar_fraction + 0.5))
-    n_dissimilar = n_pairs - n_similar
-    if n_similar > pc.n_similar:
-        raise ValueError(
-            f"batch needs {n_similar} similar pairs but only {pc.n_similar} exist")
-    if n_dissimilar > pc.n_dissimilar:
-        raise ValueError(
-            f"batch needs {n_dissimilar} dissimilar pairs but only {pc.n_dissimilar} exist")
-    drawn = [pc.draw(kind, count, rng)
-             for kind, count in (("similar", n_similar), ("dissimilar", n_dissimilar))
-             if count]
-    pairs = np.concatenate(drawn)
+    n_similar, n_dissimilar = pair_batch_counts(pc, n_pairs, similar_fraction)
+    pairs = draw_pairs(pc, n_similar, n_dissimilar, rng)
     return PairBatch.from_arrays(pairs[:, 0], pairs[:, 1], np.arange(n_pairs) < n_similar)
 
 

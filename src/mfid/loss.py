@@ -172,61 +172,104 @@ def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
     if first.size and max(first.max(), second.max()) >= batch:
         raise ValueError("pair index out of range for batch")
 
+    probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad)
+    log_probs = np.log(np.maximum(probs, cfg.epsilon))
+    sim_term, dissim_term, d_first, d_second = _pair_terms(
+        probs[first], probs[second], log_probs[first] - log_probs[second], sim_mask,
+        cfg, want_grad)
+    if want_grad:
+        # Indices may repeat, so contributions are accumulated unbuffered,
+        # similar pairs before dissimilar ones.
+        for mask in (sim_mask, ~sim_mask):
+            np.add.at(grad, first[mask], d_first[mask])
+            np.add.at(grad, second[mask], d_second[mask])
+    return _report(cfg, ce_term, sim_term, dissim_term, sim_mask), grad
+
+
+def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, similar: np.ndarray,
+                            cfg: LossConfig) -> tuple[LossReport, np.ndarray]:
+    """Loss report and d(total)/d(logits) for the batch layout ``train`` draws.
+
+    Pair k is rows 2k and 2k + 1, and ``similar[k]`` is its kind; an empty
+    ``similar`` leaves cross-entropy alone.  Every row belongs to at most
+    one pair, so the pair gradients are added to the even and odd rows
+    directly, with the same bits as :func:`_loss_and_grad` on the equivalent
+    :class:`~mfid.dataset.PairBatch`.  Inputs are not validated.
+    """
+    probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad=True)
+    sim_term = dissim_term = 0.0
+    if similar.size:
+        log_probs = np.log(np.maximum(probs, cfg.epsilon))
+        sim_term, dissim_term, d_first, d_second = _pair_terms(
+            probs[0::2], probs[1::2], log_probs[0::2] - log_probs[1::2], similar,
+            cfg, want_grad=True)
+        grad[0::2] += d_first
+        grad[1::2] += d_second
+    return _report(cfg, ce_term, sim_term, dissim_term, similar), grad
+
+
+def _ce_terms(z: np.ndarray, y: np.ndarray, cfg: LossConfig, want_grad: bool):
+    """(softmax rows, mean cross-entropy, its logit gradient or None)."""
+    batch = z.shape[0]
     probs = _softmax_rows(z)
     rows = np.arange(batch)
     ce_term = float(np.mean(-np.log(np.maximum(probs[rows, y], cfg.epsilon))))
-
     grad = None
     if want_grad:
         grad = probs.copy()
         grad[rows, y] -= 1.0
         grad /= batch
+    return probs, ce_term, grad
 
-    log_probs = np.log(np.maximum(probs, cfg.epsilon))
-    sim_term = 0.0
-    dissim_term = 0.0
-    n_similar = int(sim_mask.sum())
-    n_dissimilar = int((~sim_mask).sum()) if sim_mask.size else 0
 
-    for similar in (True, False):
-        mask = sim_mask if similar else ~sim_mask
-        count = n_similar if similar else n_dissimilar
-        if count == 0:
-            continue
-        a_idx, b_idx = first[mask], second[mask]
-        pa, pb = probs[a_idx], probs[b_idx]
-        log_ratio = log_probs[a_idx] - log_probs[b_idx]
-        kl_ab = np.where(pa > 0.0, pa * log_ratio, 0.0).sum(axis=1)
-        kl_ba = np.where(pb > 0.0, pb * -log_ratio, 0.0).sum(axis=1)
-        if similar:
-            sim_term = float(np.mean(kl_ab + kl_ba))
-        else:
-            dissim_term = float(np.mean(np.maximum(0.0, cfg.margin - kl_ab)
-                                        + np.maximum(0.0, cfg.margin - kl_ba)))
-        if not want_grad:
-            continue
-        # d/dz_a KL(pa||pb) = pa * (log_ratio - KL);  d/dz_b KL(pa||pb) = pb - pa.
-        d_a_klab = pa * (log_ratio - kl_ab[:, None])
-        d_b_klab = pb - pa
-        d_b_klba = pb * (-log_ratio - kl_ba[:, None])
-        d_a_klba = pa - pb
-        if similar:
-            weight = cfg.sim_weight / count
-            d_a = d_a_klab + d_a_klba
-            d_b = d_b_klab + d_b_klba
-        else:
-            weight = cfg.dissim_weight / count
-            # Hinges are active only below the margin; exactly at the margin
-            # the subgradient is taken as zero.
-            active_ab = (kl_ab < cfg.margin)[:, None]
-            active_ba = (kl_ba < cfg.margin)[:, None]
-            d_a = -(active_ab * d_a_klab) - (active_ba * d_a_klba)
-            d_b = -(active_ab * d_b_klab) - (active_ba * d_b_klba)
-        np.add.at(grad, a_idx, weight * d_a)
-        np.add.at(grad, b_idx, weight * d_b)
+def _pair_terms(pa: np.ndarray, pb: np.ndarray, log_ratio: np.ndarray,
+                similar: np.ndarray, cfg: LossConfig, want_grad: bool):
+    """Both pair terms in one masked pass over the pairs (pa[k], pb[k]).
 
+    ``log_ratio`` is log(pa) - log(pb) with clamped logs, and ``similar``
+    marks the pairs scored by the symmetric KL; the others are scored by the
+    two-sided hinge.  Returns the mean similar term, the mean dissimilar
+    term, and the weighted gradients of those terms with respect to each
+    pair's first and second logits (both None without ``want_grad``).
+    """
+    n_similar = int(similar.sum())
+    n_dissimilar = similar.size - n_similar
+    neg_ratio = -log_ratio
+    kl_ab = np.where(pa > 0.0, pa * log_ratio, 0.0).sum(axis=1)
+    kl_ba = np.where(pb > 0.0, pb * neg_ratio, 0.0).sum(axis=1)
+    # Means as sum / count: np.mean's own reduction and division, without its
+    # per-call overhead.
+    sim_term = (float((kl_ab + kl_ba)[similar].sum()) / n_similar
+                if n_similar else 0.0)
+    hinges = np.maximum(0.0, cfg.margin - kl_ab) + np.maximum(0.0, cfg.margin - kl_ba)
+    dissim_term = (float(hinges[~similar].sum()) / n_dissimilar
+                   if n_dissimilar else 0.0)
+    if not want_grad:
+        return sim_term, dissim_term, None, None
+    # d/dz_a KL(pa||pb) = pa * (log_ratio - KL);  d/dz_b KL(pa||pb) = pb - pa.
+    d_a_klab = pa * (log_ratio - kl_ab[:, None])
+    d_b_klab = pb - pa
+    d_b_klba = pb * (neg_ratio - kl_ba[:, None])
+    d_a_klba = pa - pb
+    # Similar pairs pull both divergences down.  A dissimilar hinge pushes its
+    # divergence up only below the margin; exactly at the margin the
+    # subgradient is taken as zero.  The factors +1, -1 and -0.0 give exactly
+    # the bits of d_klab + d_klba (similar) and of
+    # -(active_ab * d_klab) - (active_ba * d_klba) (dissimilar).
+    sign = np.where(similar, 1.0, -1.0)
+    sign_ab = (sign * (similar | (kl_ab < cfg.margin)))[:, None]
+    sign_ba = (sign * (similar | (kl_ba < cfg.margin)))[:, None]
+    weight = np.where(similar, cfg.sim_weight / max(n_similar, 1),
+                      cfg.dissim_weight / max(n_dissimilar, 1))[:, None]
+    d_first = weight * (sign_ab * d_a_klab + sign_ba * d_a_klba)
+    d_second = weight * (sign_ab * d_b_klab + sign_ba * d_b_klba)
+    return sim_term, dissim_term, d_first, d_second
+
+
+def _report(cfg: LossConfig, ce_term: float, sim_term: float, dissim_term: float,
+            similar: np.ndarray) -> LossReport:
+    n_similar = int(similar.sum())
     total = ce_term + cfg.sim_weight * sim_term + cfg.dissim_weight * dissim_term
-    report = LossReport(total=total, ce_term=ce_term, sim_term=sim_term,
-                        dissim_term=dissim_term, n_similar=n_similar,
-                        n_dissimilar=n_dissimilar)
-    return report, grad
+    return LossReport(total=total, ce_term=ce_term, sim_term=sim_term,
+                      dissim_term=dissim_term, n_similar=n_similar,
+                      n_dissimilar=similar.size - n_similar)

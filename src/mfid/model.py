@@ -19,8 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, PairBatch, Split, build_pair_constraints, dense_relabel, sample_pair_batch
-from .loss import LossConfig, LossReport, _loss_and_grad
+from .dataset import (
+    Dataset,
+    PairBatch,
+    Split,
+    build_pair_constraints,
+    dense_relabel,
+    draw_pairs,
+    pair_batch_counts,
+)
+from .loss import LossConfig, LossReport, _adjacent_loss_and_grad, _loss_and_grad
 
 CHECKPOINT_MAGIC = b"MFHD"
 CHECKPOINT_VERSION = 1
@@ -82,6 +90,11 @@ def _forward_batch(head: EmbeddingHead, x: np.ndarray):
             f"{head.input_dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature value")
+    return _forward_rows(head, x)
+
+
+def _forward_rows(head: EmbeddingHead, x: np.ndarray):
+    """:func:`_forward_batch` on a float64 batch that is already checked."""
     p = head.params
     if head.architecture == "linear":
         return x, None, x @ p["w"].T + p["b"]
@@ -117,36 +130,57 @@ def backprop(head: EmbeddingHead, x, labels, pairs: PairBatch,
     x = np.asarray(x, dtype=np.float64)
     hidden, pre, z = _forward_batch(head, x)
     report, g = _loss_and_grad(z, labels, pairs, loss_cfg, want_grad=True)
+    return report, _param_grads(head, x, hidden, pre, g)
+
+
+def _adjacent_backprop(head: EmbeddingHead, x: np.ndarray, labels: np.ndarray,
+                       similar: np.ndarray,
+                       loss_cfg: LossConfig) -> tuple[LossReport, dict[str, np.ndarray]]:
+    """:func:`backprop` on the batch layout ``train`` gathers, bit for bit.
+
+    Pair k is rows 2k and 2k + 1 and ``similar[k]`` is its kind; an empty
+    ``similar`` is a plain cross-entropy batch.  ``x`` must be a float64
+    array already checked for finite values.
+    """
+    hidden, pre, z = _forward_rows(head, x)
+    report, g = _adjacent_loss_and_grad(z, labels, similar, loss_cfg)
+    return report, _param_grads(head, x, hidden, pre, g)
+
+
+def _param_grads(head: EmbeddingHead, x: np.ndarray, hidden: np.ndarray,
+                 pre: np.ndarray | None, g: np.ndarray) -> dict[str, np.ndarray]:
+    """Chain the logit gradient ``g`` back to every parameter."""
     p = head.params
     if head.architecture == "linear":
-        grads = {"w": g.T @ x, "b": g.sum(axis=0)}
-    else:
-        d_hidden = g @ p["w2"]
-        d_pre = d_hidden * (pre > 0.0)  # ReLU subgradient 0 at the kink
-        grads = {
-            "w1": d_pre.T @ x,
-            "b1": d_pre.sum(axis=0),
-            "w2": g.T @ hidden,
-            "b2": g.sum(axis=0),
-        }
-    return report, grads
+        return {"w": g.T @ x, "b": g.sum(axis=0)}
+    d_hidden = g @ p["w2"]
+    d_pre = d_hidden * (pre > 0.0)  # ReLU subgradient 0 at the kink
+    return {
+        "w1": d_pre.T @ x,
+        "b1": d_pre.sum(axis=0),
+        "w2": g.T @ hidden,
+        "b2": g.sum(axis=0),
+    }
 
 
 def sgd_step(head: EmbeddingHead, grads: dict[str, np.ndarray], lr: float) -> EmbeddingHead:
     """One plain gradient step; returns a new head, inputs untouched."""
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
-    new_params = {}
-    for name, value in head.params.items():
+    _check_gradients(head.params, grads)
+    new_params = {name: value - lr * grads[name] for name, value in head.params.items()}
+    return EmbeddingHead(head.architecture, head.input_dim, head.embed_dim,
+                         head.n_classes, new_params)
+
+
+def _check_gradients(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    for name, value in params.items():
         g = grads[name]
         if g.shape != value.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{value.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for {name!r}")
-        new_params[name] = value - lr * g
-    return EmbeddingHead(head.architecture, head.input_dim, head.embed_dim,
-                         head.n_classes, new_params)
 
 
 @dataclass(frozen=True)
@@ -215,6 +249,8 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     parameters and loss history.
     """
     x = ds.features[split.train_indices]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite feature value")
     y, class_ids = dense_relabel(ds.labels[split.train_indices])
     if class_ids.size < 2:
         raise ValueError("training requires at least two identities on the train side")
@@ -229,47 +265,47 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     steps = max(1, math.ceil(n_train / batch_images))
     use_pairs = cfg.objective == "mfid"
     if use_pairs:
-        subset = Dataset(x, y)
         constraints = build_pair_constraints(y)
-        # Row 2k and 2k + 1 of the gathered batch are the k-th pair's images.
-        local_first = np.arange(0, batch_images, 2)
-        local_second = local_first + 1
-    empty_pairs = PairBatch((), 0)
-    velocity = ({name: np.zeros_like(p) for name, p in head.params.items()}
+        n_similar, n_dissimilar = pair_batch_counts(constraints, cfg.batch_pairs,
+                                                    cfg.similar_fraction)
+        # Rows 2k and 2k + 1 of the gathered batch are the k-th pair's images.
+        similar = np.arange(cfg.batch_pairs) < n_similar
+    else:
+        similar = np.zeros(0, dtype=bool)
+    # The head is private to this call until it returns, so its parameters
+    # (and the velocity) are updated in place.
+    params = head.params
+    velocity = ({name: np.zeros_like(p) for name, p in params.items()}
                 if cfg.momentum > 0 else None)
 
     history = []
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        sums = np.zeros(3)
-        counts = np.zeros(2, dtype=np.int64)
+        ce_sum = sim_sum = dissim_sum = 0.0
         for step in range(steps):
             if use_pairs:
-                batch = sample_pair_batch(subset, cfg.batch_pairs,
-                                          cfg.similar_fraction, rng,
-                                          constraints=constraints)
-                first, second, similar = batch.index_arrays()
-                rows = np.column_stack([first, second]).ravel()
-                local = PairBatch.from_arrays(local_first, local_second, similar)
+                rows = draw_pairs(constraints, n_similar, n_dissimilar, rng).ravel()
             else:
                 rows = rng.choice(n_train, size=min(batch_images, n_train), replace=False)
-                local = empty_pairs
-            report, grads = backprop(head, x[rows], y[rows], local, cfg.loss)
+            report, grads = _adjacent_backprop(head, x[rows], y[rows], similar, cfg.loss)
             if not math.isfinite(report.total):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, step {step}")
             if velocity is not None:
-                for name in grads:
-                    velocity[name] = cfg.momentum * velocity[name] + grads[name]
-                head = sgd_step(head, velocity, lr)
-            else:
-                head = sgd_step(head, grads, lr)
-            sums += (report.ce_term, report.sim_term, report.dissim_term)
-            counts += (report.n_similar, report.n_dissimilar)
-        ce, sim, dissim = sums / steps
-        total = ce + cfg.loss.sim_weight * sim + cfg.loss.dissim_weight * dissim
-        history.append(LossReport(total=float(total), ce_term=float(ce),
-                                  sim_term=float(sim), dissim_term=float(dissim),
-                                  n_similar=int(counts[0]), n_dissimilar=int(counts[1])))
+                for name, v in velocity.items():
+                    v *= cfg.momentum
+                    v += grads[name]
+                grads = velocity
+            _check_gradients(params, grads)
+            for name, value in params.items():
+                value -= lr * grads[name]
+            ce_sum += report.ce_term
+            sim_sum += report.sim_term
+            dissim_sum += report.dissim_term
+        ce, sim, dissim = ce_sum / steps, sim_sum / steps, dissim_sum / steps
+        history.append(LossReport(
+            total=ce + cfg.loss.sim_weight * sim + cfg.loss.dissim_weight * dissim,
+            ce_term=ce, sim_term=sim, dissim_term=dissim,
+            n_similar=steps * report.n_similar, n_dissimilar=steps * report.n_dissimilar))
     return TrainedModel(head, cfg, tuple(history))
 
 

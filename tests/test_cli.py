@@ -234,6 +234,25 @@ def test_eval_unknown_protocol(synth_dir, trained_dir, tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+def test_eval_rejects_dead_relu_head(synth_dir, tmp_path, capsys):
+    # every hidden unit is off for every input: all embeddings are zero
+    head = mfid.init_head("mlp1", 8, 4, 6, seed=0)
+    head.params["b1"][:] = -1e6
+    model = tmp_path / "dead.mfhd"
+    mfid.save_head(head, model)
+    common = ("--data", str(synth_dir / "dataset.csv"), "--model", str(model),
+              "--splits", "1", "--trials", "3")
+    for protocol in ("verif", "closed"):
+        capsys.readouterr()
+        assert run_cli("eval", *common, "--protocols", protocol,
+                       "--out", str(tmp_path / protocol)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error: zero-norm \w+ embedding at index \d+", err[0]), err
+    assert run_cli("eval", *common, "--protocols", "classification",
+                   "--out", str(tmp_path / "classification")) == 0
+
+
 def test_eval_verification_rows_match_library(trained_dir, tmp_path):
     # noisy clusters, so TAR varies along the FAR grid
     data = tmp_path / "noisy" / "dataset.csv"

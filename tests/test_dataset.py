@@ -105,6 +105,50 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
 
 
+def test_csv_round_trip_extreme_values(tmp_path):
+    values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-05, -1e-05,
+              1e16, -1e16, 1.7e308, -1.7e308, 0.1, 1.0 / 3.0]
+    features = np.array(values).reshape(-1, 1) * np.ones((1, 3))
+    ds = Dataset(features, np.arange(len(values)) % 2)
+    path = tmp_path / "extreme.csv"
+    save_dataset(ds, path)
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    for row, value in zip(rows, values):
+        assert row.split(",")[2:] == [repr(float(value))] * 3
+    back = load_dataset(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+
+
+def test_csv_accepts_finite_row_whose_sum_overflows(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("id,label,f0,f1\n0,a,1e308,1e308\n1,b,-1e308,-1e308\n")
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.features, [[1e308, 1e308], [-1e308, -1e308]])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("column", [0, 2])
+def test_csv_non_finite_names_its_line(tmp_path, bad, column):
+    good = "1.0,2.0,3.0"
+    row = ",".join(bad if j == column else "1.0" for j in range(3))
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# comment\nid,label,f0,f1,f2\n0,a,{good}\n\n1,a,{good}\n"
+                    f"2,b,{row}\n3,b,{good}\n")
+    with pytest.raises(ValueError, match=r"line 6: non-finite feature value"):
+        load_dataset(path)
+
+
+def test_csv_reports_non_finite_before_later_malformed_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,label,f0,f1\n0,a,1.0,2.0\n1,a,nan,2.0\n2,b,oops,2.0\n")
+    with pytest.raises(ValueError, match=r"line 3: non-finite feature value"):
+        load_dataset(path)
+    # within one line a malformed value is reported, as before
+    path.write_text("id,label,f0,f1\n0,a,1.0,2.0\n1,a,nan,oops\n")
+    with pytest.raises(ValueError, match=r"line 3: malformed feature value"):
+        load_dataset(path)
+
+
 def test_binary_round_trip_exact(tmp_path):
     rng = np.random.default_rng(12)
     ds = Dataset(rng.normal(size=(50, 16)), rng.permutation(np.repeat(np.arange(5), 10)))
@@ -501,19 +545,20 @@ def test_train_gathers_each_pair_into_adjacent_rows(monkeypatch):
     ds = synth_gaussian(6, 5, 4, 1.0, 0.5, seed=5)
     (split,) = stratified_splits(ds, 1, 0.3, seed=1)
     seen = []
-    real_backprop = mfid.model.backprop
+    real_step = mfid.model._adjacent_backprop
 
-    def recording_backprop(head, x, labels, pairs, loss_cfg):
-        seen.append((np.asarray(labels), pairs))
-        return real_backprop(head, x, labels, pairs, loss_cfg)
+    def recording_step(head, x, labels, similar, loss_cfg):
+        seen.append((np.asarray(labels), np.asarray(similar)))
+        return real_step(head, x, labels, similar, loss_cfg)
 
-    monkeypatch.setattr(mfid.model, "backprop", recording_backprop)
+    monkeypatch.setattr(mfid.model, "_adjacent_backprop", recording_step)
     train(ds, split, TrainConfig(epochs=2, batch_pairs=4, seed=2, embed_dim=3))
     assert seen
-    for labels, pairs in seen:
-        a, b, sim = pairs.index_arrays()
-        np.testing.assert_array_equal(a, np.arange(0, 8, 2))
-        np.testing.assert_array_equal(b, a + 1)
+    for labels, sim in seen:
+        # pair k is rows 2k and 2k + 1
+        assert labels.size == 2 * sim.size == 8
+        a = np.arange(0, 8, 2)
+        b = a + 1
         np.testing.assert_array_equal(labels[a] == labels[b], sim)
 
 

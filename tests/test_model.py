@@ -22,8 +22,19 @@ from mfid import (
     total_loss,
     train,
 )
-from mfid.dataset import identity_disjoint_split, stratified_splits
+from mfid.dataset import (
+    STRATIFIED,
+    Dataset,
+    Split,
+    build_pair_constraints,
+    dense_relabel,
+    identity_disjoint_split,
+    sample_pair_batch,
+    stratified_splits,
+)
 from mfid.evaluation import classification_accuracy
+from mfid.loss import LossReport
+from mfid.model import TrainedModel
 from mfid.model import logits as head_logits
 
 
@@ -315,6 +326,138 @@ def test_train_momentum_changes_trajectory():
     heavy = train(ds, split, TrainConfig(epochs=3, seed=2, momentum=0.9))
     assert any(not np.array_equal(plain.head.params[k], heavy.head.params[k])
                for k in plain.head.params)
+
+
+# ---------------------------------------------------------------------------
+# train against the per-step loop it replaced
+
+
+def reference_train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
+    """The per-step training loop ``train`` replaced, kept as its oracle."""
+    x = ds.features[split.train_indices]
+    y, class_ids = dense_relabel(ds.labels[split.train_indices])
+    if class_ids.size < 2:
+        raise ValueError("training requires at least two identities on the train side")
+    root = np.random.SeedSequence(cfg.seed)
+    init_stream, batch_stream = root.spawn(2)
+    head = init_head(cfg.architecture, x.shape[1], cfg.embed_dim, class_ids.size,
+                     init_stream)
+    rng = np.random.default_rng(batch_stream)
+
+    n_train = x.shape[0]
+    batch_images = 2 * cfg.batch_pairs
+    steps = max(1, math.ceil(n_train / batch_images))
+    use_pairs = cfg.objective == "mfid"
+    if use_pairs:
+        subset = Dataset(x, y)
+        constraints = build_pair_constraints(y)
+        # Row 2k and 2k + 1 of the gathered batch are the k-th pair's images.
+        local_first = np.arange(0, batch_images, 2)
+        local_second = local_first + 1
+    empty_pairs = PairBatch((), 0)
+    velocity = ({name: np.zeros_like(p) for name, p in head.params.items()}
+                if cfg.momentum > 0 else None)
+
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(epoch, cfg)
+        sums = np.zeros(3)
+        counts = np.zeros(2, dtype=np.int64)
+        for step in range(steps):
+            if use_pairs:
+                batch = sample_pair_batch(subset, cfg.batch_pairs,
+                                          cfg.similar_fraction, rng,
+                                          constraints=constraints)
+                first, second, similar = batch.index_arrays()
+                rows = np.column_stack([first, second]).ravel()
+                local = PairBatch.from_arrays(local_first, local_second, similar)
+            else:
+                rows = rng.choice(n_train, size=min(batch_images, n_train), replace=False)
+                local = empty_pairs
+            report, grads = backprop(head, x[rows], y[rows], local, cfg.loss)
+            if not math.isfinite(report.total):
+                raise RuntimeError(f"non-finite loss at epoch {epoch}, step {step}")
+            if velocity is not None:
+                for name in grads:
+                    velocity[name] = cfg.momentum * velocity[name] + grads[name]
+                head = sgd_step(head, velocity, lr)
+            else:
+                head = sgd_step(head, grads, lr)
+            sums += (report.ce_term, report.sim_term, report.dissim_term)
+            counts += (report.n_similar, report.n_dissimilar)
+        ce, sim, dissim = sums / steps
+        total = ce + cfg.loss.sim_weight * sim + cfg.loss.dissim_weight * dissim
+        history.append(LossReport(total=float(total), ce_term=float(ce),
+                                  sim_term=float(sim), dissim_term=float(dissim),
+                                  n_similar=int(counts[0]), n_dissimilar=int(counts[1])))
+    return TrainedModel(head, cfg, tuple(history))
+
+
+def assert_same_training(ours, theirs):
+    assert ours.loss_history == theirs.loss_history
+    assert ours.head.params.keys() == theirs.head.params.keys()
+    for name in ours.head.params:
+        assert ours.head.params[name].tobytes() == theirs.head.params[name].tobytes()
+
+
+def oracle_settings():
+    """(dataset, split, loss, batch_pairs): stratified with the default loss,
+    and identity-disjoint (15 training rows, fewer than a CE batch) with a
+    non-default margin and weights."""
+    ds = synth_gaussian(6, 7, 5, 1.0, 0.6, seed=3)
+    (stratified,) = stratified_splits(ds, 1, 0.3, seed=2)
+    small = synth_gaussian(8, 3, 5, 1.0, 0.6, seed=4)
+    disjoint = identity_disjoint_split(small, 0.3, seed=1)
+    assert disjoint.train_indices.size == 15
+    return [(ds, stratified, LossConfig(), 5),
+            (small, disjoint, LossConfig(margin=2.5, sim_weight=0.3, dissim_weight=1.7), 8)]
+
+
+ORACLE_CASES = [
+    (architecture, objective, momentum, similar_fraction)
+    for architecture in ("linear", "mlp1")
+    for objective in ("mfid", "cross_entropy")
+    for momentum in (0.0, 0.9)
+    for similar_fraction in (0.0, 0.4, 1.0)
+    if objective == "mfid" or similar_fraction == 0.4
+]
+
+
+@pytest.mark.parametrize("architecture,objective,momentum,similar_fraction", ORACLE_CASES)
+def test_train_bit_identical_to_reference_loop(architecture, objective, momentum,
+                                               similar_fraction):
+    for ds, split, loss_cfg, batch_pairs in oracle_settings():
+        cfg = TrainConfig(epochs=3, batch_pairs=batch_pairs, initial_lr=0.2,
+                          decay_factor=0.5, decay_every=2, objective=objective,
+                          loss=loss_cfg, seed=7, architecture=architecture, embed_dim=4,
+                          similar_fraction=similar_fraction, momentum=momentum)
+        assert_same_training(train(ds, split, cfg), reference_train(ds, split, cfg))
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+@pytest.mark.parametrize("objective", ["mfid", "cross_entropy"])
+def test_train_non_finite_loss_matches_reference_loop(architecture, objective):
+    ds = synth_gaussian(6, 7, 5, 1.0, 0.6, seed=3)
+    (split,) = stratified_splits(ds, 1, 0.3, seed=2)
+    cfg = TrainConfig(epochs=3, batch_pairs=5, initial_lr=1e308, objective=objective,
+                      seed=1, architecture=architecture, embed_dim=4)
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite loss at epoch") as ours:
+            train(ds, split, cfg)
+        with pytest.raises(RuntimeError, match="non-finite loss at epoch") as theirs:
+            reference_train(ds, split, cfg)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_train_rejects_too_few_pairs_like_sample_pair_batch():
+    ds = synth_gaussian(3, 2, 4, 1.0, 0.3, seed=1)
+    split = Split(np.arange(ds.n_samples), np.empty(0, dtype=np.int64), STRATIFIED, 0)
+    cfg = TrainConfig(epochs=1, batch_pairs=8)
+    with pytest.raises(ValueError) as ours:
+        train(ds, split, cfg)
+    with pytest.raises(ValueError) as theirs:
+        reference_train(ds, split, cfg)
+    assert str(ours.value) == str(theirs.value) == "batch needs 4 similar pairs but only 3 exist"
 
 
 # ---------------------------------------------------------------------------

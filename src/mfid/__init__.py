@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 
 from .dataset import (
     Dataset,
-    PairBatch,
     PairConstraints,
     Split,
     build_pair_constraints,
+    draw_pairs,
     identity_disjoint_split,
     load_dataset,
     load_split,
-    sample_pair_batch,
     save_dataset,
     save_split,
     stratified_splits,

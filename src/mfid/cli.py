@@ -234,7 +234,7 @@ def cmd_train(options: dict) -> None:
     _require(options, "data")
     ds = load_dataset(options["data"])
     if options["split"]:
-        split = load_split(options["split"])
+        split = load_split(options["split"], ds.n_samples)
     else:
         split = Split(np.arange(ds.n_samples), np.empty(0, dtype=np.int64),
                       STRATIFIED, options["seed"])
@@ -276,7 +276,7 @@ def cmd_eval(options: dict) -> None:
     n_splits = options["splits"]
     provided = None
     if options["split_file"]:
-        provided = [load_split(stem.strip())
+        provided = [load_split(stem.strip(), ds.n_samples)
                     for stem in options["split_file"].split(",") if stem.strip()]
         n_splits = len(provided)
     split_children = np.random.SeedSequence(options["seed"]).spawn(n_splits)

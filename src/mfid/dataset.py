@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +160,8 @@ def _save_csv(ds: Dataset, path: Path, header_comment: str | None) -> None:
 
 
 def _load_csv(path: Path) -> Dataset:
-    rows: list[list[float]] = []
+    # One flat buffer of packed float64 rows, not a Python float per value.
+    values = bytearray()
     names: list[str] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -175,6 +175,7 @@ def _load_csv(path: Path) -> Dataset:
                     raise ValueError(
                         f"{path}: line {lineno}: expected header 'id,label,f0,...'")
                 width = len(fields) - 2
+                pack_row = struct.Struct(f"<{width}d").pack
                 continue
             if len(fields) != width + 2:
                 raise ValueError(
@@ -188,13 +189,14 @@ def _load_csv(path: Path) -> Dataset:
             if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
                 raise ValueError(f"{path}: line {lineno}: non-finite feature value")
             names.append(fields[1])
-            rows.append(feats)
+            values += pack_row(*feats)
     if width is None:
         raise ValueError(f"{path}: empty file")
-    if not rows:
+    if not names:
         raise ValueError(f"{path}: no data rows")
     labels, identity_names = _labels_from_names(names)
-    return Dataset(np.asarray(rows, dtype=np.float64), labels, identity_names)
+    features = np.frombuffer(values, dtype="<f8").reshape(len(names), width)
+    return Dataset(features, labels, identity_names)
 
 
 def _save_binary(ds: Dataset, path: Path) -> None:
@@ -248,6 +250,12 @@ class Split:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if train.size == 0:
             raise ValueError("split has an empty training side")
+        for side, indices in (("train", train), ("test", test)):
+            if indices.size and indices[0] < 0:
+                raise ValueError(f"negative {side} index {int(indices[0])}")
+            repeated = indices[1:][indices[1:] == indices[:-1]]
+            if repeated.size:
+                raise ValueError(f"{side} index {int(repeated[0])} appears more than once")
         if np.intersect1d(train, test).size:
             raise ValueError("train and test indices overlap")
         object.__setattr__(self, "train_indices", train)
@@ -344,8 +352,12 @@ def save_split(split: Split, stem) -> tuple[Path, Path]:
     return paths[0], paths[1]
 
 
-def load_split(stem) -> Split:
-    """Load a split written by :func:`save_split` from its two side files."""
+def load_split(stem, n_samples: int | None = None) -> Split:
+    """Load a split written by :func:`save_split` from its two side files.
+
+    With ``n_samples``, an index that does not address one of that many
+    rows is rejected.  Every error names ``stem``.
+    """
     stem = Path(stem)
     sides = {}
     mode = None
@@ -369,7 +381,14 @@ def load_split(stem) -> Split:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed index") from None
         sides[side] = np.array(indices, dtype=np.int64)
-    return Split(sides["train"], sides["test"], mode, seed)
+    try:
+        split = Split(sides["train"], sides["test"], mode, seed)
+    except ValueError as exc:
+        raise ValueError(f"{stem}: {exc}") from None
+    last = max(int(split.train_indices[-1]), int(split.test_indices.max(initial=-1)))
+    if n_samples is not None and last >= n_samples:
+        raise ValueError(f"{stem}: index {last} out of range for {n_samples} samples")
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -456,55 +475,6 @@ def build_pair_constraints(labels) -> PairConstraints:
     return PairConstraints(labels)
 
 
-class PairBatch:
-    """A sampled batch of index pairs, held as aligned arrays.
-
-    ``PairBatch(pairs, image_count)`` takes (a, b, similar) triples;
-    :meth:`from_arrays` wraps arrays without a round trip through Python
-    tuples.  ``image_count`` counts duplicates, so it is always 2 * n_pairs.
-    """
-
-    def __init__(self, pairs, image_count: int):
-        triples = [(int(a), int(b), bool(sim)) for a, b, sim in pairs]
-        if image_count != 2 * len(triples):
-            raise ValueError(
-                f"image_count {image_count} != 2 * {len(triples)} pairs")
-        self._set_arrays(*(zip(*triples) if triples else ((), (), ())))
-
-    @classmethod
-    def from_arrays(cls, first, second, similar) -> "PairBatch":
-        """Batch from aligned first-index, second-index and similar-mask arrays."""
-        batch = cls.__new__(cls)
-        batch._set_arrays(first, second, similar)
-        return batch
-
-    def _set_arrays(self, first, second, similar) -> None:
-        arrays = (np.array(first, dtype=np.int64), np.array(second, dtype=np.int64),
-                  np.array(similar, dtype=bool))
-        if any(a.shape != arrays[0].shape or a.ndim != 1 for a in arrays):
-            raise ValueError("pair arrays must be 1-D and of equal length")
-        for a in arrays:
-            a.flags.writeable = False
-        self._arrays = arrays
-
-    @property
-    def n_pairs(self) -> int:
-        return self._arrays[0].size
-
-    @property
-    def image_count(self) -> int:
-        return 2 * self.n_pairs
-
-    @cached_property
-    def pairs(self) -> tuple:
-        """The batch as (a, b, similar) triples of Python ints and bools."""
-        return tuple(zip(*(a.tolist() for a in self._arrays)))
-
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first indices, second indices, similar mask) as aligned read-only arrays."""
-        return self._arrays
-
-
 def pair_batch_counts(constraints: PairConstraints, n_pairs: int,
                       similar_fraction: float) -> tuple[int, int]:
     """(similar, dissimilar) pair counts of a batch, checked against ``constraints``.
@@ -539,25 +509,6 @@ def draw_pairs(constraints: PairConstraints, n_similar: int, n_dissimilar: int,
              for kind, count in (("similar", n_similar), ("dissimilar", n_dissimilar))
              if count]
     return np.concatenate(drawn)
-
-
-def sample_pair_batch(ds: Dataset, n_pairs: int, similar_fraction: float,
-                      rng: np.random.Generator,
-                      constraints: PairConstraints | None = None) -> PairBatch:
-    """Draw a pair batch uniformly from the constraint sets, without replacement.
-
-    The similar count is round(n_pairs * similar_fraction); the remainder is
-    dissimilar, and the similar pairs come first.  ``constraints`` may be
-    passed in to reuse one O(n) label index across calls; it must have been
-    built from ``ds.labels``.
-    """
-    if constraints is not None and constraints.n_labels != ds.n_samples:
-        raise ValueError(f"constraints cover {constraints.n_labels} labels "
-                         f"but the dataset has {ds.n_samples} samples")
-    pc = constraints if constraints is not None else build_pair_constraints(ds.labels)
-    n_similar, n_dissimilar = pair_batch_counts(pc, n_pairs, similar_fraction)
-    pairs = draw_pairs(pc, n_similar, n_dissimilar, rng)
-    return PairBatch.from_arrays(pairs[:, 0], pairs[:, 1], np.arange(n_pairs) < n_similar)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,8 @@ def total_loss(logits, labels, pairs, cfg: LossConfig) -> LossReport:
     Args:
         logits: (B, K) array of raw scores.
         labels: (B,) integer class ids in [0, K).
-        pairs: a :class:`~mfid.dataset.PairBatch` or any iterable of
-            ``(a, b, similar)`` triples whose indices address batch rows.
-            An empty batch skips the pair terms.
+        pairs: an iterable of ``(a, b, similar)`` triples whose indices
+            address batch rows.  An empty batch skips the pair terms.
         cfg: objective hyperparameters.
 
     The cross-entropy term averages over all B rows; each pair term averages
@@ -145,9 +144,7 @@ def _kl_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accept a PairBatch or any iterable of (a, b, similar) triples."""
-    if hasattr(pairs, "index_arrays"):
-        return pairs.index_arrays()
+    """(first indices, second indices, similar mask) of (a, b, similar) triples."""
     triples = list(pairs)
     if not triples:
         empty = np.empty(0, dtype=np.int64)
@@ -169,7 +166,8 @@ def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError("label out of range for logit width")
     first, second, sim_mask = _pair_arrays(pairs)
-    if first.size and max(first.max(), second.max()) >= batch:
+    if first.size and (min(first.min(), second.min()) < 0
+                       or max(first.max(), second.max()) >= batch):
         raise ValueError("pair index out of range for batch")
 
     probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad)
@@ -193,8 +191,8 @@ def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, similar: np.ndarray,
     Pair k is rows 2k and 2k + 1, and ``similar[k]`` is its kind; an empty
     ``similar`` leaves cross-entropy alone.  Every row belongs to at most
     one pair, so the pair gradients are added to the even and odd rows
-    directly, with the same bits as :func:`_loss_and_grad` on the equivalent
-    :class:`~mfid.dataset.PairBatch`.  Inputs are not validated.
+    directly, with the same bits as :func:`_loss_and_grad` on the triples
+    ``(2k, 2k + 1, similar[k])``.  Inputs are not validated.
     """
     probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad=True)
     sim_term = dissim_term = 0.0

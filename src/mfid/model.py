@@ -21,7 +21,6 @@ import numpy as np
 
 from .dataset import (
     Dataset,
-    PairBatch,
     Split,
     build_pair_constraints,
     dense_relabel,
@@ -124,9 +123,13 @@ def logits(head: EmbeddingHead, x) -> np.ndarray:
     return z
 
 
-def backprop(head: EmbeddingHead, x, labels, pairs: PairBatch,
+def backprop(head: EmbeddingHead, x, labels, pairs,
              loss_cfg: LossConfig) -> tuple[LossReport, dict[str, np.ndarray]]:
-    """Loss report plus d(total)/d(parameter) for one batch."""
+    """Loss report plus d(total)/d(parameter) for one batch.
+
+    ``pairs`` are ``(a, b, similar)`` triples over the batch rows, as for
+    :func:`~mfid.loss.total_loss`.
+    """
     x = np.asarray(x, dtype=np.float64)
     hidden, pre, z = _forward_batch(head, x)
     report, g = _loss_and_grad(z, labels, pairs, loss_cfg, want_grad=True)

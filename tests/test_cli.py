@@ -295,6 +295,33 @@ def test_eval_verification_rows_match_library(trained_dir, tmp_path):
     assert 0.0 < tars[0] < tars[-1] == 1.0
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", ["negative", "repeated", "past-the-end"])
+def test_split_file_bad_index_names_the_stem(synth_dir, trained_dir, tmp_path, capsys,
+                                             command, case):
+    data = synth_dir / "dataset.csv"
+    ds = load_dataset(data)
+    split = identity_disjoint_split(ds, 0.5, seed=1)
+    stem = tmp_path / "bad"
+    save_split(split, stem)
+    train_side, n = split.train_indices.tolist(), ds.n_samples
+    first = train_side[0]
+    bad, message = {
+        "negative": ([-1, *train_side], "negative train index -1"),
+        "repeated": ([first, *train_side], f"train index {first} appears more than once"),
+        "past-the-end": ([*train_side, n], f"index {n} out of range for {n} samples"),
+    }[case]
+    header = (tmp_path / "bad.train.txt").read_text().splitlines()[0]
+    (tmp_path / "bad.train.txt").write_text("\n".join([header, *map(str, bad)]) + "\n")
+    argv = {"train": ("train", "--data", str(data), "--split", str(stem), "--epochs", "1"),
+            "eval": ("eval", "--data", str(data), "--model", str(trained_dir / "model.mfhd"),
+                     "--protocols", "verif", "--split-file", str(stem))}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {stem}: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # transfer
 
@@ -657,6 +684,14 @@ def test_readme_typical_session_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # so the session's relative paths land here
     for argv in commands:
         assert main(argv[1:]) == 0, " ".join(argv)
+
+
+def test_readme_library_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([A-Za-z_]\w*)`", section)
+    assert "draw_pairs" in names
+    assert [name for name in names if not hasattr(mfid, name)] == []
 
 
 def test_module_invocation():

@@ -10,20 +10,19 @@ import pytest
 import mfid.model
 from mfid import (
     Dataset,
-    PairBatch,
     TrainConfig,
     build_pair_constraints,
+    draw_pairs,
     identity_disjoint_split,
     load_dataset,
     load_split,
-    sample_pair_batch,
     save_dataset,
     save_split,
     stratified_splits,
     synth_gaussian,
     train,
 )
-from mfid.dataset import DISJOINT, STRATIFIED, dense_relabel
+from mfid.dataset import DISJOINT, STRATIFIED, Split, dense_relabel, pair_batch_counts
 
 
 def random_dataset(rng, n_identities=8, per_identity=6, dim=5):
@@ -117,6 +116,21 @@ def test_csv_round_trip_extreme_values(tmp_path):
         assert row.split(",")[2:] == [repr(float(value))] * 3
     back = load_dataset(path)
     assert back.features.tobytes() == ds.features.tobytes()
+
+
+def test_csv_load_holds_the_features_once(tmp_path):
+    # Holding a Python float object per value would take over 5x the matrix.
+    rng = np.random.default_rng(13)
+    ds = Dataset(rng.normal(size=(2000, 64)), np.repeat(np.arange(100), 20))
+    save_dataset(ds, tmp_path / "d.csv")
+    tracemalloc.start()
+    try:
+        back = load_dataset(tmp_path / "d.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert peak < 2 * ds.features.nbytes
 
 
 def test_csv_accepts_finite_row_whose_sum_overflows(tmp_path):
@@ -307,6 +321,17 @@ def test_split_round_trip(tmp_path):
     assert back.mode == split.mode and back.seed == split.seed
 
 
+@pytest.mark.parametrize("train,message", [
+    ([-1, 0, 1], "negative train index -1"),
+    ([0, 0, 1], "train index 0 appears more than once"),
+])
+def test_split_rejects_negative_and_repeated_indices(train, message):
+    with pytest.raises(ValueError, match=message):
+        Split(train, [2, 3], STRATIFIED, 0)
+    with pytest.raises(ValueError, match=message.replace("train", "test")):
+        Split([2, 3], train, STRATIFIED, 0)
+
+
 def test_split_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
         import mfid
@@ -357,28 +382,33 @@ def test_pair_constraints_membership_matches_labels():
 # pair batches
 
 
+def draw_batch(labels, n_pairs, similar_fraction, rng):
+    """(pairs, similar mask) of one batch drawn the way ``train`` draws it."""
+    pc = build_pair_constraints(labels)
+    n_similar, n_dissimilar = pair_batch_counts(pc, n_pairs, similar_fraction)
+    return draw_pairs(pc, n_similar, n_dissimilar, rng), np.arange(n_pairs) < n_similar
+
+
 def test_pair_batch_image_count():
     ds = synth_gaussian(8, 6, 3, 1.0, 0.1, seed=6)
-    batch = sample_pair_batch(ds, 16, 0.5, np.random.default_rng(0))
-    assert batch.image_count == 32
-    assert batch.n_pairs == 16
-    _, _, sim = batch.index_arrays()
+    pairs, sim = draw_batch(ds.labels, 16, 0.5, np.random.default_rng(0))
+    assert pairs.shape == (16, 2) and pairs.dtype == np.int64
     assert sim.sum() == 8
 
 
 def test_pair_batch_all_similar_on_single_identity():
-    ds = Dataset(np.arange(10, dtype=float).reshape(5, 2), np.zeros(5, dtype=int))
-    batch = sample_pair_batch(ds, 4, 1.0, np.random.default_rng(1))
-    assert all(sim for _, _, sim in batch.pairs)
+    labels = np.zeros(5, dtype=int)
+    pairs, sim = draw_batch(labels, 4, 1.0, np.random.default_rng(1))
+    assert sim.all()
+    assert np.all(labels[pairs[:, 0]] == labels[pairs[:, 1]])
 
 
 def test_pair_batch_flags_match_labels():
     ds = synth_gaussian(5, 4, 3, 1.0, 0.1, seed=8)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        batch = sample_pair_batch(ds, 6, 0.5, rng)
-        for a, b, sim in batch.pairs:
-            assert (ds.labels[a] == ds.labels[b]) == sim
+        pairs, sim = draw_batch(ds.labels, 6, 0.5, rng)
+        np.testing.assert_array_equal(ds.labels[pairs[:, 0]] == ds.labels[pairs[:, 1]], sim)
 
 
 def test_pair_batch_empirical_similar_fraction():
@@ -387,42 +417,15 @@ def test_pair_batch_empirical_similar_fraction():
     sims = 0
     draws = 10_000
     for _ in range(draws // 10):
-        batch = sample_pair_batch(ds, 10, 0.5, rng)
-        sims += sum(1 for _, _, s in batch.pairs if s)
+        pairs, _ = draw_batch(ds.labels, 10, 0.5, rng)
+        sims += int(np.sum(ds.labels[pairs[:, 0]] == ds.labels[pairs[:, 1]]))
     assert abs(sims / draws - 0.5) <= 0.02
 
 
 def test_pair_batch_rejects_impossible_composition():
-    ds = Dataset(np.zeros((3, 2)), [0, 1, 2])  # no similar pairs exist
+    labels = np.array([0, 1, 2])  # no similar pairs exist
     with pytest.raises(ValueError, match="similar"):
-        sample_pair_batch(ds, 2, 1.0, np.random.default_rng(0))
-
-
-def test_pair_batch_image_count_validation():
-    with pytest.raises(ValueError, match="image_count"):
-        PairBatch(((0, 1, True),), image_count=3)
-
-
-def test_pair_batch_from_arrays_matches_triples():
-    triples = ((4, 1, True), (0, 3, False), (2, 2, False))
-    batch = PairBatch.from_arrays([4, 0, 2], [1, 3, 2], [True, False, False])
-    assert batch.pairs == PairBatch(triples, 6).pairs == triples
-    assert batch.image_count == 6 and batch.n_pairs == 3
-    for got, want in zip(batch.index_arrays(), PairBatch(triples, 6).index_arrays()):
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == want.dtype and not got.flags.writeable
-
-
-def test_pair_batch_from_arrays_rejects_ragged():
-    with pytest.raises(ValueError, match="equal length"):
-        PairBatch.from_arrays([0, 1], [2], [True, False])
-
-
-def test_pair_batch_rejects_mismatched_constraints():
-    ds = synth_gaussian(4, 3, 2, 1.0, 0.1, seed=1)
-    other = build_pair_constraints(np.repeat(np.arange(4), 4))
-    with pytest.raises(ValueError, match="16 labels but the dataset has 12"):
-        sample_pair_batch(ds, 4, 0.5, np.random.default_rng(0), constraints=other)
+        draw_batch(labels, 2, 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +575,7 @@ def test_pair_sampling_bounded_memory_at_50k_rows():
     tracemalloc.start()
     try:
         pc = build_pair_constraints(ds.labels)
-        batches = [sample_pair_batch(ds, 16, 0.5, rng, constraints=pc) for _ in range(100)]
+        batches = [draw_pairs(pc, 8, 8, rng) for _ in range(100)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -580,8 +583,9 @@ def test_pair_sampling_bounded_memory_at_50k_rows():
     assert pc.n_similar == n_similar
     assert pc.n_dissimilar == math.comb(labels.size, 2) - n_similar
     assert peak < 16 * 2 ** 20
-    for batch in batches:
-        a, b, sim = batch.index_arrays()
+    sim = np.arange(16) < 8
+    for pairs in batches:
+        a, b = pairs.T
         assert np.all(a < b)
         np.testing.assert_array_equal(ds.labels[a] == ds.labels[b], sim)
 

@@ -15,8 +15,10 @@ import pytest
 from mfid import (
     LossConfig,
     LossReport,
+    backprop,
     cross_entropy,
     dissim_pair_loss,
+    init_head,
     kl_div,
     loss_gradient,
     sim_pair_loss,
@@ -300,6 +302,20 @@ def test_gradient_hinge_inactive_pairs_contribute_nothing():
     with_pair = loss_gradient(p_sharp, labels, [(0, 1, False)], LossConfig(margin=1.0))
     without = loss_gradient(p_sharp, labels, [], LossConfig(margin=1.0))
     np.testing.assert_allclose(with_pair, without, atol=1e-15)
+
+
+@pytest.mark.parametrize("pair", [(-1, 0, True), (0, -1, False)])
+def test_negative_pair_index_is_rejected(pair):
+    # -1 would otherwise address the last row of the batch
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=(4, 3))
+    labels = np.array([0, 1, 2, 0])
+    for score in (total_loss, loss_gradient):
+        with pytest.raises(ValueError, match="pair index out of range for batch"):
+            score(z, labels, [pair], LossConfig())
+    head = init_head("linear", 5, 0, 3, seed=0)
+    with pytest.raises(ValueError, match="pair index out of range for batch"):
+        backprop(head, rng.normal(size=(4, 5)), labels, [pair], LossConfig())
 
 
 def test_config_validation():

@@ -8,7 +8,6 @@ import pytest
 
 from mfid import (
     LossConfig,
-    PairBatch,
     TrainConfig,
     backprop,
     embed,
@@ -28,8 +27,9 @@ from mfid.dataset import (
     Split,
     build_pair_constraints,
     dense_relabel,
+    draw_pairs,
     identity_disjoint_split,
-    sample_pair_batch,
+    pair_batch_counts,
     stratified_splits,
 )
 from mfid.evaluation import classification_accuracy
@@ -45,7 +45,7 @@ def make_batch(rng, n=8, k=3, n_pairs=4):
     for _ in range(n_pairs):
         a, b = rng.choice(n, size=2, replace=False)
         pairs.append((int(a), int(b), bool(labels[a] == labels[b])))
-    return x, labels, PairBatch(tuple(pairs), 2 * n_pairs)
+    return x, labels, tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,9 @@ def param_finite_difference(head, x, labels, pairs, cfg, step=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = total_loss(head_logits(head, x), labels, pairs.pairs, cfg).total
+            hi = total_loss(head_logits(head, x), labels, pairs, cfg).total
             flat[i] = orig - step
-            lo = total_loss(head_logits(head, x), labels, pairs.pairs, cfg).total
+            lo = total_loss(head_logits(head, x), labels, pairs, cfg).total
             flat[i] = orig
             g.reshape(-1)[i] = (hi - lo) / (2 * step)
         grads[name] = g
@@ -240,7 +240,7 @@ def test_backprop_zero_at_minimum():
     head.params["b"] = np.zeros(2)
     x = np.array([[1.0, 0.0], [1.0, 0.0]])
     labels = np.array([0, 0])
-    pairs = PairBatch(((0, 1, True),), 2)
+    pairs = ((0, 1, True),)
     _, grads = backprop(head, x, labels, pairs, LossConfig())
     for g in grads.values():
         assert np.abs(g).max() < 1e-10
@@ -252,8 +252,8 @@ def test_backprop_linear_weight_grad_is_outer_product():
     head = init_head("linear", 6, 0, 3, seed=5)
     from mfid.loss import _loss_and_grad
 
-    _, g_logits = _loss_and_grad(head_logits(head, x), labels, pairs.pairs,
-                                 LossConfig(), want_grad=True)
+    _, g_logits = _loss_and_grad(head_logits(head, x), labels, pairs, LossConfig(),
+                                 want_grad=True)
     _, grads = backprop(head, x, labels, pairs, LossConfig())
     np.testing.assert_allclose(grads["w"], g_logits.T @ x, atol=1e-12)
     np.testing.assert_allclose(grads["b"], g_logits.sum(axis=0), atol=1e-12)
@@ -349,12 +349,14 @@ def reference_train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel
     steps = max(1, math.ceil(n_train / batch_images))
     use_pairs = cfg.objective == "mfid"
     if use_pairs:
-        subset = Dataset(x, y)
         constraints = build_pair_constraints(y)
+        n_similar, n_dissimilar = pair_batch_counts(constraints, cfg.batch_pairs,
+                                                    cfg.similar_fraction)
         # Row 2k and 2k + 1 of the gathered batch are the k-th pair's images.
-        local_first = np.arange(0, batch_images, 2)
-        local_second = local_first + 1
-    empty_pairs = PairBatch((), 0)
+        similar = [k < n_similar for k in range(cfg.batch_pairs)]
+        local = tuple(zip(range(0, batch_images, 2), range(1, batch_images, 2), similar))
+    else:
+        local = ()
     velocity = ({name: np.zeros_like(p) for name, p in head.params.items()}
                 if cfg.momentum > 0 else None)
 
@@ -365,15 +367,9 @@ def reference_train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel
         counts = np.zeros(2, dtype=np.int64)
         for step in range(steps):
             if use_pairs:
-                batch = sample_pair_batch(subset, cfg.batch_pairs,
-                                          cfg.similar_fraction, rng,
-                                          constraints=constraints)
-                first, second, similar = batch.index_arrays()
-                rows = np.column_stack([first, second]).ravel()
-                local = PairBatch.from_arrays(local_first, local_second, similar)
+                rows = draw_pairs(constraints, n_similar, n_dissimilar, rng).ravel()
             else:
                 rows = rng.choice(n_train, size=min(batch_images, n_train), replace=False)
-                local = empty_pairs
             report, grads = backprop(head, x[rows], y[rows], local, cfg.loss)
             if not math.isfinite(report.total):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, step {step}")

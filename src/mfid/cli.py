@@ -32,7 +32,7 @@ from .dataset import (
     stratified_splits,
     synth_gaussian,
 )
-from .detection import detection_report, load_boxes
+from .detection import _read_boxes, _score_boxes
 from .evaluation import (
     TrialConfig,
     _accept_rates,
@@ -66,7 +66,7 @@ _DEFAULTS = {
     "train": {"data": None, "split": None, "objective": "mfid", **_TRAIN, **_RUN},
     "eval": {"data": None, "model": None, "protocols": "closed,open,verif",
              "splits": 5, **_TRIAL, "distractor_mode": "fixed", "split_file": None,
-             **_RUN, "jobs": 1},
+             **_RUN},
     "transfer": {"model": None, "data": None, "source_name": None, **_TRIAL,
                  "distractor_mode": "fixed", **_RUN},
     "detmetrics": {"detections": None, "ground_truth": None, "iou_threshold": 0.5,
@@ -320,7 +320,7 @@ def cmd_eval(options: dict) -> None:
             rows.append(("classification", i, accuracy, 0.0, ""))
         return rows, cmc, roc_tars
 
-    results = _map_indexed(eval_split, n_splits, options["jobs"])
+    results = [eval_split(i) for i in range(n_splits)]
     out = _out_dir(options)
     header = _header("eval", options)
 
@@ -381,21 +381,22 @@ def cmd_transfer(options: dict) -> None:
 
 def cmd_detmetrics(options: dict) -> None:
     _require(options, "detections", "ground_truth")
-    detections = load_boxes(options["detections"], with_confidence=True)
-    ground_truths = load_boxes(options["ground_truth"], with_confidence=False)
-    report = detection_report(detections, ground_truths, options["iou_threshold"])
+    det_ids, dets = _read_boxes(options["detections"], with_confidence=True)
+    gt_ids, gts = _read_boxes(options["ground_truth"], with_confidence=False)
+    flags, mean_ap, tpr, fpr = _score_boxes(det_ids, dets, gt_ids, gts,
+                                            options["iou_threshold"])
     out = _out_dir(options)
     header = _header("detmetrics", options)
     _write_report(out / "detection_metrics.csv", header,
                   "map,tpr,fpr_per_image,iou_threshold",
-                  [f"{report.mean_ap!r},{report.tpr!r},{report.fpr_per_image!r},"
-                   f"{report.iou_threshold!r}"])
+                  [f"{mean_ap!r},{tpr!r},{fpr!r},{options['iou_threshold']!r}"])
+    rows, tp = dets.tolist(), flags.tolist()
     match_rows = []
-    for image_id in sorted(report.per_image):
-        for det, flag in report.per_image[image_id]:
-            match_rows.append(
-                f"{image_id},{det.x_min!r},{det.y_min!r},{det.x_max!r},"
-                f"{det.y_max!r},{(det.confidence or 0.0)!r},{int(flag)}")
+    # By image id, then in file order; "+ 0.0" prints a -0.0 confidence as 0.0.
+    for i in sorted(range(len(det_ids)), key=det_ids.__getitem__):
+        x_min, y_min, x_max, y_max, confidence = rows[i]
+        match_rows.append(f"{det_ids[i]},{x_min!r},{y_min!r},{x_max!r},{y_max!r},"
+                          f"{confidence + 0.0!r},{int(tp[i])}")
     _write_report(out / "matches.csv", header,
                   "image_id,x_min,y_min,x_max,y_max,confidence,tp", match_rows)
 

@@ -234,6 +234,17 @@ def _load_binary(path: Path) -> Dataset:
 # splits
 
 
+def _sorted_indices(indices, side: str) -> np.ndarray:
+    """Sorted int64 copy of one side's indices; a fractional or non-finite
+    index is an error, not truncated."""
+    raw = np.asarray(indices)
+    if raw.dtype.kind == "f":
+        bad = raw[~(np.isfinite(raw) & (raw == np.floor(raw)))]
+        if bad.size:
+            raise ValueError(f"non-integral {side} index {bad[0].item()!r}")
+    return np.sort(raw.astype(np.int64))
+
+
 @dataclass(frozen=True)
 class Split:
     """Disjoint train/test index sets plus the provenance (mode, seed)."""
@@ -244,8 +255,8 @@ class Split:
     seed: int
 
     def __post_init__(self) -> None:
-        train = np.sort(np.asarray(self.train_indices, dtype=np.int64))
-        test = np.sort(np.asarray(self.test_indices, dtype=np.int64))
+        train = _sorted_indices(self.train_indices, "train")
+        test = _sorted_indices(self.test_indices, "test")
         if self.mode not in (STRATIFIED, DISJOINT):
             raise ValueError(f"unknown split mode {self.mode!r}")
         if train.size == 0:
@@ -467,7 +478,14 @@ class PairConstraints:
     def draw(self, kind: str, count: int, rng: np.random.Generator) -> np.ndarray:
         """``count`` distinct pairs of ``kind``, uniform over its list."""
         total = int(self._offsets_of(kind)[-1])
-        return self.pairs_at(kind, rng.choice(total, size=count, replace=False))
+        try:
+            ranks = rng.choice(total, size=count, replace=False)
+        except ValueError:
+            if count > total:
+                raise ValueError(f"cannot draw {count} {kind} pairs: only {total} "
+                                 "exist") from None
+            raise
+        return self.pairs_at(kind, ranks)
 
 
 def build_pair_constraints(labels) -> PairConstraints:
@@ -508,7 +526,7 @@ def draw_pairs(constraints: PairConstraints, n_similar: int, n_dissimilar: int,
     drawn = [constraints.draw(kind, count, rng)
              for kind, count in (("similar", n_similar), ("dissimilar", n_dissimilar))
              if count]
-    return np.concatenate(drawn)
+    return np.concatenate(drawn or [np.empty((0, 2), dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------

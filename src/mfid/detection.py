@@ -63,41 +63,76 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _confidence_order(detections: list[BoundingBox]) -> list[int]:
-    # Descending confidence; ties by corner coordinates so shuffled input
-    # produces identical matches.
-    return sorted(range(len(detections)),
-                  key=lambda i: (-(detections[i].confidence or 0.0),
-                                 detections[i].corners()))
+def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou` of each row pair of two corner arrays, with its float operations."""
+    ix = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    iy = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = ix * iy
+    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+             + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter)
+    out = np.zeros(ix.size)
+    return np.divide(inter, union, out=out, where=~((ix <= 0.0) | (iy <= 0.0)))
+
+
+def _match(det_ids: list, dets: np.ndarray, gt_ids: list, gts: np.ndarray,
+           iou_threshold: float) -> np.ndarray:
+    """TP flags of detections ``(x_min, y_min, x_max, y_max, confidence)``
+    against ground-truth corners, by the greedy rule of the module docstring.
+
+    Every image's k-th detection in matching order is matched in one array
+    step k, so a step never has two detections that compete for a box.
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    flags = np.zeros(len(det_ids), dtype=bool)
+    codes: dict = {}
+    gt_image = np.fromiter((codes.setdefault(i, len(codes)) for i in gt_ids),
+                           np.int64, len(gt_ids))
+    det_image = np.fromiter((codes.get(i, -1) for i in det_ids), np.int64, len(det_ids))
+    # Per image: descending confidence, ties by corners, then input order.
+    order = np.lexsort((dets[:, 3], dets[:, 2], dets[:, 1], dets[:, 0], -dets[:, 4],
+                        det_image))
+    order = order[det_image[order] >= 0]  # no ground truth in the image
+    if order.size == 0:
+        return flags
+    image = det_image[order]
+    first = np.flatnonzero(np.concatenate([[True], image[1:] != image[:-1]]))
+    rank = np.arange(order.size) - np.repeat(first, np.diff(first, append=order.size))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    gt_order = np.argsort(gt_image, kind="stable")
+    gt_count = np.bincount(gt_image)
+    gt_start = np.cumsum(gt_count) - gt_count
+    claimed = np.zeros(len(gt_ids), dtype=bool)
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        step, lo = by_rank[lo:hi], hi
+        count = gt_count[det_image[step]]
+        offset = np.cumsum(count) - count
+        pair = np.arange(offset[-1] + count[-1])
+        cand = gt_order[pair + np.repeat(gt_start[det_image[step]] - offset, count)]
+        overlap = _pair_iou(np.repeat(dets[step], count, axis=0), gts[cand])
+        overlap[claimed[cand] | ~(overlap >= iou_threshold)] = -1.0
+        best = np.maximum.reduceat(overlap, offset)
+        # The first maximum wins: ties go to the earlier ground-truth box.
+        at = np.minimum.reduceat(np.where(overlap == np.repeat(best, count), pair,
+                                          pair.size), offset)
+        hit = best >= iou_threshold
+        claimed[cand[at[hit]]] = True
+        flags[step[hit]] = True
+    return flags
+
+
+def _arrays(boxes: list[BoundingBox]) -> tuple[list[str], np.ndarray]:
+    """Image ids and ``(n, 5)`` corners and confidence (None as 0.0)."""
+    return [b.image_id for b in boxes], np.array(
+        [(*b.corners(), b.confidence or 0.0) for b in boxes],
+        dtype=np.float64).reshape(-1, 5)
 
 
 def match_detections(detections: list[BoundingBox], ground_truths: list[BoundingBox],
                      iou_threshold: float = 0.5) -> list[bool]:
     """Greedy per-image matching; returns TP flags aligned with ``detections``."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    gt_by_image: dict[str, list[int]] = {}
-    for j, gt in enumerate(ground_truths):
-        gt_by_image.setdefault(gt.image_id, []).append(j)
-    claimed = [False] * len(ground_truths)
-    flags = [False] * len(detections)
-    det_by_image: dict[str, list[int]] = {}
-    for i in _confidence_order(detections):
-        det_by_image.setdefault(detections[i].image_id, []).append(i)
-    for image_id, det_indices in det_by_image.items():
-        candidates = gt_by_image.get(image_id, [])
-        for i in det_indices:
-            best_j, best_iou = -1, 0.0
-            for j in candidates:
-                if claimed[j]:
-                    continue
-                overlap = iou(detections[i], ground_truths[j])
-                if overlap >= iou_threshold and overlap > best_iou:
-                    best_j, best_iou = j, overlap
-            if best_j >= 0:
-                claimed[best_j] = True
-                flags[i] = True
-    return flags
+    return _match(*_arrays(detections), *_arrays(ground_truths), iou_threshold).tolist()
 
 
 def average_precision(confidences, tp_flags, n_ground_truth: int) -> float:
@@ -121,26 +156,76 @@ def average_precision(confidences, tp_flags, n_ground_truth: int) -> float:
     return float(np.sum((recall - prev_recall) * envelope))
 
 
+def _score_boxes(det_ids: list, dets: np.ndarray, gt_ids: list, gts: np.ndarray,
+                 iou_threshold: float) -> tuple[np.ndarray, float, float, float]:
+    """(TP flags, mAP, TPR, false positives per image) of box arrays as
+    :func:`_read_boxes` gives them."""
+    if not gt_ids:
+        raise ValueError("detection report needs a nonempty ground-truth set")
+    flags = _match(det_ids, dets, gt_ids, gts, iou_threshold)
+    mean_ap = average_precision(dets[:, 4], flags, len(gt_ids))
+    n_tp = int(flags.sum())
+    n_images = len(set(gt_ids).union(det_ids))
+    return flags, mean_ap, n_tp / len(gt_ids), (len(det_ids) - n_tp) / n_images
+
+
 def detection_report(detections: list[BoundingBox], ground_truths: list[BoundingBox],
                      iou_threshold: float = 0.5) -> DetectionReport:
     """Match detections and report mAP, TPR, and false positives per image."""
-    if not ground_truths:
-        raise ValueError("detection report needs a nonempty ground-truth set")
-    flags = match_detections(detections, ground_truths, iou_threshold)
-    confidences = [d.confidence or 0.0 for d in detections]
-    mean_ap = average_precision(confidences, flags, len(ground_truths))
-    n_tp = sum(flags)
+    flags, mean_ap, tpr, fpr = _score_boxes(*_arrays(detections), *_arrays(ground_truths),
+                                            iou_threshold)
     images = {gt.image_id for gt in ground_truths} | {d.image_id for d in detections}
     per_image: dict[str, list] = {image_id: [] for image_id in sorted(images)}
-    for det, flag in zip(detections, flags):
+    for det, flag in zip(detections, flags.tolist()):
         per_image[det.image_id].append((det, flag))
-    return DetectionReport(
-        mean_ap=mean_ap,
-        tpr=n_tp / len(ground_truths),
-        fpr_per_image=(len(detections) - n_tp) / len(images),
-        iou_threshold=iou_threshold,
-        per_image=per_image,
-    )
+    return DetectionReport(mean_ap=mean_ap, tpr=tpr, fpr_per_image=fpr,
+                           iou_threshold=iou_threshold, per_image=per_image)
+
+
+def _checked_rows(ids: list, rows: list, linenos: list, path, width: int) -> np.ndarray:
+    """The parsed rows as one ``(n, width)`` array; raises for the first row
+    that :class:`BoundingBox` would reject, naming its line."""
+    values = np.array(rows, dtype=np.float64).reshape(-1, width)
+    degenerate = ~((values[:, 2] > values[:, 0]) & (values[:, 3] > values[:, 1]))
+    bad = degenerate
+    if width == 5:
+        bad = bad | ~((values[:, 4] >= 0.0) & (values[:, 4] <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        row = values[k].tolist()
+        problem = (f"degenerate box {tuple(row[:4])} in image {ids[k]!r}"
+                   if degenerate[k] else f"confidence must be in [0, 1], got {row[4]}")
+        raise ValueError(f"{path}: line {linenos[k]}: {problem}")
+    return values
+
+
+def _read_boxes(path, with_confidence: bool) -> tuple[list[str], np.ndarray]:
+    """Image ids and one float64 array of the box rows of :func:`load_boxes`:
+    ``(n, 5)`` corners and confidence, or ``(n, 4)`` corners."""
+    path = Path(path)
+    expected = 6 if with_confidence else 5
+    ids, rows, linenos = [], [], []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                 start=1):
+        line = raw.strip()
+        if not line or line.startswith(("#", "image_id")):
+            continue
+        fields = line.split(",")
+        problem = None
+        if len(fields) != expected:
+            problem = f"expected {expected} fields, got {len(fields)}"
+        else:
+            try:
+                rows.append(tuple(map(float, fields[1:])))
+            except ValueError:
+                problem = "malformed number"
+        if problem:
+            # A bad box on an earlier line is reported first.
+            _checked_rows(ids, rows, linenos, path, expected - 1)
+            raise ValueError(f"{path}: line {lineno}: {problem}")
+        ids.append(fields[0])
+        linenos.append(lineno)
+    return ids, _checked_rows(ids, rows, linenos, path, expected - 1)
 
 
 def load_boxes(path, with_confidence: bool) -> list[BoundingBox]:
@@ -149,25 +234,5 @@ def load_boxes(path, with_confidence: bool) -> list[BoundingBox]:
     Comment lines (``#``) and a header row starting with ``image_id`` are
     skipped.  Malformed rows are reported with their line number.
     """
-    path = Path(path)
-    expected = 6 if with_confidence else 5
-    boxes = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("image_id"):
-            continue
-        fields = line.split(",")
-        if len(fields) != expected:
-            raise ValueError(f"{path}: line {lineno}: expected {expected} fields, "
-                             f"got {len(fields)}")
-        try:
-            coords = [float(v) for v in fields[1:5]]
-            confidence = float(fields[5]) if with_confidence else None
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed number") from None
-        try:
-            boxes.append(BoundingBox(fields[0], *coords, confidence=confidence))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return boxes
+    ids, values = _read_boxes(path, with_confidence)
+    return [BoundingBox(image_id, *row) for image_id, row in zip(ids, values.tolist())]

@@ -159,6 +159,8 @@ def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Probe rows are pooled in blocks of at most ``_POOL_BLOCK_CELLS`` score
     cells, so the label-ordered copy of the scores never exceeds one block.
+    When every gallery label is distinct, the result is the label-ordered
+    column permutation of the scores.
 
     Returns:
         (P, G_id) array of per-identity scores and the sorted identity ids
@@ -166,6 +168,8 @@ def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     order = np.argsort(sm.gallery_labels, kind="stable")
     ids, starts = np.unique(sm.gallery_labels[order], return_index=True)
+    if ids.size == order.size:  # one column per identity: pooling only permutes
+        return sm.scores[:, order], ids
     n_probes = sm.scores.shape[0]
     pooled = np.empty((n_probes, ids.size))
     block = max(1, _POOL_BLOCK_CELLS // max(1, order.size))
@@ -280,46 +284,74 @@ def roc_points(positive_scores, negative_scores) -> tuple[tuple[float, float], .
 # protocols
 
 
-def _draw_gallery(embeddings, labels, identities, per_identity: int,
+class _TestIndex:
+    """One test split, prepared once for all of a protocol run's trials:
+    the unit rows, the stable label order, and each identity's start and
+    count in that order."""
+
+    def __init__(self, embeddings, labels):
+        self.labels = np.asarray(labels)
+        self.unit = _unit_rows(embeddings, "test")
+        self.order = np.argsort(self.labels, kind="stable")
+        self.identities, self.starts, self.counts = np.unique(
+            self.labels[self.order], return_index=True, return_counts=True)
+
+    def scores(self, probe_rows, gallery_rows) -> ScoreMatrix:
+        scores = self.unit[probe_rows] @ self.unit[gallery_rows].T
+        np.clip(scores, -1.0, 1.0, out=scores)
+        return ScoreMatrix(scores, self.labels[probe_rows], self.labels[gallery_rows])
+
+
+def _draw_gallery(index: _TestIndex, groups, per_identity: int,
                   rng: np.random.Generator):
-    """Per identity, draw gallery rows; everything else becomes a probe."""
-    gallery_parts, probe_parts = [], []
-    for ident in identities:
-        idx = np.flatnonzero(labels == ident)
-        if idx.size <= per_identity:
+    """Per identity group, draw gallery rows; the group's other rows become
+    probes, in label order and ascending row within an identity."""
+    positions = []
+    for g in groups:
+        count = int(index.counts[g])
+        if count <= per_identity:
             raise ValueError(
-                f"identity {int(ident)} has {idx.size} samples; needs more than "
-                f"{per_identity} to field both gallery and probes")
-        chosen = rng.choice(idx, size=per_identity, replace=False)
-        gallery_parts.append(chosen)
-        probe_parts.append(np.setdiff1d(idx, chosen))
-    return np.concatenate(gallery_parts), np.concatenate(probe_parts)
+                f"identity {int(index.identities[g])} has {count} samples; needs "
+                f"more than {per_identity} to field both gallery and probes")
+        # Same stream and values as drawing from the group's row indices.
+        positions.append(index.starts[g] + rng.choice(count, size=per_identity,
+                                                       replace=False))
+    positions = np.concatenate(positions)
+    member = np.zeros(index.identities.size, dtype=bool)
+    member[groups] = True
+    probe = np.repeat(member, index.counts)
+    probe[positions] = False
+    return index.order[positions], index.order[probe]
+
+
+def _closed_set_trial(index: _TestIndex, per_identity: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    groups = np.arange(index.identities.size)
+    gallery_rows, probe_rows = _draw_gallery(index, groups, per_identity, rng)
+    sm = index.scores(probe_rows, gallery_rows)
+    pooled, ids = identity_max_scores(sm)
+    ranks = probe_ranks(pooled, ids, sm.probe_labels)
+    counts = np.bincount(ranks, minlength=index.identities.size + 1)[1:]
+    return counts, int(probe_rows.size)
 
 
 def closed_set_trial(embeddings, labels, cfg: TrialConfig,
                      rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """One gallery draw; returns (per-rank probe counts, probe count)."""
-    labels = np.asarray(labels)
-    identities = np.unique(labels)
-    gallery_idx, probe_idx = _draw_gallery(embeddings, labels, identities,
-                                           cfg.gallery_images_per_identity, rng)
-    sm = score_matrix(np.asarray(embeddings)[probe_idx], labels[probe_idx],
-                      np.asarray(embeddings)[gallery_idx], labels[gallery_idx])
-    pooled, ids = identity_max_scores(sm)
-    ranks = probe_ranks(pooled, ids, labels[probe_idx])
-    counts = np.bincount(ranks, minlength=identities.size + 1)[1:]
-    return counts, int(probe_idx.size)
+    return _closed_set_trial(_TestIndex(embeddings, labels),
+                             cfg.gallery_images_per_identity, rng)
 
 
 def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     """Rank-1 rate over trials, with the trial-averaged CMC as the curve."""
+    index = _TestIndex(embeddings, labels)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    n_ids = np.unique(np.asarray(labels)).size
+    n_ids = index.identities.size
     rank1 = []
     cmc_sum = np.zeros(n_ids)
     for stream in streams:
-        counts, n_probes = closed_set_trial(embeddings, labels, cfg,
-                                            np.random.default_rng(stream))
+        counts, n_probes = _closed_set_trial(index, cfg.gallery_images_per_identity,
+                                             np.random.default_rng(stream))
         cmc = np.cumsum(counts) / n_probes
         rank1.append(cmc[0])
         cmc_sum += cmc
@@ -329,38 +361,37 @@ def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
 
 def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     """DIR at ``far_target`` over trials with probe-only distractor identities."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    identities = np.unique(labels)
+    index = _TestIndex(embeddings, labels)
+    identities = index.identities
     if identities.size <= cfg.distractor_identities:
         raise ValueError(
             f"need more than {cfg.distractor_identities} identities for an "
             f"open-set evaluation, got {identities.size}")
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials + 1)
-    fixed = None
+
+    def split_off(distractors):
+        """(mated identity groups, distractor rows in row order)."""
+        return (np.flatnonzero(~np.isin(identities, distractors)),
+                np.flatnonzero(np.isin(index.labels, distractors)))
+
     if cfg.distractor_mode == "fixed":
-        fixed = np.sort(np.random.default_rng(streams[0]).choice(
+        fixed = split_off(np.random.default_rng(streams[0]).choice(
             identities, size=cfg.distractor_identities, replace=False))
     rates, thresholds = [], []
     for stream in streams[1:]:
         rng = np.random.default_rng(stream)
-        if fixed is not None:
-            distractors = fixed
+        if cfg.distractor_mode == "fixed":
+            mated_groups, distractor_rows = fixed
         else:
-            distractors = np.sort(rng.choice(identities,
-                                             size=cfg.distractor_identities,
-                                             replace=False))
-        mated_ids = np.setdiff1d(identities, distractors)
-        gallery_idx, probe_idx = _draw_gallery(embeddings, labels, mated_ids,
-                                               cfg.gallery_images_per_identity, rng)
-        distractor_idx = np.flatnonzero(np.isin(labels, distractors))
-        sm = score_matrix(embeddings[np.concatenate([probe_idx, distractor_idx])],
-                          labels[np.concatenate([probe_idx, distractor_idx])],
-                          embeddings[gallery_idx], labels[gallery_idx])
+            mated_groups, distractor_rows = split_off(rng.choice(
+                identities, size=cfg.distractor_identities, replace=False))
+        gallery_rows, probe_rows = _draw_gallery(index, mated_groups,
+                                                 cfg.gallery_images_per_identity, rng)
+        sm = index.scores(np.concatenate([probe_rows, distractor_rows]), gallery_rows)
         pooled, ids = identity_max_scores(sm)
-        n_mated = probe_idx.size
+        n_mated = probe_rows.size
         mated_max = pooled[:n_mated].max(axis=1)
-        ranks = probe_ranks(pooled[:n_mated], ids, labels[probe_idx])
+        ranks = probe_ranks(pooled[:n_mated], ids, sm.probe_labels[:n_mated])
         nonmated_max = pooled[n_mated:].max(axis=1)
         rate, tau = dir_at_far(mated_max, ranks == 1, nonmated_max, cfg.far_target)
         rates.append(rate)

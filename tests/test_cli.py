@@ -1,5 +1,6 @@
 """End-to-end command-line tests: every command, determinism, exit codes."""
 
+import hashlib
 import os
 import re
 import shlex
@@ -213,18 +214,6 @@ def test_eval_deterministic_rerun(synth_dir, trained_dir, tmp_path):
     for name in ("metrics.csv", "cmc.csv", "roc.csv"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
-
-
-def test_eval_jobs_matches_sequential(synth_dir, trained_dir, tmp_path):
-    args = ("eval", "--data", str(synth_dir / "dataset.csv"),
-            "--model", str(trained_dir / "model.mfhd"),
-            "--splits", "3", "--test-fraction", "0.5", "--trials", "10",
-            "--distractors", "1", "--seed", "8")
-    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "seq")) == 0
-    assert run_cli(*args, "--jobs", "3", "--out", str(tmp_path / "par")) == 0
-    for name in ("metrics.csv", "cmc.csv", "roc.csv"):
-        assert ((tmp_path / "seq" / name).read_bytes()
-                == (tmp_path / "par" / name).read_bytes())
 
 
 def test_eval_unknown_protocol(synth_dir, trained_dir, tmp_path, capsys):
@@ -525,8 +514,8 @@ def test_baseline_survives_a_non_converging_c(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["0", "1", "mean", "std"]
 
 
-@pytest.mark.parametrize("command", ["synth", "train", "transfer", "detmetrics",
-                                     "baseline"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "transfer",
+                                     "detmetrics", "baseline"])
 def test_jobs_only_on_commands_that_fan_out(command):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(command, "--jobs", "2")
@@ -568,7 +557,7 @@ PINNED_OPTIONS = {
         "data": None, "model": None, "protocols": "closed,open,verif", "splits": 5,
         "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
         "distractors": 6, "far": 0.01, "distractor_mode": "fixed",
-        "split_file": None, "seed": 0, "out": "out", "jobs": 1}),
+        "split_file": None, "seed": 0, "out": "out"}),
     "transfer": ("248c2b7ac6ae8485", {
         "model": None, "data": None, "source_name": None, "test_fraction": 0.2,
         "trials": 100, "gallery_per_identity": 1, "distractors": 6, "far": 0.01,
@@ -699,3 +688,78 @@ def test_module_invocation():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("mfid ")
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the scoring commands
+
+# sha256 of every file the runs below write, recorded before the trials and
+# the detection matcher became array programs (numpy 2.4, OpenBLAS 0.3.31,
+# x86-64; another BLAS may round the score products differently).  The
+# first line of each file carries the version, so a version bump changes
+# every digest; any other change needs its reason written down.
+SCORING_DIGESTS = {
+    "det/detection_metrics.csv":
+        "90295990801570a970afd475993f7fd1c4b7c65ceea398410567430fcf8e9b61",
+    "det/matches.csv":
+        "1f7ea64b2549cf07942000d4ea52dc6fa06e6eaa69b1e4b04bb93324037f0237",
+    "eval/cmc.csv":
+        "7707c7c603afad800e55d101a90b7439efdfa7995973ddd5b3ec372d8d5f9c3e",
+    "eval/metrics.csv":
+        "7a4c767103db66e5a730a05092f7d62a1e5d9f851714444361b21cb02622079f",
+    "eval/roc.csv":
+        "4938ce5b6f941673f69df83759f89d1ac8bcf737191909cecc9da0b945dbda34",
+    "eval_g2/cmc.csv":
+        "1f88265c7841e127077080ba05758d83ff15135908ed4d86c9fc2a5690bf2133",
+    "eval_g2/metrics.csv":
+        "dd44152e5f007afbf01ee4cad238246c74af13af059dcb83bfd5fcf3ae8a355b",
+    "eval_g2/roc.csv":
+        "3dc5840752f08a87b18844ec9e1668d8c3bf1fe2a4b4d79d03caaee0ee7919e0",
+}
+
+
+def write_scoring_inputs(directory):
+    """A feature file, a pass-through head and two box files, all seeded."""
+    rng = np.random.default_rng(2024)
+    counts = rng.integers(4, 10, size=30)  # uneven identities
+    labels = rng.permutation(np.repeat(np.arange(30), counts))  # not grouped
+    centres = rng.normal(size=(30, 6))
+    features = centres[labels] + 0.6 * rng.normal(size=(labels.size, 6))
+    mfid.save_dataset(mfid.Dataset(features, labels), directory / "scoring.bin", "binary")
+    head = mfid.EmbeddingHead("linear", 6, 6, 30, {"w": centres + rng.normal(size=(30, 6)),
+                                                   "b": rng.normal(size=30)})
+    mfid.save_head(head, directory / "scoring.mfhd")
+    gt, det = ["image_id,x_min,y_min,x_max,y_max"], []
+    for image in range(40):
+        for _ in range(int(rng.integers(0, 6))):
+            x, y = rng.integers(0, 12, size=2)
+            if image < 35:  # the last five images have no ground truth
+                gt.append(f"im{image},{x},{y},{x + 3},{y + 3}")
+            # integer corners and a few confidences: IoU and confidence ties
+            for _ in range(int(rng.integers(0, 3))):
+                x0, y0, x1, y1 = np.array([x, y, x + 3, y + 3]) + rng.integers(-1, 2, 4)
+                conf = rng.choice(["0.5", "0.9", "0.25", "1", "0", "-0.0"])
+                det.append(f"im{image},{x0},{y0},{max(x1, x0 + 1)},{max(y1, y0 + 1)},{conf}")
+    (directory / "gt.csv").write_text("\n".join(gt) + "\n")
+    (directory / "det.csv").write_text("\n".join(rng.permutation(det)) + "\n")
+
+
+def test_scoring_outputs_are_pinned(tmp_path):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_scoring_inputs(inputs)
+    data = ("--data", str(inputs / "scoring.bin"), "--model", str(inputs / "scoring.mfhd"),
+            "--protocols", "closed,open,verif,classification", "--splits", "2",
+            "--trials", "15", "--test-fraction", "0.5", "--seed", "31")
+    assert run_cli("eval", *data, "--out", str(tmp_path / "eval")) == 0
+    assert run_cli("eval", *data, "--gallery-per-identity", "2", "--distractors", "4",
+                   "--distractor-mode", "per_trial", "--far", "0.1",
+                   "--out", str(tmp_path / "eval_g2")) == 0
+    assert run_cli("detmetrics", "--detections", str(inputs / "det.csv"),
+                   "--ground-truth", str(inputs / "gt.csv"), "--iou-threshold", "0.3",
+                   "--out", str(tmp_path / "det")) == 0
+    digests = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*/*.csv"))
+               if not path.is_relative_to(inputs)}
+    assert digests == SCORING_DIGESTS

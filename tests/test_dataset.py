@@ -332,6 +332,24 @@ def test_split_rejects_negative_and_repeated_indices(train, message):
         Split([2, 3], train, STRATIFIED, 0)
 
 
+def test_split_rejects_fractional_train_index():
+    # np.int64 casting would have truncated these to [0, 1]
+    with pytest.raises(ValueError, match=r"^non-integral train index 0\.7$"):
+        Split([0.7, 1.2], [2], STRATIFIED, 0)
+    with pytest.raises(ValueError, match="non-integral train index nan"):
+        Split([0.0, np.nan], [2], STRATIFIED, 0)
+
+
+def test_split_rejects_fractional_test_index():
+    with pytest.raises(ValueError, match=r"^non-integral test index 2\.9$"):
+        Split([0, 1], [2.9], STRATIFIED, 0)
+    with pytest.raises(ValueError, match="non-integral test index inf"):
+        Split([0, 1], [np.inf], STRATIFIED, 0)
+    # integral floats are indices
+    split = Split([1.0, 0.0], np.array([2.0]), STRATIFIED, 0)
+    assert split.train_indices.tolist() == [0, 1] and split.test_indices.tolist() == [2]
+
+
 def test_split_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
         import mfid
@@ -426,6 +444,24 @@ def test_pair_batch_rejects_impossible_composition():
     labels = np.array([0, 1, 2])  # no similar pairs exist
     with pytest.raises(ValueError, match="similar"):
         draw_batch(labels, 2, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("counts,message", [
+    ((2, 0), "cannot draw 2 similar pairs: only 1 exist"),
+    ((1, 3), "cannot draw 3 dissimilar pairs: only 2 exist"),
+])
+def test_draw_pairs_names_the_kind_and_counts(counts, message):
+    pc = build_pair_constraints([0, 0, 1])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw_pairs(pc, *counts, np.random.default_rng(0))
+
+
+def test_draw_pairs_of_nothing_is_empty():
+    pc = build_pair_constraints([0, 0, 1])
+    rng = np.random.default_rng(0)
+    pairs = draw_pairs(pc, 0, 0, rng)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+    assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfid import (
     BoundingBox,
@@ -336,3 +338,159 @@ def test_load_boxes_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
     assert load_boxes(path, with_confidence=True) == []
+
+
+# ---------------------------------------------------------------------------
+# array matcher and loader against the loops they replaced
+
+
+def reference_match_detections(detections, ground_truths, iou_threshold=0.5):
+    """The earlier greedy loop: one scalar iou call per (detection, free box)."""
+    gt_by_image = {}
+    for j, gt in enumerate(ground_truths):
+        gt_by_image.setdefault(gt.image_id, []).append(j)
+    claimed = [False] * len(ground_truths)
+    flags = [False] * len(detections)
+    det_by_image = {}
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-(detections[i].confidence or 0.0),
+                                  detections[i].corners()))
+    for i in order:
+        det_by_image.setdefault(detections[i].image_id, []).append(i)
+    for image_id, det_indices in det_by_image.items():
+        candidates = gt_by_image.get(image_id, [])
+        for i in det_indices:
+            best_j, best_iou = -1, 0.0
+            for j in candidates:
+                if claimed[j]:
+                    continue
+                overlap = iou(detections[i], ground_truths[j])
+                if overlap >= iou_threshold and overlap > best_iou:
+                    best_j, best_iou = j, overlap
+            if best_j >= 0:
+                claimed[best_j] = True
+                flags[i] = True
+    return flags
+
+
+def reference_load_boxes(path, with_confidence):
+    """The earlier loader: one BoundingBox per row, checked as it is built."""
+    expected = 6 if with_confidence else 5
+    boxes = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                 start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("image_id"):
+            continue
+        fields = line.split(",")
+        if len(fields) != expected:
+            raise ValueError(f"{path}: line {lineno}: expected {expected} fields, "
+                             f"got {len(fields)}")
+        try:
+            coords = [float(v) for v in fields[1:5]]
+            confidence = float(fields[5]) if with_confidence else None
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed number") from None
+        try:
+            boxes.append(BoundingBox(fields[0], *coords, confidence=confidence))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return boxes
+
+
+# Integer corners on a small grid make IoU ties common; a few confidence
+# values make confidence ties common.
+@st.composite
+def box_lists(draw, with_confidence):
+    n = draw(st.integers(0, 14))
+    boxes = []
+    for _ in range(n):
+        x, y = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        conf = (draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+                if with_confidence else None)
+        boxes.append(BoundingBox(draw(st.sampled_from(["a", "b", "c", "d"])),
+                                 x, y, x + w, y + h, confidence=conf))
+    return boxes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(box_lists(True), box_lists(False), st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+       st.randoms(use_true_random=False))
+def test_array_matcher_matches_greedy_loop(detections, ground_truths, threshold, random):
+    expected = reference_match_detections(detections, ground_truths, threshold)
+    assert match_detections(detections, ground_truths, threshold) == expected
+    order = list(range(len(detections)))
+    random.shuffle(order)
+    shuffled = match_detections([detections[i] for i in order], ground_truths, threshold)
+    assert shuffled == [expected[i] for i in order]
+    if ground_truths:
+        report = detection_report(detections, ground_truths, threshold)
+        n_tp = sum(expected)
+        images = {b.image_id for b in detections + ground_truths}
+        assert report.tpr == n_tp / len(ground_truths)
+        assert report.fpr_per_image == (len(detections) - n_tp) / len(images)
+        assert report.mean_ap == average_precision(
+            [d.confidence for d in detections], expected, len(ground_truths))
+        assert [flag for rows in report.per_image.values() for _, flag in rows] == [
+            expected[i] for i in sorted(range(len(detections)),
+                                        key=lambda i: detections[i].image_id)]
+
+
+def test_array_matcher_breaks_iou_ties_by_box_order():
+    # both boxes overlap the detection by IoU 1/3; the first listed wins
+    gt = [box(0, 0, 2, 2), box(1, 0, 3, 2), box(-1, 0, 1, 2)]
+    det = [box(0, 0, 2, 2, conf=0.9), box(1, 0, 3, 2, conf=0.9)]
+    assert iou(det[0], gt[1]) == iou(det[0], gt[2])
+    assert match_detections(det, gt) == reference_match_detections(det, gt) == [True, True]
+    assert match_detections(det[:1], gt[1:], 0.3) == [True]
+    assert match_detections(det[1:], gt[2:], 0.3) == [False]
+
+
+BAD_BOX_FILES = [
+    ("wrong field count", True, "a,0,0,4,4,0.9\na,0,0,4\n",
+     "line 2: expected 6 fields, got 4"),
+    ("malformed number", False, "a,0,0,4,4\na,0,zero,4,4\n", "line 2: malformed number"),
+    ("degenerate box", False, "# boxes\na,0,0,4,4\na,5,5,5,9\n",
+     "line 3: degenerate box (5.0, 5.0, 5.0, 9.0) in image 'a'"),
+    ("confidence above one", True, "a,0,0,4,4,1.5\n",
+     "line 1: confidence must be in [0, 1], got 1.5"),
+    ("negative confidence", True, "image_id,x\na,0,0,4,4,-0.25\n",
+     "line 2: confidence must be in [0, 1], got -0.25"),
+    ("NaN corner", False, "a,0,0,4,4\nb,nan,0,4,4\n",
+     "line 2: degenerate box (nan, 0.0, 4.0, 4.0) in image 'b'"),
+    ("NaN confidence", True, "a,0,0,4,4,nan\n",
+     "line 1: confidence must be in [0, 1], got nan"),
+    ("bad box before a bad number", True, "a,0,0,4,4,0.5\na,4,0,4,4,2\na,x,0,4,4,0.5\n",
+     "line 2: degenerate box (4.0, 0.0, 4.0, 4.0) in image 'a'"),
+    ("short row before a bad box", False, "a,0,0,4\na,4,0,4,4\n",
+     "line 1: expected 5 fields, got 4"),
+]
+
+
+@pytest.mark.parametrize("with_confidence,text,message",
+                         [case[1:] for case in BAD_BOX_FILES],
+                         ids=[case[0] for case in BAD_BOX_FILES])
+def test_load_boxes_errors_match_earlier_loader(tmp_path, with_confidence, text, message):
+    path = tmp_path / "boxes.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as expected:
+        reference_load_boxes(path, with_confidence)
+    assert str(expected.value) == f"{path}: {message}"
+    with pytest.raises(ValueError) as ours:
+        load_boxes(path, with_confidence)
+    assert str(ours.value) == str(expected.value)
+
+
+def test_load_boxes_matches_earlier_loader(tmp_path):
+    path = tmp_path / "boxes.csv"
+    path.write_text("# c\nimage_id,x\n a b ,1,2.5,3,4e0,0.5\n\nb, 1 ,2,3,4,1\nc,0,0,1,1,-0\n")
+    for with_confidence in (True, False):
+        if not with_confidence:
+            path.write_text(path.read_text().replace(",0.5\n", "\n").replace(",1\n", "\n")
+                            .replace(",-0\n", "\n"))
+        ours = load_boxes(path, with_confidence)
+        theirs = reference_load_boxes(path, with_confidence)
+        assert ours == theirs
+        assert [repr(b.corners() + (b.confidence,)) for b in ours] == [
+            repr(b.corners() + (b.confidence,)) for b in theirs]

@@ -1,6 +1,7 @@
 """Evaluation protocols: scores, ranks, thresholds, CMC/DIR/TAR, transfer."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -838,3 +839,163 @@ def test_verification_scores_reject_infinite_embedding():
     emb[1, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite test embedding at index 1"):
         verification_scores(emb, np.array([0, 0, 1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# indexed trials against the per-identity loops they replaced
+#
+# The references below are the earlier trial code: per trial and identity a
+# flatnonzero / setdiff1d gallery draw, the rows normalised per trial by
+# score_matrix, and pooling by reduceat only.
+
+
+def reference_pool(sm):
+    """Label-ordered reduceat pooling, whatever the gallery labels."""
+    order = np.argsort(sm.gallery_labels, kind="stable")
+    ids, starts = np.unique(sm.gallery_labels[order], return_index=True)
+    return np.maximum.reduceat(sm.scores[:, order], starts, axis=1), ids
+
+
+def reference_draw_gallery(labels, identities, per_identity, rng):
+    gallery_parts, probe_parts = [], []
+    for ident in identities:
+        idx = np.flatnonzero(labels == ident)
+        if idx.size <= per_identity:
+            raise ValueError(
+                f"identity {int(ident)} has {idx.size} samples; needs more than "
+                f"{per_identity} to field both gallery and probes")
+        chosen = rng.choice(idx, size=per_identity, replace=False)
+        gallery_parts.append(chosen)
+        probe_parts.append(np.setdiff1d(idx, chosen))
+    return np.concatenate(gallery_parts), np.concatenate(probe_parts)
+
+
+def reference_closed_set_trial(embeddings, labels, cfg, rng):
+    identities = np.unique(labels)
+    gallery_idx, probe_idx = reference_draw_gallery(
+        labels, identities, cfg.gallery_images_per_identity, rng)
+    sm = score_matrix(embeddings[probe_idx], labels[probe_idx],
+                      embeddings[gallery_idx], labels[gallery_idx])
+    pooled, ids = reference_pool(sm)
+    ranks = probe_ranks(pooled, ids, labels[probe_idx])
+    return np.bincount(ranks, minlength=identities.size + 1)[1:], int(probe_idx.size)
+
+
+def reference_closed_set_eval(embeddings, labels, cfg):
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    n_ids = np.unique(labels).size
+    rank1, cmc_sum = [], np.zeros(n_ids)
+    for stream in streams:
+        counts, n_probes = reference_closed_set_trial(embeddings, labels, cfg,
+                                                      np.random.default_rng(stream))
+        cmc = np.cumsum(counts) / n_probes
+        rank1.append(cmc[0])
+        cmc_sum += cmc
+    curve = tuple((r + 1, cmc_sum[r] / cfg.trials) for r in range(n_ids))
+    return EvalReport.from_values("closed_set", rank1, curve=curve)
+
+
+def reference_open_set_eval(embeddings, labels, cfg):
+    identities = np.unique(labels)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials + 1)
+    fixed = None
+    if cfg.distractor_mode == "fixed":
+        fixed = np.sort(np.random.default_rng(streams[0]).choice(
+            identities, size=cfg.distractor_identities, replace=False))
+    rates, thresholds = [], []
+    for stream in streams[1:]:
+        rng = np.random.default_rng(stream)
+        distractors = fixed if fixed is not None else np.sort(rng.choice(
+            identities, size=cfg.distractor_identities, replace=False))
+        mated_ids = np.setdiff1d(identities, distractors)
+        gallery_idx, probe_idx = reference_draw_gallery(
+            labels, mated_ids, cfg.gallery_images_per_identity, rng)
+        distractor_idx = np.flatnonzero(np.isin(labels, distractors))
+        rows = np.concatenate([probe_idx, distractor_idx])
+        sm = score_matrix(embeddings[rows], labels[rows],
+                          embeddings[gallery_idx], labels[gallery_idx])
+        pooled, ids = reference_pool(sm)
+        n_mated = probe_idx.size
+        ranks = probe_ranks(pooled[:n_mated], ids, labels[probe_idx])
+        rate, tau = dir_at_far(pooled[:n_mated].max(axis=1), ranks == 1,
+                               pooled[n_mated:].max(axis=1), cfg.far_target)
+        rates.append(rate)
+        thresholds.append(tau)
+    return EvalReport.from_values("open_set", rates, thresholds=thresholds)
+
+
+def shuffled_uneven_embeddings(rng, k=9, low=4, high=9, dim=5, tied=False):
+    """Sparse identity ids with uneven counts, in shuffled row order."""
+    ids = rng.choice(100, size=k, replace=False)
+    labels = rng.permutation(np.repeat(ids, rng.integers(low, high, size=k)))
+    emb = draw_scores(rng, (labels.size, dim), tied)
+    emb[np.linalg.norm(emb, axis=1) == 0.0, 0] = 1.0
+    return emb, labels
+
+
+@pytest.mark.parametrize("per_identity", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_draw_gallery_matches_per_identity_loop(seed, per_identity):
+    rng = np.random.default_rng(300 + seed)
+    emb, labels = shuffled_uneven_embeddings(rng)
+    index = mfid.evaluation._TestIndex(emb, labels)
+    for groups in (np.arange(index.identities.size), np.array([0, 2, 3, 7])):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        gallery, probes = mfid.evaluation._draw_gallery(index, groups, per_identity, ours)
+        ref_gallery, ref_probes = reference_draw_gallery(
+            labels, index.identities[groups], per_identity, theirs)
+        np.testing.assert_array_equal(gallery, ref_gallery)
+        np.testing.assert_array_equal(probes, ref_probes)
+        assert ours.random() == theirs.random()  # the same stream was used
+
+
+@pytest.mark.parametrize("per_identity", [1, 2])
+@pytest.mark.parametrize("tied", [True, False])
+def test_trials_match_per_identity_loop(per_identity, tied):
+    rng = np.random.default_rng(310 + per_identity)
+    for _ in range(3):
+        emb, labels = shuffled_uneven_embeddings(rng, low=per_identity + 1, tied=tied)
+        for mode in ("fixed", "per_trial"):
+            cfg = TrialConfig(trials=12, gallery_images_per_identity=per_identity,
+                              distractor_identities=3, far_target=0.2,
+                              seed=int(rng.integers(1000)), distractor_mode=mode)
+            assert open_set_eval(emb, labels, cfg) == reference_open_set_eval(
+                emb, labels, cfg)
+        assert closed_set_eval(emb, labels, cfg) == reference_closed_set_eval(
+            emb, labels, cfg)
+        trial_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        counts, n_probes = closed_set_trial(emb, labels, cfg, trial_rng)
+        ref_counts, ref_n_probes = reference_closed_set_trial(emb, labels, cfg, ref_rng)
+        assert counts.tolist() == ref_counts.tolist() and n_probes == ref_n_probes
+
+
+def test_trials_reject_small_identity_as_before():
+    rng = np.random.default_rng(320)
+    emb, labels = shuffled_uneven_embeddings(rng, low=2, high=4)
+    cfg = TrialConfig(trials=3, gallery_images_per_identity=3, distractor_identities=2)
+    for ours, theirs in ((closed_set_eval, reference_closed_set_eval),
+                         (open_set_eval, reference_open_set_eval)):
+        with pytest.raises(ValueError) as expected:
+            theirs(emb, labels, cfg)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            ours(emb, labels, cfg)
+
+
+@st.composite
+def distinct_gallery_cases(draw):
+    """Scores against a gallery with one column per (sparse, unsorted) identity."""
+    n_probes = draw(st.integers(0, 4))
+    labels = 7 * np.asarray(draw(st.permutations(range(draw(st.integers(1, 6))))))
+    scores = np.asarray(draw(st.lists(SCORE_VALUES, min_size=n_probes * labels.size,
+                                      max_size=n_probes * labels.size)))
+    return ScoreMatrix(scores.reshape(n_probes, labels.size), np.zeros(n_probes), labels)
+
+
+@PROPERTY_SETTINGS
+@given(distinct_gallery_cases())
+def test_identity_max_scores_permutation_path_matches_reduceat(sm):
+    pooled, ids = identity_max_scores(sm)
+    ref_pooled, ref_ids = reference_pool(sm)
+    assert ids.tolist() == ref_ids.tolist()
+    assert pooled.shape == ref_pooled.shape
+    assert pooled.tolist() == ref_pooled.tolist()

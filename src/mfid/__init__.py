@@ -76,12 +76,10 @@ from .baseline import (
     PCAModel,
     baseline_pipeline,
     l2_normalize,
-    load_baseline_model,
     logreg_fit,
     logreg_predict,
     pca_fit,
     pca_transform,
-    save_baseline_model,
 )
 from .detection import (
     BoundingBox,

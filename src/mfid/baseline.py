@@ -4,26 +4,22 @@ The pipeline fits PCA on training features keeping the smallest component
 count whose cumulative explained variance reaches ``energy_threshold``,
 L2-normalizes the projected rows, then fits a multinomial logistic
 regression with L2 penalty ``(1/C) * 0.5 * ||W||^2`` (bias unregularized).
-The regression is solved by deterministic full-batch gradient descent with
-a backtracking (Armijo) line search, so repeat runs are bit-identical.
+The regression is solved by L-BFGS (Liu & Nocedal, 1989) with a
+backtracking (Armijo) line search, so repeat runs are bit-identical.
 ``C`` is chosen on a held-out validation slice from a decade grid spanning
 1e-5 .. 1e+5, ties resolved toward the smaller (more regularized) value,
-then the model is refit on all training data.  Grid values whose fit does
-not converge are skipped.
+then the model is refit on all training data.  The grid is walked upward
+and each C starts from the previous C's solution; the refit starts from the
+chosen C's.  Grid values whose fit does not converge are skipped.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-
-BASELINE_MAGIC = b"MFBL"
-BASELINE_VERSION = 1
-_KIND_PCA = 1
-_KIND_LOGREG = 2
 
 DEFAULT_C_GRID = tuple(10.0 ** k for k in range(-5, 6))
 
@@ -112,67 +108,104 @@ def l2_normalize(x) -> np.ndarray:
 # logistic regression
 
 
-def _logreg_ce_grad(w, b, x, y):
-    """Cross-entropy at (w, b), and a function that returns its gradient there.
+# Curvature pairs the two-loop recursion keeps; Armijo's sufficient-decrease
+# constant; step halvings before a line search gives up at float precision.
+_LBFGS_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
-    The line search rejects about half of its trial points, so the gradient
-    product is formed only when the solver accepts the point.
+
+def _logreg_ce_grad(theta, x1, onehot, ridge):
+    """Objective and gradient at ``theta``, the weights with the bias as last column.
+
+    ``x1`` is the rows with a constant 1 appended, ``onehot`` the boolean
+    label mask and ``ridge`` the per-column penalty (1/C, and 0 for the
+    bias).  The cross-entropy is summed as ``Σ log Σ e^z − Σ z[y]``.
     """
-    z = x @ w.T + b
-    z = z - z.max(axis=1, keepdims=True)
+    z = x1 @ theta.T
+    z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     sums = e.sum(axis=1, keepdims=True)
-    rows = np.arange(x.shape[0])
-    ce = float(-np.log(np.maximum(e[rows, y] / sums[:, 0], 1e-300)).sum())
-
-    def gradient():
-        residual = e / sums
-        residual[rows, y] -= 1.0
-        return residual.T @ x, residual.sum(axis=0)
-
-    return ce, gradient
+    penalized = theta * ridge
+    value = float(np.log(sums).sum() - z[onehot].sum() + 0.5 * np.vdot(penalized, theta))
+    return value, (e / sums - onehot).T @ x1 + penalized
 
 
-def _logreg_solve(x, y, n_classes, c_value, max_iter, tol):
-    """Full-batch gradient descent with backtracking line search.
+def _lbfgs_direction(grad, pairs, ridge):
+    """``-H·grad`` by the two-loop recursion over the (s, y, 1/s·y) pairs.
 
-    The cross-entropy part takes an explicit gradient step; the quadratic
-    ridge term is folded into the update exactly (division by 1 + step/C)
-    so a tiny C cannot throttle the step for the unregularized bias.
-    Returns (weights, bias, objective history, final gradient norm).
+    The initial inverse Hessian is diagonal: the ridge's exact curvature plus
+    one estimate of the cross-entropy's, taken from the newest pair, or
+    ``‖grad‖`` without one (a first step is at most unit length).  The ridge
+    term keeps a tiny C from throttling the unpenalized bias.
     """
-    w = np.zeros((n_classes, x.shape[1]))
-    b = np.zeros(n_classes)
-    step = 1.0
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(np.vdot(s, q)))
+        q = q - alphas[-1] * y
+    curvature = math.sqrt(float(np.vdot(grad, grad)))
+    if pairs:
+        s, y, _ = pairs[-1]
+        y_ce = y - ridge * s
+        s_y_ce = float(np.vdot(s, y_ce))
+        if s_y_ce > 0.0:
+            curvature = float(np.vdot(y_ce, y_ce)) / s_y_ce
+    q = q / (ridge + curvature)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * float(np.vdot(y, q))) * s
+    return q
+
+
+def _logreg_solve(x, y, n_classes, c_value, max_iter, tol, start=None):
+    """L-BFGS with a backtracking line search, from ``start`` or from zero.
+
+    ``start`` is a (weights, bias) pair, typically the solution at the
+    previous C.  A curvature pair is kept only when s·y > 0.  A direction
+    that is not a descent direction is replaced by the negative gradient
+    under the initial diagonal scaling, and the stored pairs are dropped.
+    Steps must decrease the full objective (cross-entropy plus ridge) by
+    Armijo's rule.  The solve stops when the gradient norm divided by the
+    row count is at most ``tol``, after ``max_iter`` iterations, or when no
+    step along a descent direction decreases the objective any more.
+    Returns (weights, bias, objective history with one entry per iteration
+    plus the final one, final gradient norm / n).
+    """
+    n, d = x.shape
+    x1 = np.hstack([x, np.ones((n, 1))])
+    onehot = y[:, None] == np.arange(n_classes)
+    ridge = np.full(d + 1, 1.0 / c_value)
+    ridge[-1] = 0.0
+    theta = np.zeros((n_classes, d + 1)) if start is None else np.column_stack(start)
+    value, grad = _logreg_ce_grad(theta, x1, onehot, ridge)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
     history = []
-    ce, gradient = _logreg_ce_grad(w, b, x, y)
-    gw, gb = gradient()
-    value = ce + 0.5 / c_value * float((w * w).sum())
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
         history.append(value)
-        full_gw = gw + w / c_value
-        grad_norm = math.sqrt(float((full_gw * full_gw).sum() + (gb * gb).sum()))
-        if grad_norm / x.shape[0] <= tol:
-            return w, b, history, grad_norm / x.shape[0]
-        step = min(step * 2.0, 1e8)  # let the step recover between iterations
-        while True:
-            new_w = (w - step * gw) / (1.0 + step / c_value)
-            new_b = b - step * gb
-            new_ce, gradient = _logreg_ce_grad(new_w, new_b, x, y)
-            dw, db = new_w - w, new_b - b
-            move_sq = float((dw * dw).sum() + (db * db).sum())
-            # sufficient decrease on the smooth part (quadratic upper bound)
-            bound = ce + float((gw * dw).sum() + (gb * db).sum()) + move_sq / (2.0 * step)
-            if new_ce <= bound + 1e-12 * abs(ce) or step < 1e-18:
+        residual = math.sqrt(float(np.vdot(grad, grad))) / n
+        if residual <= tol or iteration == max_iter:
+            break
+        direction = _lbfgs_direction(grad, pairs, ridge)
+        slope = float(np.vdot(grad, direction))
+        if not slope < 0.0:
+            pairs.clear()
+            direction = _lbfgs_direction(grad, pairs, ridge)
+            slope = float(np.vdot(grad, direction))
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + step * direction
+            trial_value, trial_grad = _logreg_ce_grad(trial, x1, onehot, ridge)
+            if trial_value <= value + _ARMIJO * step * slope:
                 break
             step *= 0.5
-        w, b, ce = new_w, new_b, new_ce
-        gw, gb = gradient()
-        value = ce + 0.5 / c_value * float((w * w).sum())
-    history.append(value)
-    full_gw = gw + w / c_value
-    grad_norm = math.sqrt(float((full_gw * full_gw).sum() + (gb * gb).sum()))
-    return w, b, history, grad_norm / x.shape[0]
+        else:
+            break
+        s, g_change = trial - theta, trial_grad - grad
+        curvature = float(np.vdot(s, g_change))
+        if curvature > 0.0:
+            pairs.append((s, g_change, 1.0 / curvature))
+        theta, value, grad = trial, trial_value, trial_grad
+    return theta[:, :-1].copy(), theta[:, -1].copy(), history, residual
 
 
 def logreg_predict(model: LogRegModel, x) -> np.ndarray:
@@ -189,7 +222,9 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     given ``seed``); every C on the grid is fit on the remainder and scored
     on the holdout; accuracy ties go to the smaller C.  A C whose fit does
     not converge within ``max_iter`` iterations is left out of the selection
-    and of ``validation_accuracy``.  The winner is refit on all rows.
+    and of ``validation_accuracy``.  The grid is solved in ascending order,
+    each C starting from the previous C's solution.  The winner is refit on
+    all rows, starting from its solution on the fit rows.
     Raises if no C converges, or if the refit does not.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -203,8 +238,8 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     if not np.array_equal(classes, np.arange(n_classes)):
         raise ValueError("labels must be dense integers in [0, K)")
     grid = sorted(float(c) for c in c_grid)
-    if not grid or grid[0] <= 0:
-        raise ValueError("C grid must be nonempty and positive")
+    if not grid or not all(c > 0.0 and 1.0 / c < math.inf for c in grid):
+        raise ValueError("C grid must be nonempty and positive, with a finite 1/C")
     if not 0.0 < validation_fraction < 1.0:
         raise ValueError("validation_fraction must be in (0, 1)")
 
@@ -220,23 +255,27 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     fit_idx = np.setdiff1d(np.arange(x.shape[0]), holdout)
 
     record: dict[float, float] = {}
-    best_c, best_acc = None, -1.0
+    best_c, best_acc, best_fit = None, -1.0, None
+    fit_x, fit_y = x[fit_idx], y[fit_idx]
+    probe = holdout if holdout.size else fit_idx
+    fit = None
     for c_value in grid:
-        w, b, _, residual = _logreg_solve(x[fit_idx], y[fit_idx], n_classes,
-                                          c_value, max_iter, tol)
+        w, b, _, residual = _logreg_solve(fit_x, fit_y, n_classes, c_value,
+                                          max_iter, tol, start=fit)
+        fit = (w, b)
         if residual > tol:
             continue
-        probe = holdout if holdout.size else fit_idx
         pred = np.argmax(x[probe] @ w.T + b, axis=1)
         acc = float(np.mean(pred == y[probe]))
         record[c_value] = acc
         if acc > best_acc:  # strict: ties keep the earlier (smaller) C
-            best_c, best_acc = c_value, acc
+            best_c, best_acc, best_fit = c_value, acc, fit
     if best_c is None:
         raise RuntimeError(f"logistic regression did not converge for any C in "
                            f"{grid} within {max_iter} iterations")
 
-    w, b, history, residual = _logreg_solve(x, y, n_classes, best_c, max_iter, tol)
+    w, b, history, residual = _logreg_solve(x, y, n_classes, best_c, max_iter, tol,
+                                            start=best_fit)
     if residual > tol:
         raise RuntimeError(
             f"logistic regression did not converge for C={best_c:g} "
@@ -258,97 +297,3 @@ def baseline_pipeline(train_features, train_labels, test_features, test_labels,
     predictions = logreg_predict(model, test_z)
     return float(np.mean(predictions == np.asarray(test_labels)))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _write_array(fh, array: np.ndarray) -> None:
-    fh.write(struct.pack("<I", array.ndim))
-    for extent in array.shape:
-        fh.write(struct.pack("<Q", extent))
-    fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
-
-
-def _within(blob: bytes, end: int, path) -> int:
-    """``end`` if the blob reaches it; a read past its length raises."""
-    if end > len(blob):
-        raise ValueError(f"{path}: truncated: needs at least {end} bytes, "
-                         f"found {len(blob)}")
-    return end
-
-
-def _unpack(fmt: str, blob: bytes, offset: int, path) -> tuple[tuple, int]:
-    end = _within(blob, offset + struct.calcsize(fmt), path)
-    return struct.unpack_from(fmt, blob, offset), end
-
-
-def _read_array(blob: bytes, offset: int, path) -> tuple[np.ndarray, int]:
-    (ndim,), offset = _unpack("<I", blob, offset, path)
-    shape, offset = _unpack(f"<{ndim}Q", blob, offset, path)
-    count = math.prod(shape)
-    end = _within(blob, offset + count * 8, path)
-    array = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{path}: non-finite value in the array at byte {offset}")
-    return array.reshape(shape).astype(np.float64), end
-
-
-def save_baseline_model(model, path) -> None:
-    """Serialize a PCAModel or LogRegModel to the MFBL container format."""
-    with open(path, "wb") as fh:
-        fh.write(BASELINE_MAGIC)
-        fh.write(struct.pack("<I", BASELINE_VERSION))
-        if isinstance(model, PCAModel):
-            fh.write(struct.pack("<I", _KIND_PCA))
-            fh.write(struct.pack("<dd", model.energy_threshold, model.total_variance))
-            for array in (model.mean, model.components, model.explained_variance):
-                _write_array(fh, array)
-        elif isinstance(model, LogRegModel):
-            fh.write(struct.pack("<I", _KIND_LOGREG))
-            fh.write(struct.pack("<d", model.c_value))
-            for array in (model.weights, model.bias):
-                _write_array(fh, array)
-        else:
-            raise ValueError(f"cannot serialize {type(model).__name__}")
-
-
-def _check_positive(name: str, value: float, path) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{path}: {name} must be finite and positive, got {value!r}")
-
-
-def load_baseline_model(path):
-    """Read a PCAModel or LogRegModel from an MFBL file.
-
-    Raises ValueError naming ``path`` for a damaged container, a scalar field
-    out of range, or a non-finite array value.
-    """
-    blob = open(path, "rb").read()
-    if blob[:4] != BASELINE_MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}")
-    (version,), offset = _unpack("<I", blob, 4, path)
-    if version != BASELINE_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    (kind,), offset = _unpack("<I", blob, offset, path)
-    if kind == _KIND_PCA:
-        (threshold, total), offset = _unpack("<dd", blob, offset, path)
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"{path}: energy_threshold must be in (0, 1], "
-                             f"got {threshold!r}")
-        _check_positive("total_variance", total, path)
-        mean, offset = _read_array(blob, offset, path)
-        components, offset = _read_array(blob, offset, path)
-        explained, offset = _read_array(blob, offset, path)
-        model = PCAModel(mean, components, explained, float(threshold), float(total))
-    elif kind == _KIND_LOGREG:
-        (c_value,), offset = _unpack("<d", blob, offset, path)
-        _check_positive("c_value", c_value, path)
-        weights, offset = _read_array(blob, offset, path)
-        bias, offset = _read_array(blob, offset, path)
-        model = LogRegModel(weights, bias, float(c_value))
-    else:
-        raise ValueError(f"{path}: unknown model kind {kind}")
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
-    return model

@@ -1,20 +1,18 @@
 """PCA energy truncation, L2 normalization, and logistic-regression baseline."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
+import mfid.baseline
 from mfid import (
     baseline_pipeline,
     l2_normalize,
-    load_baseline_model,
     logreg_fit,
     logreg_predict,
     pca_fit,
     pca_transform,
-    save_baseline_model,
     synth_gaussian,
 )
 from mfid.baseline import DEFAULT_C_GRID, _logreg_solve
@@ -177,16 +175,39 @@ def test_logreg_converges_across_default_grid():
     assert set(model.validation_accuracy) == set(DEFAULT_C_GRID)
 
 
+def test_logreg_fit_starts_each_c_from_the_previous_solution(monkeypatch):
+    rng = np.random.default_rng(91)
+    x = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, size=60)
+    solve, calls = mfid.baseline._logreg_solve, []
+
+    def recorded(x, y, n_classes, c_value, max_iter, tol, start=None):
+        result = solve(x, y, n_classes, c_value, max_iter, tol, start)
+        calls.append((c_value, x.shape[0], start, result[:2]))
+        return result
+
+    monkeypatch.setattr(mfid.baseline, "_logreg_solve", recorded)
+    model = logreg_fit(x, y, c_grid=[10.0, 0.01, 1.0])
+    assert [(c, n) for c, n, _, _ in calls] == [(0.01, 48), (1.0, 48), (10.0, 48),
+                                                (model.c_value, 60)]
+    assert calls[0][2] is None
+    for (_, _, _, previous), (_, _, start, _) in zip(calls, calls[1:3]):
+        assert start[0] is previous[0] and start[1] is previous[1]
+    chosen = next(fit for c, _, _, fit in calls[:3] if c == model.c_value)
+    assert calls[3][2][0] is chosen[0] and calls[3][2][1] is chosen[1]
+
+
 def test_logreg_skips_non_converging_c():
     rng = np.random.default_rng(90)
     x = rng.normal(size=(40, 3))
     y = (x[:, 0] > 0).astype(int)
-    # separable rows: C = 1e5 is still far from converged after 30 iterations
-    model = logreg_fit(x, y, c_grid=[1e-5, 1e5], max_iter=30)
+    # separable rows: C = 1e-5 converges in 4 iterations, while C = 1e5 needs
+    # about 25, warm-started from C = 1e-5 or not, so 10 stops it short
+    model = logreg_fit(x, y, c_grid=[1e-5, 1e5], max_iter=10)
     assert model.c_value == 1e-5
     assert list(model.validation_accuracy) == [1e-5]
     with pytest.raises(RuntimeError, match="did not converge for any C"):
-        logreg_fit(x, y, c_grid=[1e5], max_iter=30)
+        logreg_fit(x, y, c_grid=[1e5], max_iter=10)
 
 
 def reference_logreg_ce_grad(w, b, x, y):
@@ -203,7 +224,7 @@ def reference_logreg_ce_grad(w, b, x, y):
 
 
 def reference_logreg_solve(x, y, n_classes, c_value, max_iter, tol):
-    """The solver as it was before the gradient moved to accepted points."""
+    """Gradient descent with a backtracking line search, the solver L-BFGS replaced."""
     w = np.zeros((n_classes, x.shape[1]))
     b = np.zeros(n_classes)
     step = 1.0
@@ -235,8 +256,16 @@ def reference_logreg_solve(x, y, n_classes, c_value, max_iter, tol):
     return w, b, history, grad_norm / x.shape[0]
 
 
+def reference_objective(w, b, x, y, c_value):
+    ce, _, _ = reference_logreg_ce_grad(w, b, x, y)
+    return ce + 0.5 / c_value * float((w * w).sum())
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_logreg_solve_matches_reference(seed):
+    # Both solvers stop within tol of one optimum, so they agree on it, not on
+    # the bits: wherever the oracle converges L-BFGS does too, and a converged
+    # L-BFGS objective is never above the oracle's beyond rounding.
     rng = np.random.default_rng(300 + seed)
     capped = converged = 0
     for _ in range(15):
@@ -246,15 +275,64 @@ def test_logreg_solve_matches_reference(seed):
         c_value = float(10.0 ** rng.integers(-4, 5))
         max_iter = int(rng.choice([2, 20, 300]))
         w, b, history, residual = _logreg_solve(x, y, k, c_value, max_iter, 1e-6)
-        ref_w, ref_b, ref_history, ref_residual = reference_logreg_solve(
+        _, _, ref_history, ref_residual = reference_logreg_solve(
             x, y, k, c_value, max_iter, 1e-6)
-        assert w.tolist() == ref_w.tolist()
-        assert b.tolist() == ref_b.tolist()
-        assert history == ref_history
-        assert residual == ref_residual
-        capped += len(history) - 1 == max_iter and residual > 1e-6
-        converged += residual <= 1e-6
+        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+        assert history[-1] == pytest.approx(reference_objective(w, b, x, y, c_value),
+                                            rel=1e-12)
+        if ref_residual <= 1e-6:
+            assert residual <= 1e-6
+        if residual <= 1e-6:
+            assert history[-1] <= ref_history[-1] + 1e-9 * abs(ref_history[-1])
+            converged += 1
+        else:
+            assert len(history) == max_iter + 1
+            capped += 1
     assert capped and converged
+
+
+def logreg_hessian(w, b, x, c_value):
+    """Hessian of the penalized cross-entropy in [W | b], one block per class."""
+    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
+    z = x1 @ np.column_stack([w, b]).T
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    k, d1 = p.shape[1], x1.shape[1]
+    cov = np.einsum("na,ab->nab", p, np.eye(k)) - np.einsum("na,nb->nab", p, p)
+    hessian = np.einsum("nab,ni,nj->aibj", cov, x1, x1)
+    ridge = np.append(np.full(d1 - 1, 1.0 / c_value), 0.0)
+    hessian += np.einsum("ab,ij->aibj", np.eye(k), np.diag(ridge))
+    return hessian.reshape(k * d1, k * d1)
+
+
+@pytest.mark.parametrize("c_value", [1e-3, 1.0])
+def test_logreg_warm_start_reaches_the_cold_optimum(c_value):
+    rng = np.random.default_rng(310)
+    x = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, size=60)
+    tol = 1e-6
+    cold_w, cold_b, _, cold_residual = _logreg_solve(x, y, 3, c_value, 4000, tol)
+    start = _logreg_solve(x, y, 3, c_value / 10.0, 4000, tol)[:2]
+    warm_w, warm_b, warm_history, warm_residual = _logreg_solve(
+        x, y, 3, c_value, 4000, tol, start=start)
+    assert cold_residual <= tol and warm_residual <= tol
+    assert warm_history[0] == pytest.approx(
+        reference_objective(*start, x, y, c_value), rel=1e-12)  # it did start there
+    # Shifting every bias by one constant leaves the objective unchanged; both
+    # solves keep sum(b) = 0, so on the other directions the objective is
+    # mu-strongly convex and two points with |grad| <= n * tol lie within
+    # 2 * n * tol / mu of each other.  Lifting the null direction's zero
+    # eigenvalue to the trace leaves mu as the smallest one.
+    null = np.zeros((3, 5))
+    null[:, -1] = 1.0 / math.sqrt(3.0)
+    null = null.ravel()
+    hessian = logreg_hessian(cold_w, cold_b, x, c_value)
+    mu = np.linalg.eigvalsh(hessian + np.trace(hessian) * np.outer(null, null))[0]
+    assert abs(warm_b.sum()) < 1e-9 and abs(cold_b.sum()) < 1e-9
+    radius = 2.0 * x.shape[0] * tol / mu
+    cold = np.column_stack([cold_w, cold_b])
+    assert np.linalg.norm(np.column_stack(start) - cold) > 100.0 * radius
+    assert np.linalg.norm(np.column_stack([warm_w, warm_b]) - cold) <= radius
 
 
 def test_pipeline_row_permutation_invariant():
@@ -305,6 +383,13 @@ def test_logreg_deterministic():
     assert a.c_value == b.c_value
 
 
+@pytest.mark.parametrize("c_value", [0.0, -1.0, float("nan"), 1e-320])
+def test_logreg_rejects_c_without_a_finite_penalty(c_value):
+    # 1/C is the ridge weight: at 1e-320 it overflows to inf
+    with pytest.raises(ValueError, match="finite 1/C"):
+        logreg_fit(np.eye(4), np.array([0, 0, 1, 1]), c_grid=[1.0, c_value])
+
+
 def test_logreg_rejects_sparse_labels():
     with pytest.raises(ValueError, match="dense"):
         logreg_fit(np.ones((4, 2)), np.array([0, 0, 2, 2]))
@@ -340,101 +425,3 @@ def test_pipeline_accepts_both_energy_presets():
         acc = baseline_pipeline(*args, energy_threshold=energy)
         assert 0.0 <= acc <= 1.0
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_pca_model_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    model = pca_fit(rng.normal(size=(30, 5)), 0.9)
-    path = tmp_path / "pca.mfbl"
-    save_baseline_model(model, path)
-    back = load_baseline_model(path)
-    np.testing.assert_array_equal(back.mean, model.mean)
-    np.testing.assert_array_equal(back.components, model.components)
-    assert back.energy_threshold == model.energy_threshold
-    assert back.total_variance == model.total_variance
-
-
-def test_logreg_model_round_trip(tmp_path):
-    rng = np.random.default_rng(16)
-    x = rng.normal(size=(30, 3))
-    y = rng.integers(0, 2, size=30)
-    model = logreg_fit(x, y, c_grid=[1.0])
-    path = tmp_path / "logreg.mfbl"
-    save_baseline_model(model, path)
-    back = load_baseline_model(path)
-    np.testing.assert_array_equal(back.weights, model.weights)
-    np.testing.assert_array_equal(back.bias, model.bias)
-    assert back.c_value == model.c_value
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.mfbl"
-    path.write_bytes(b"WHAT" + bytes(16))
-    with pytest.raises(ValueError, match="magic"):
-        load_baseline_model(path)
-
-
-@pytest.mark.parametrize("kind", ["pca", "logreg"])
-def test_load_rejects_every_truncation_and_padding(tmp_path, kind):
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(30, 5))
-    if kind == "pca":
-        model = pca_fit(x, 0.9)
-    else:
-        model = logreg_fit(x, rng.integers(0, 3, size=30), c_grid=[1.0])
-    path = tmp_path / "model.mfbl"
-    save_baseline_model(model, path)
-    blob = path.read_bytes()
-    for damaged in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
-        path.write_bytes(damaged)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            load_baseline_model(path)
-
-
-def baseline_model(kind):
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(30, 5))
-    if kind == "pca":
-        return pca_fit(x, 0.9)
-    return logreg_fit(x, rng.integers(0, 3, size=30), c_grid=[1.0])
-
-
-# magic, version, kind, then energy_threshold and total_variance (PCA) or C
-HEADER_END = {"pca": 28, "logreg": 20}
-
-
-@pytest.mark.parametrize("kind", ["pca", "logreg"])
-def test_load_rejects_or_keeps_in_range_every_header_bit_flip(tmp_path, kind):
-    path = tmp_path / "model.mfbl"
-    save_baseline_model(baseline_model(kind), path)
-    blob = path.read_bytes()
-    for byte in range(4, HEADER_END[kind]):
-        for bit in range(8):
-            damaged = bytearray(blob)
-            damaged[byte] ^= 1 << bit
-            path.write_bytes(bytes(damaged))
-            try:
-                model = load_baseline_model(path)
-            except ValueError as exc:
-                assert str(path) in str(exc) and "\n" not in str(exc)
-                continue
-            if kind == "pca":
-                assert 0.0 < model.energy_threshold <= 1.0
-                assert math.isfinite(model.total_variance) and model.total_variance > 0.0
-            else:
-                assert math.isfinite(model.c_value) and model.c_value > 0.0
-
-
-@pytest.mark.parametrize("kind", ["pca", "logreg"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_load_rejects_non_finite_array_value(tmp_path, kind, value):
-    path = tmp_path / "model.mfbl"
-    save_baseline_model(baseline_model(kind), path)
-    blob = path.read_bytes()
-    # the last 8 bytes are the last element of the last array
-    path.write_bytes(blob[:-8] + np.float64(value).astype("<f8").tobytes())
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*non-finite"):
-        load_baseline_model(path)

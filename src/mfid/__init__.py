@@ -48,7 +48,6 @@ from .model import (
     logits,
     lr_schedule,
     save_head,
-    sgd_step,
     train,
 )
 from .evaluation import (

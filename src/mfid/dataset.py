@@ -475,18 +475,6 @@ class PairConstraints:
             j = i + 1 + r + same_between
         return np.column_stack([i, j])
 
-    def draw(self, kind: str, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` distinct pairs of ``kind``, uniform over its list."""
-        total = int(self._offsets_of(kind)[-1])
-        try:
-            ranks = rng.choice(total, size=count, replace=False)
-        except ValueError:
-            if count > total:
-                raise ValueError(f"cannot draw {count} {kind} pairs: only {total} "
-                                 "exist") from None
-            raise
-        return self.pairs_at(kind, ranks)
-
 
 def build_pair_constraints(labels) -> PairConstraints:
     """The n(n-1)/2 unordered index pairs, partitioned by label equality."""
@@ -516,17 +504,35 @@ def pair_batch_counts(constraints: PairConstraints, n_pairs: int,
 
 
 def draw_pairs(constraints: PairConstraints, n_similar: int, n_dissimilar: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """(n_similar + n_dissimilar, 2) distinct pairs, the similar ones first.
+               rng: np.random.Generator, batches: int = 1) -> np.ndarray:
+    """``batches`` batches of distinct pairs, stacked: a (batches * n, 2) array.
 
-    The similar ranks are drawn before the dissimilar ranks, and a kind with
-    a zero count draws nothing, so the stream of ``rng`` depends only on the
-    two counts.
+    Batch b is rows ``b * n`` to ``(b + 1) * n``, n = n_similar + n_dissimilar,
+    with its similar pairs first; pairs are distinct within a batch and
+    uniform over their kind's list.  Batch by batch, the similar ranks are
+    drawn before the dissimilar ranks, and a kind with a zero count draws
+    nothing, so the result and the stream of ``rng`` equal ``batches`` calls
+    with ``batches=1``.  Each kind's ranks are decoded in one call.
     """
-    drawn = [constraints.draw(kind, count, rng)
-             for kind, count in (("similar", n_similar), ("dissimilar", n_dissimilar))
-             if count]
-    return np.concatenate(drawn or [np.empty((0, 2), dtype=np.int64)])
+    kinds = [(kind, count, total) for kind, count, total in (
+        ("similar", n_similar, constraints.n_similar),
+        ("dissimilar", n_dissimilar, constraints.n_dissimilar)) if count]
+    if batches < 1:
+        raise ValueError(f"batches must be at least 1, got {batches}")
+    for kind, count, total in kinds:
+        if count < 0:
+            raise ValueError(f"negative {kind} pair count {count}")
+        if count > total:
+            raise ValueError(f"cannot draw {count} {kind} pairs: only {total} exist")
+    ranks = [[] for _ in kinds]
+    for _ in range(batches):
+        for drawn, (_, count, total) in zip(ranks, kinds):
+            drawn.append(rng.choice(total, size=count, replace=False))
+    parts = [constraints.pairs_at(kind, np.concatenate(drawn)).reshape(batches, count, 2)
+             for drawn, (kind, count, _) in zip(ranks, kinds)]
+    if not parts:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(parts, axis=1).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

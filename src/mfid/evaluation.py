@@ -7,15 +7,22 @@ All protocols work on cosine similarity between L2-normalized embeddings.
   identity score is the max similarity over that identity's gallery images;
   report CMC / Rank-k over many trials.
 * open set — some identities appear only as probes (distractors); a
-  threshold is calibrated so the distractor accept rate stays at or below
-  ``far_target``, and DIR counts mated probes that are both accepted and
-  rank-1 correct.
+  threshold is calibrated so the false positive identification rate (FPIR:
+  the fraction of distractor probes whose best gallery score is accepted)
+  stays at or below ``far_target``, and DIR, the detection and
+  identification rate (the true positive identification rate, TPIR, at
+  rank 1), counts mated probes that are both accepted and rank-1 correct.
 * verification — per sample, one positive score (best same-identity match,
-  self excluded) and one negative score per other identity; report TAR at
-  ``far_target`` plus the full ROC.
+  self excluded) and one negative score per other identity; report TAR, the
+  true accept rate, at a false accept rate (FAR) of ``far_target`` over the
+  negative scores, plus the full ROC.
 
+The names follow IARPA Janus Benchmark-C (Maze et al., ICB 2018): TAR at
+FAR for verification, DIR (TPIR) at FPIR for open-set search; the
+``far_target`` field and the ``*_at_far`` functions serve both.
 Thresholds are always the smallest observed non-mated score value whose
-false accept rate is within target (accepting ties at >= threshold, no
+accept rate over the non-mated scores (the FAR, or the FPIR in open-set
+search) is within target (accepting ties at >= threshold, no
 interpolation); if no observed value qualifies, the threshold moves just
 above the largest non-mated score.
 """
@@ -34,10 +41,11 @@ from .model import EmbeddingHead, TrainedModel, embed, logits
 class TrialConfig:
     """Shared knobs for the trial-based protocols.
 
-    ``far_target`` may be 1.0, which degenerates to a threshold that accepts
-    everything.  ``distractor_mode`` is "fixed" (one distractor identity set
-    per evaluation, matching a fixed probe-only identity list) or
-    "per_trial" (re-drawn each trial).
+    ``far_target`` is the FAR target of verification and the FPIR target of
+    the open set.  It may be 1.0, which degenerates to a threshold that
+    accepts everything.  ``distractor_mode`` is "fixed" (one distractor
+    identity set per evaluation, matching a fixed probe-only identity list)
+    or "per_trial" (re-drawn each trial).
     """
 
     trials: int = 100
@@ -227,7 +235,8 @@ def far_thresholds(nonmated_scores, far_targets) -> np.ndarray:
 
 
 def far_threshold(nonmated_scores, far_target: float) -> float:
-    """Smallest observed score value whose false accept rate is <= target.
+    """Smallest observed score value whose accept rate over the non-mated
+    scores (FAR, or FPIR for open-set search) is <= target.
 
     Acceptance is ``score >= threshold``.  If even the largest observed value
     over-accepts, the threshold moves one float ulp above it; a target of 1.0
@@ -253,10 +262,12 @@ def tar_at_far(positive_scores, negative_scores, far_target: float) -> tuple[flo
 
 def dir_at_far(mated_scores, mated_rank1_correct, nonmated_scores,
                far_target: float) -> tuple[float, float]:
-    """(detection & identification rate, threshold).
+    """(detection and identification rate, threshold) at an FPIR of ``far_target``.
 
-    A mated probe counts only if its top identity score passes the threshold
-    AND its rank-1 identity is correct.
+    The threshold is set on ``nonmated_scores``, the top gallery score of
+    each non-mated probe, so ``far_target`` is a false positive
+    identification rate.  A mated probe counts only if its top identity
+    score passes the threshold AND its rank-1 identity is correct.
     """
     mated = np.asarray(mated_scores, dtype=np.float64)
     correct = np.asarray(mated_rank1_correct, dtype=bool)
@@ -360,7 +371,8 @@ def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
 
 
 def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
-    """DIR at ``far_target`` over trials with probe-only distractor identities."""
+    """DIR at an FPIR of ``far_target`` over trials with probe-only
+    distractor identities."""
     index = _TestIndex(embeddings, labels)
     identities = index.identities
     if identities.size <= cfg.distractor_identities:
@@ -426,7 +438,7 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verification_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
-    """TAR at ``far_target`` plus the full ROC over pooled scores."""
+    """TAR at a FAR of ``far_target`` plus the full ROC over pooled scores."""
     positives, negatives = verification_scores(embeddings, labels)
     tar, tau = tar_at_far(positives, negatives, cfg.far_target)
     curve = roc_points(positives, negatives)

@@ -15,8 +15,10 @@ Gradients are analytic, with hinge and clamp kinks assigned subgradient 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,9 +135,9 @@ def loss_gradient(logits, labels, pairs, cfg: LossConfig) -> np.ndarray:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
@@ -171,17 +173,20 @@ def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
         raise ValueError("pair index out of range for batch")
 
     probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad)
-    log_probs = np.log(np.maximum(probs, cfg.epsilon))
-    sim_term, dissim_term, d_first, d_second = _pair_terms(
-        probs[first], probs[second], log_probs[first] - log_probs[second], sim_mask,
-        cfg, want_grad)
-    if want_grad:
-        # Indices may repeat, so contributions are accumulated unbuffered,
-        # similar pairs before dissimilar ones.
-        for mask in (sim_mask, ~sim_mask):
-            np.add.at(grad, first[mask], d_first[mask])
-            np.add.at(grad, second[mask], d_second[mask])
-    return _report(cfg, ce_term, sim_term, dissim_term, sim_mask), grad
+    layout = _pair_layout(sim_mask, cfg)
+    sim_term = dissim_term = 0.0
+    if sim_mask.size:
+        pair_probs = probs[np.column_stack([first, second])]
+        sim_term, dissim_term, pair_grad = _pair_terms(
+            pair_probs, np.log(np.maximum(pair_probs, cfg.epsilon)), layout, cfg,
+            want_grad)
+        if want_grad:
+            # Indices may repeat, so contributions are accumulated unbuffered,
+            # similar pairs before dissimilar ones.
+            for mask in (layout.similar, layout.dissimilar):
+                np.add.at(grad, first[mask], pair_grad[mask, 0])
+                np.add.at(grad, second[mask], pair_grad[mask, 1])
+    return _report(cfg, ce_term, sim_term, dissim_term, layout), grad
 
 
 def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, similar: np.ndarray,
@@ -190,20 +195,19 @@ def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, similar: np.ndarray,
 
     Pair k is rows 2k and 2k + 1, and ``similar[k]`` is its kind; an empty
     ``similar`` leaves cross-entropy alone.  Every row belongs to at most
-    one pair, so the pair gradients are added to the even and odd rows
-    directly, with the same bits as :func:`_loss_and_grad` on the triples
+    one pair, so the pair gradient is added to the rows directly, with the
+    same bits as :func:`_loss_and_grad` on the triples
     ``(2k, 2k + 1, similar[k])``.  Inputs are not validated.
     """
     probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad=True)
+    layout = _cached_pair_layout(similar.tobytes(), cfg)
     sim_term = dissim_term = 0.0
     if similar.size:
-        log_probs = np.log(np.maximum(probs, cfg.epsilon))
-        sim_term, dissim_term, d_first, d_second = _pair_terms(
-            probs[0::2], probs[1::2], log_probs[0::2] - log_probs[1::2], similar,
-            cfg, want_grad=True)
-        grad[0::2] += d_first
-        grad[1::2] += d_second
-    return _report(cfg, ce_term, sim_term, dissim_term, similar), grad
+        pairs = probs.reshape(similar.size, 2, -1)
+        sim_term, dissim_term, pair_grad = _pair_terms(
+            pairs, np.log(np.maximum(pairs, cfg.epsilon)), layout, cfg, want_grad=True)
+        grad += pair_grad.reshape(grad.shape)
+    return _report(cfg, ce_term, sim_term, dissim_term, layout), grad
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray, cfg: LossConfig, want_grad: bool):
@@ -211,7 +215,9 @@ def _ce_terms(z: np.ndarray, y: np.ndarray, cfg: LossConfig, want_grad: bool):
     batch = z.shape[0]
     probs = _softmax_rows(z)
     rows = np.arange(batch)
-    ce_term = float(np.mean(-np.log(np.maximum(probs[rows, y], cfg.epsilon))))
+    # np.mean of -log is its reduction and division; the sum of the negated
+    # logs is exactly the negated sum.
+    ce_term = -float(np.log(np.maximum(probs[rows, y], cfg.epsilon)).sum()) / batch
     grad = None
     if want_grad:
         grad = probs.copy()
@@ -220,54 +226,85 @@ def _ce_terms(z: np.ndarray, y: np.ndarray, cfg: LossConfig, want_grad: bool):
     return probs, ce_term, grad
 
 
-def _pair_terms(pa: np.ndarray, pb: np.ndarray, log_ratio: np.ndarray,
-                similar: np.ndarray, cfg: LossConfig, want_grad: bool):
-    """Both pair terms in one masked pass over the pairs (pa[k], pb[k]).
+class _PairLayout(NamedTuple):
+    """What the pair terms of a batch take from its pair kinds and weights."""
 
-    ``log_ratio`` is log(pa) - log(pb) with clamped logs, and ``similar``
-    marks the pairs scored by the symmetric KL; the others are scored by the
-    two-sided hinge.  Returns the mean similar term, the mean dissimilar
-    term, and the weighted gradients of those terms with respect to each
-    pair's first and second logits (both None without ``want_grad``).
-    """
+    n_similar: int
+    n_dissimilar: int
+    similar: np.ndarray     # (P,) bool
+    dissimilar: np.ndarray  # (P,) bool
+    sign: np.ndarray        # (P, 1): +1 pulls a similar pair, -1 pushes a dissimilar one
+    weight: np.ndarray      # (P, 1, 1): the pair's term weight over its kind's count
+
+
+def _pair_layout(similar: np.ndarray, cfg: LossConfig) -> _PairLayout:
     n_similar = int(similar.sum())
     n_dissimilar = similar.size - n_similar
-    neg_ratio = -log_ratio
-    kl_ab = np.where(pa > 0.0, pa * log_ratio, 0.0).sum(axis=1)
-    kl_ba = np.where(pb > 0.0, pb * neg_ratio, 0.0).sum(axis=1)
+    weight = np.where(similar, cfg.sim_weight / max(n_similar, 1),
+                      cfg.dissim_weight / max(n_dissimilar, 1))
+    return _PairLayout(n_similar, n_dissimilar, similar, ~similar,
+                       np.where(similar, 1.0, -1.0)[:, None], weight[:, None, None])
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_pair_layout(kinds: bytes, cfg: LossConfig) -> _PairLayout:
+    """:func:`_pair_layout` of the bool mask ``kinds``, built once per
+    training run rather than once per step.  Its arrays are shared, so they
+    are read-only."""
+    layout = _pair_layout(np.frombuffer(kinds, dtype=bool), cfg)
+    for array in (layout.dissimilar, layout.sign, layout.weight):
+        array.flags.writeable = False
+    return layout
+
+
+def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
+                cfg: LossConfig, want_grad: bool):
+    """Both pair terms in one masked pass over the pairs.
+
+    ``probs[k]`` holds pair k's two softmax rows (pa, pb), and ``log_probs``
+    their logs clamped at epsilon, both of shape (P, 2, K).  Similar pairs
+    are scored by the symmetric KL, the others by the two-sided hinge.
+    Returns the mean similar term, the mean dissimilar term, and the
+    weighted gradient of those terms with respect to every row's logits,
+    shaped like ``probs`` (None without ``want_grad``).
+    """
+    # ratio[k] holds log(pa / pb) and then log(pb / pa), so one masked pass
+    # gives kl[k] = (KL(pa || pb), KL(pb || pa)), each row summed on its own.
+    ratio = np.empty_like(log_probs)
+    np.subtract(log_probs[:, 0], log_probs[:, 1], out=ratio[:, 0])
+    np.negative(ratio[:, 0], out=ratio[:, 1])
+    kl = np.where(probs > 0.0, probs * ratio, 0.0).sum(axis=2)
     # Means as sum / count: np.mean's own reduction and division, without its
     # per-call overhead.
-    sim_term = (float((kl_ab + kl_ba)[similar].sum()) / n_similar
-                if n_similar else 0.0)
-    hinges = np.maximum(0.0, cfg.margin - kl_ab) + np.maximum(0.0, cfg.margin - kl_ba)
-    dissim_term = (float(hinges[~similar].sum()) / n_dissimilar
-                   if n_dissimilar else 0.0)
+    sim_term = (float((kl[:, 0] + kl[:, 1])[layout.similar].sum()) / layout.n_similar
+                if layout.n_similar else 0.0)
+    hinges = np.maximum(0.0, cfg.margin - kl)
+    dissim_term = (float((hinges[:, 0] + hinges[:, 1])[layout.dissimilar].sum())
+                   / layout.n_dissimilar if layout.n_dissimilar else 0.0)
     if not want_grad:
-        return sim_term, dissim_term, None, None
-    # d/dz_a KL(pa||pb) = pa * (log_ratio - KL);  d/dz_b KL(pa||pb) = pb - pa.
-    d_a_klab = pa * (log_ratio - kl_ab[:, None])
-    d_b_klab = pb - pa
-    d_b_klba = pb * (neg_ratio - kl_ba[:, None])
-    d_a_klba = pa - pb
+        return sim_term, dissim_term, None
     # Similar pairs pull both divergences down.  A dissimilar hinge pushes its
     # divergence up only below the margin; exactly at the margin the
     # subgradient is taken as zero.  The factors +1, -1 and -0.0 give exactly
     # the bits of d_klab + d_klba (similar) and of
     # -(active_ab * d_klab) - (active_ba * d_klba) (dissimilar).
-    sign = np.where(similar, 1.0, -1.0)
-    sign_ab = (sign * (similar | (kl_ab < cfg.margin)))[:, None]
-    sign_ba = (sign * (similar | (kl_ba < cfg.margin)))[:, None]
-    weight = np.where(similar, cfg.sim_weight / max(n_similar, 1),
-                      cfg.dissim_weight / max(n_dissimilar, 1))[:, None]
-    d_first = weight * (sign_ab * d_a_klab + sign_ba * d_a_klba)
-    d_second = weight * (sign_ab * d_b_klab + sign_ba * d_b_klba)
-    return sim_term, dissim_term, d_first, d_second
+    signs = (layout.sign * (layout.similar[:, None] | (kl < cfg.margin)))[:, :, None]
+    # A row's own divergence, KL(p || partner), has d/dz = p * (log(p /
+    # partner) - KL); its partner's, KL(partner || p), has d/dz = p - partner.
+    grad = ratio
+    grad -= kl[:, :, None]
+    grad *= probs
+    grad *= signs
+    cross = probs - probs[:, ::-1]
+    cross *= signs[:, ::-1]
+    grad += cross
+    grad *= layout.weight
+    return sim_term, dissim_term, grad
 
 
 def _report(cfg: LossConfig, ce_term: float, sim_term: float, dissim_term: float,
-            similar: np.ndarray) -> LossReport:
-    n_similar = int(similar.sum())
+            layout: _PairLayout) -> LossReport:
     total = ce_term + cfg.sim_weight * sim_term + cfg.dissim_weight * dissim_term
     return LossReport(total=total, ce_term=ce_term, sim_term=sim_term,
-                      dissim_term=dissim_term, n_similar=n_similar,
-                      n_dissimilar=similar.size - n_similar)
+                      dissim_term=dissim_term, n_similar=layout.n_similar,
+                      n_dissimilar=layout.n_dissimilar)

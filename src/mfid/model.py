@@ -166,14 +166,16 @@ def _param_grads(head: EmbeddingHead, x: np.ndarray, hidden: np.ndarray,
     }
 
 
-def sgd_step(head: EmbeddingHead, grads: dict[str, np.ndarray], lr: float) -> EmbeddingHead:
-    """One plain gradient step; returns a new head, inputs untouched."""
-    if lr < 0:
-        raise ValueError(f"learning rate must be non-negative, got {lr}")
-    _check_gradients(head.params, grads)
-    new_params = {name: value - lr * grads[name] for name, value in head.params.items()}
-    return EmbeddingHead(head.architecture, head.input_dim, head.embed_dim,
-                         head.n_classes, new_params)
+def _check_step_gradients(params: dict[str, np.ndarray],
+                          grads: dict[str, np.ndarray]) -> None:
+    """:func:`_check_gradients` for the gradients of a training step.
+
+    A finite sum means finite gradients; only a sum that is not finite (a
+    non-finite entry, or finite entries that overflow when added) runs the
+    full check, so the error is the same.
+    """
+    if not math.isfinite(sum(g.sum() for g in grads.values())):
+        _check_gradients(params, grads)
 
 
 def _check_gradients(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -244,9 +246,10 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     Train-side labels are relabeled densely, so identity-disjoint training
     works out of the box (the head's class count equals the number of
     training identities).  Each epoch runs ceil(n_train / (2 * batch_pairs))
-    steps; every step draws a full-size batch — pair batches for the "mfid"
+    steps; every step takes a full-size batch — pair batches for the "mfid"
     objective, plain uniform sample batches for "cross_entropy" — so batch
-    composition and term normalization stay exact.
+    composition and term normalization stay exact.  An epoch draws all its
+    batches before its first step, in the order its steps use them.
 
     Determinism: a fixed (dataset, split, config) always yields bit-identical
     parameters and loss history.
@@ -284,12 +287,14 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     history = []
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
+        if use_pairs:
+            batches = draw_pairs(constraints, n_similar, n_dissimilar, rng,
+                                 batches=steps).reshape(steps, -1)
+        else:
+            batches = np.stack([rng.choice(n_train, size=min(batch_images, n_train),
+                                           replace=False) for _ in range(steps)])
         ce_sum = sim_sum = dissim_sum = 0.0
-        for step in range(steps):
-            if use_pairs:
-                rows = draw_pairs(constraints, n_similar, n_dissimilar, rng).ravel()
-            else:
-                rows = rng.choice(n_train, size=min(batch_images, n_train), replace=False)
+        for step, rows in enumerate(batches):
             report, grads = _adjacent_backprop(head, x[rows], y[rows], similar, cfg.loss)
             if not math.isfinite(report.total):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, step {step}")
@@ -298,7 +303,7 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
                     v *= cfg.momentum
                     v += grads[name]
                 grads = velocity
-            _check_gradients(params, grads)
+            _check_step_gradients(params, grads)
             for name, value in params.items():
                 value -= lr * grads[name]
             ce_sum += report.ce_term

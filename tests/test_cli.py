@@ -754,6 +754,43 @@ def test_baseline_output_is_pinned(tmp_path, synth):
     assert hashlib.sha256((tmp_path / "base" / "baseline.csv").read_bytes()).hexdigest() == digest
 
 
+# sha256 of model.mfhd and loss_history.csv from two train runs on the
+# README session's dataset, and of ablation.csv from a small ablate,
+# recorded before train drew each epoch's pairs at once (same platform as
+# above).  The pair-KL run is the README's; the linear run adds momentum and
+# a batch of similar pairs only; ablate trains both objectives.
+TRAINING_DIGESTS = {
+    "ablate/ablation.csv":
+        "d1b22314dc3765fa76c21d416c301631078f3a5ccd8b032d09b19b7961c70336",
+    "linear/loss_history.csv":
+        "e2da302775453e529da6950e72efb0b99a26e9183ab3156bd32acdbd7f896e31",
+    "linear/model.mfhd":
+        "05667ef2b0a07a41e3dc3d753a9876419f97a6730447be99fd20cae65fb021a3",
+    "mfid/loss_history.csv":
+        "836a6af8106ef505240b4c210deb06e1125bfeabe5dacd786fd78d1387356943",
+    "mfid/model.mfhd":
+        "e06e213828d53f91f989b5abc86806b294499b61c71800945bcbd9c17d722abb",
+}
+
+
+def test_training_outputs_are_pinned(tmp_path):
+    assert run_cli("synth", "--identities", "20", "--per-id", "50", "--dim", "64",
+                   "--sigma", "0.3", "--seed", "7", "--out", str(tmp_path / "data")) == 0
+    data = str(tmp_path / "data" / "dataset.csv")
+    assert run_cli("train", "--data", data, "--objective", "mfid", "--epochs", "50",
+                   "--embed-dim", "32", "--lr", "0.001", "--seed", "5",
+                   "--out", str(tmp_path / "mfid")) == 0
+    assert run_cli("train", "--data", data, "--architecture", "linear",
+                   "--momentum", "0.9", "--similar-fraction", "1.0", "--epochs", "4",
+                   "--lr", "0.01", "--seed", "6", "--out", str(tmp_path / "linear")) == 0
+    assert run_cli(*_SMALL_ABLATE, "--jobs", "1", "--out", str(tmp_path / "ablate")) == 0
+    digests = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*/*"))
+               if path.parent.name != "data"}
+    assert digests == TRAINING_DIGESTS
+
+
 def write_scoring_inputs(directory):
     """A feature file, a pass-through head and two box files, all seeded."""
     rng = np.random.default_rng(2024)

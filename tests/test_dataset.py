@@ -464,6 +464,49 @@ def test_draw_pairs_of_nothing_is_empty():
     assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
 
 
+@pytest.mark.parametrize("similar_fraction", [0.0, 0.4, 1.0])
+def test_batched_draw_equals_single_batch_draws(similar_fraction):
+    labels = np.random.default_rng(7).integers(0, 5, size=40)
+    pc = build_pair_constraints(labels)
+    n_similar, n_dissimilar = pair_batch_counts(pc, 5, similar_fraction)
+    assert (n_similar, n_dissimilar) == {0.0: (0, 5), 0.4: (2, 3), 1.0: (5, 0)}[similar_fraction]
+    ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+    stacked = draw_pairs(pc, n_similar, n_dissimilar, ours, batches=7)
+    singles = [draw_pairs(pc, n_similar, n_dissimilar, theirs) for _ in range(7)]
+    assert stacked.shape == (35, 2) and stacked.dtype == np.int64
+    np.testing.assert_array_equal(stacked, np.concatenate(singles))
+    assert ours.random() == theirs.random()  # the same stream was consumed
+
+
+@pytest.mark.parametrize("counts,message", [
+    ((2, 0), "cannot draw 2 similar pairs: only 1 exist"),
+    ((1, 3), "cannot draw 3 dissimilar pairs: only 2 exist"),
+    ((-1, 1), "negative similar pair count -1"),
+    ((1, -2), "negative dissimilar pair count -2"),
+])
+def test_batched_draw_names_the_kind_and_counts(counts, message):
+    pc = build_pair_constraints([0, 0, 1])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw_pairs(pc, *counts, np.random.default_rng(0), batches=4)
+
+
+def test_batched_draw_of_nothing_is_empty_and_needs_a_batch():
+    pc = build_pair_constraints([0, 0, 1])
+    rng = np.random.default_rng(0)
+    assert draw_pairs(pc, 0, 0, rng, batches=3).shape == (0, 2)
+    assert rng.random() == np.random.default_rng(0).random()
+    with pytest.raises(ValueError, match="^batches must be at least 1, got 0$"):
+        draw_pairs(pc, 1, 1, rng, batches=0)
+
+
+def test_train_keeps_the_dissimilar_batch_count_message():
+    ds = synth_gaussian(3, 2, 4, 1.0, 0.3, seed=1)
+    split = Split(np.arange(ds.n_samples), np.empty(0, dtype=np.int64), STRATIFIED, 0)
+    with pytest.raises(ValueError,
+                       match="^batch needs 14 dissimilar pairs but only 12 exist$"):
+        train(ds, split, TrainConfig(epochs=1, batch_pairs=14, similar_fraction=0.0))
+
+
 # ---------------------------------------------------------------------------
 # rank decoding against the exhaustive pair arrays it replaced
 
@@ -480,6 +523,9 @@ class ReferencePairConstraints:
     def draw(self, kind, count, rng):
         pairs = self.arrays[kind]
         return pairs[rng.choice(pairs.shape[0], size=count, replace=False)]
+
+    def pairs_at(self, kind, ranks):
+        return self.arrays[kind][ranks]
 
 
 def reference_pair_constraints(labels):
@@ -545,9 +591,10 @@ def test_pair_draw_matches_reference_stream(seed):
     ref = reference_pair_constraints(labels)
     ours, theirs = np.random.default_rng(seed + 9), np.random.default_rng(seed + 9)
     for count in (1, 5, 16, 40):
-        for kind in ("similar", "dissimilar"):
-            np.testing.assert_array_equal(pc.draw(kind, count, ours),
-                                          ref.draw(kind, count, theirs))
+        np.testing.assert_array_equal(draw_pairs(pc, count, 0, ours),
+                                      ref.draw("similar", count, theirs))
+        np.testing.assert_array_equal(draw_pairs(pc, 0, count, ours),
+                                      ref.draw("dissimilar", count, theirs))
     assert ours.random() == theirs.random()
 
 

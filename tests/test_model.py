@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import mfid.model
 from mfid import (
     LossConfig,
     TrainConfig,
@@ -16,7 +17,6 @@ from mfid import (
     load_head,
     lr_schedule,
     save_head,
-    sgd_step,
     synth_gaussian,
     total_loss,
     train,
@@ -34,7 +34,8 @@ from mfid.dataset import (
 )
 from mfid.evaluation import classification_accuracy
 from mfid.loss import LossReport
-from mfid.model import TrainedModel
+from mfid.model import (EmbeddingHead, TrainedModel, _check_gradients,
+                        _check_step_gradients)
 from mfid.model import logits as head_logits
 
 
@@ -160,7 +161,17 @@ def test_lr_schedule_rejects_negative_epoch():
 
 
 # ---------------------------------------------------------------------------
-# sgd
+# sgd: the step the reference loop below takes
+
+
+def sgd_step(head: EmbeddingHead, grads: dict[str, np.ndarray], lr: float) -> EmbeddingHead:
+    """One plain gradient step; returns a new head, inputs untouched."""
+    if lr < 0:
+        raise ValueError(f"learning rate must be non-negative, got {lr}")
+    _check_gradients(head.params, grads)
+    new_params = {name: value - lr * grads[name] for name, value in head.params.items()}
+    return EmbeddingHead(head.architecture, head.input_dim, head.embed_dim,
+                         head.n_classes, new_params)
 
 
 def test_sgd_zero_gradient_is_identity():
@@ -454,6 +465,74 @@ def test_train_rejects_too_few_pairs_like_sample_pair_batch():
     with pytest.raises(ValueError) as theirs:
         reference_train(ds, split, cfg)
     assert str(ours.value) == str(theirs.value) == "batch needs 4 similar pairs but only 3 exist"
+
+
+@pytest.mark.parametrize("objective,similar_fraction", [
+    ("mfid", 0.0), ("mfid", 0.4), ("mfid", 1.0), ("cross_entropy", 0.5)])
+def test_train_steps_on_the_rows_single_draws_give(monkeypatch, objective,
+                                                   similar_fraction):
+    # Column 0 holds each row's index, so every step's rows can be read back.
+    ds = synth_gaussian(6, 7, 3, 1.0, 0.6, seed=3)
+    ds = Dataset(np.column_stack([np.arange(ds.n_samples), ds.features]), ds.labels)
+    split = Split(np.arange(ds.n_samples), np.empty(0, dtype=np.int64), STRATIFIED, 0)
+    cfg = TrainConfig(epochs=3, batch_pairs=5, initial_lr=0.01, objective=objective,
+                      seed=11, embed_dim=4, similar_fraction=similar_fraction)
+    seen = []
+    real_step = mfid.model._adjacent_backprop
+
+    def recording_step(head, x, labels, similar, loss_cfg):
+        seen.append((x[:, 0].astype(np.int64), labels, similar))
+        return real_step(head, x, labels, similar, loss_cfg)
+
+    monkeypatch.setattr(mfid.model, "_adjacent_backprop", recording_step)
+    train(ds, split, cfg)
+
+    # The rows the per-step draws of the same stream give, step by step.
+    steps = math.ceil(ds.n_samples / 10)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    pc = build_pair_constraints(ds.labels)
+    n_similar, n_dissimilar = pair_batch_counts(pc, 5, similar_fraction)
+    expected = []
+    for _ in range(cfg.epochs * steps):
+        if objective == "mfid":
+            expected.append(draw_pairs(pc, n_similar, n_dissimilar, rng).ravel())
+        else:
+            expected.append(rng.choice(ds.n_samples, size=10, replace=False))
+    assert len(seen) == len(expected) == 3 * 5
+    for (rows, labels, similar), want in zip(seen, expected):
+        np.testing.assert_array_equal(rows, want)
+        np.testing.assert_array_equal(labels, ds.labels[want])
+        if objective == "mfid":
+            # pair k is rows 2k and 2k + 1, the similar pairs first
+            np.testing.assert_array_equal(similar, np.arange(5) < n_similar)
+            np.testing.assert_array_equal(labels[0::2] == labels[1::2], similar)
+        else:
+            assert similar.size == 0
+
+
+def test_step_gradient_check_passes_finite_gradients_whose_sum_overflows():
+    head = init_head("mlp1", 3, 2, 2, seed=0)
+    grads = {name: np.full_like(p, 1e308) for name, p in head.params.items()}
+    with np.errstate(over="ignore"):
+        _check_step_gradients(head.params, grads)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+def test_step_gradient_check_names_a_non_finite_array(name, bad):
+    head = init_head("mlp1", 3, 2, 2, seed=0)
+    grads = {n: np.ones_like(p) for n, p in head.params.items()}
+    grads[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^non-finite gradient for '{name}'$"):
+        _check_step_gradients(head.params, grads)
+
+
+def test_step_gradient_check_names_the_first_of_opposite_infinities():
+    head = init_head("linear", 3, 0, 2, seed=0)
+    grads = {"w": np.full((2, 3), np.inf), "b": np.full(2, -np.inf)}
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite gradient for 'w'$"):
+            _check_step_gradients(head.params, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,9 @@ from .dataset import (
 from .loss import (
     LossConfig,
     LossReport,
-    cross_entropy,
     dissim_pair_loss,
     kl_div,
-    loss_gradient,
     sim_pair_loss,
-    softmax,
     total_loss,
 )
 from .model import (
@@ -42,7 +39,6 @@ from .model import (
     TrainedModel,
     backprop,
     embed,
-    forward,
     init_head,
     load_head,
     logits,
@@ -52,19 +48,15 @@ from .model import (
 )
 from .evaluation import (
     EvalReport,
-    ScoreMatrix,
     TrialConfig,
     classification_accuracy,
     closed_set_eval,
-    closed_set_trial,
-    cosine_similarity,
     dir_at_far,
     far_threshold,
     far_thresholds,
     open_set_eval,
     probe_ranks,
     roc_points,
-    score_matrix,
     tar_at_far,
     transfer_eval,
     verification_eval,
@@ -86,6 +78,5 @@ from .detection import (
     average_precision,
     detection_report,
     iou,
-    load_boxes,
     match_detections,
 )

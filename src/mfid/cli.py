@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import math
 import sys
 from pathlib import Path
 
@@ -208,8 +207,8 @@ def cmd_synth(options: dict) -> None:
     ds = _synth(options, options["seed"])
     out = _out_dir(options)
     header = _header("synth", options)
-    save_dataset(ds, out / "dataset.csv", "csv", header_comment=header)
-    save_dataset(ds, out / "dataset.bin", "binary")
+    save_dataset(ds, out / "dataset.csv", header_comment=header)
+    save_dataset(ds, out / "dataset.bin")
     manifest = [f"# {header}"]
     manifest.extend(f"{key}={options[key]!r}" for key in (*_SYNTH, "seed"))
     manifest.append(f"n_samples={ds.n_samples}")
@@ -260,25 +259,30 @@ _ROC_GRID = tuple(np.round(np.linspace(0.01, 1.0, 100), 10))
 
 def cmd_eval(options: dict) -> None:
     _require(options, "data", "model")
-    ds = load_dataset(options["data"])
-    head = load_head(options["model"])
     protocols = [p.strip() for p in options["protocols"].split(",") if p.strip()]
+    if not protocols:
+        raise ValueError("no protocol given")
     aliases = {"verif": "verification", "closed": "closed_set", "open": "open_set"}
     protocols = [aliases.get(p, p) for p in protocols]
     known = {"classification", "closed_set", "open_set", "verification"}
     unknown = [p for p in protocols if p not in known]
     if unknown:
         raise ValueError(f"unknown protocol {unknown[0]!r}")
+    stems = None
+    n_splits = options["splits"]
+    if options["split_file"]:
+        stems = [stem.strip() for stem in options["split_file"].split(",") if stem.strip()]
+        n_splits = len(stems)
+    if n_splits < 1:
+        raise ValueError("splits must be at least 1")
+    ds = load_dataset(options["data"])
+    head = load_head(options["model"])
     if ds.dim != head.input_dim:
         raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
                          f"{head.input_dim}")
 
-    n_splits = options["splits"]
-    provided = None
-    if options["split_file"]:
-        provided = [load_split(stem.strip(), ds.n_samples)
-                    for stem in options["split_file"].split(",") if stem.strip()]
-        n_splits = len(provided)
+    provided = (None if stems is None
+                else [load_split(stem, ds.n_samples) for stem in stems])
     split_children = np.random.SeedSequence(options["seed"]).spawn(n_splits)
 
     disjoint_wanted = [p for p in protocols if p != "classification"]
@@ -402,6 +406,8 @@ def cmd_detmetrics(options: dict) -> None:
 
 
 def cmd_ablate(options: dict) -> None:
+    if options["seeds"] < 1:
+        raise ValueError("seeds must be at least 1")
     arms = [a.strip() for a in options["objectives"].split(",") if a.strip()]
     if len(arms) != 2:
         raise ValueError("--objectives must name exactly two training objectives")

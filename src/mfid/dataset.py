@@ -5,12 +5,13 @@ row.  Labels are always relabeled to dense integer ids ``0..K-1`` at load
 time (in sorted order of the original label strings); the original strings
 are kept in ``identity_names``.
 
-Two file formats are supported:
+Two file formats are supported; the file suffix chooses one:
 
 * CSV with header ``id,label,f0,...,f{d-1}``; feature values are written
   with full round-trip precision.
-* A binary container: magic ``MFID``, version u32, ``n`` u64, ``d`` u64,
-  row-major little-endian float64 features, then u32 label ids.
+* A binary container (``.bin`` or ``.mfid``): magic ``MFID``, version u32,
+  ``n`` u64, ``d`` u64, row-major little-endian float64 features, then u32
+  label ids.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 BINARY_MAGIC = b"MFID"
 BINARY_VERSION = 1
+BINARY_SUFFIXES = (".bin", ".mfid")
 
 STRATIFIED = "stratified-by-sample"
 DISJOINT = "disjoint-by-identity"
@@ -106,38 +108,23 @@ def _labels_from_names(names: list[str]) -> tuple[np.ndarray, dict[int, str]]:
 # file formats
 
 
-def load_dataset(path, format: str | None = None) -> Dataset:
-    """Load a dataset from ``path`` in ``format`` ("csv" or "binary").
-
-    With ``format=None`` the format is inferred from the suffix (``.bin`` and
-    ``.mfid`` are binary, everything else CSV).
-    """
+def load_dataset(path) -> Dataset:
+    """Load a dataset from ``path`` in the format its suffix gives."""
     path = Path(path)
-    if format is None:
-        format = "binary" if path.suffix in {".bin", ".mfid"} else "csv"
-    if format == "csv":
-        return _load_csv(path)
-    if format == "binary":
-        return _load_binary(path)
-    raise ValueError(f"unknown dataset format {format!r}")
+    return _load_binary(path) if path.suffix in BINARY_SUFFIXES else _load_csv(path)
 
 
-def save_dataset(ds: Dataset, path, format: str | None = None,
-                 header_comment: str | None = None) -> None:
-    """Write ``ds`` to ``path``; see :func:`load_dataset` for formats.
+def save_dataset(ds: Dataset, path, header_comment: str | None = None) -> None:
+    """Write ``ds`` to ``path`` in the format its suffix gives.
 
     ``header_comment`` (without the leading ``#``) is prepended to CSV output
     as a comment line; binary output ignores it.
     """
     path = Path(path)
-    if format is None:
-        format = "binary" if path.suffix in {".bin", ".mfid"} else "csv"
-    if format == "csv":
-        _save_csv(ds, path, header_comment)
-    elif format == "binary":
+    if path.suffix in BINARY_SUFFIXES:
         _save_binary(ds, path)
     else:
-        raise ValueError(f"unknown dataset format {format!r}")
+        _save_csv(ds, path, header_comment)
 
 
 def _identity_name(ds: Dataset, label: int, width: int) -> str:
@@ -273,48 +260,27 @@ class Split:
         object.__setattr__(self, "test_indices", test)
 
 
-def stratified_splits(ds: Dataset, folds: int, test_fraction: float, seed: int,
-                      scheme: str = "resample") -> list[Split]:
+def stratified_splits(ds: Dataset, folds: int, test_fraction: float,
+                      seed: int) -> list[Split]:
     """Per-identity stratified splits: every identity appears on both sides.
 
     Args:
-        folds: number of splits to produce.
+        folds: number of splits to produce, each drawn on its own (so their
+            test sides may overlap).
         test_fraction: per-identity held-out fraction (rounded to the nearest
             sample, clamped so both sides stay nonempty).
-        scheme: "resample" (default) draws each fold independently, so folds
-            may overlap; "kfold" partitions each identity's samples so the
-            test sides are disjoint across folds (requires every identity to
-            have at least ``folds`` samples; ``test_fraction`` is ignored).
     """
     if folds < 1:
         raise ValueError("folds must be at least 1")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    counts = np.bincount(ds.labels, minlength=ds.n_identities)
-    lonely = np.flatnonzero(counts < 2)
+    lonely = np.flatnonzero(np.bincount(ds.labels, minlength=ds.n_identities) < 2)
     if lonely.size:
         raise ValueError(
             f"identity {int(lonely[0])} has a single sample and cannot be stratified")
-    if scheme == "resample":
-        streams = np.random.SeedSequence(seed).spawn(folds)
-        return [_stratified_once(ds, test_fraction, seed, np.random.default_rng(s))
-                for s in streams]
-    if scheme == "kfold":
-        short = np.flatnonzero(counts < folds)
-        if short.size:
-            ident = int(short[0])
-            raise ValueError(
-                f"identity {ident} has {int(counts[ident])} samples, fewer than {folds} folds")
-        rng = np.random.default_rng(seed)
-        perms = [rng.permutation(np.flatnonzero(ds.labels == ident))
-                 for ident in range(ds.n_identities)]
-        splits = []
-        everything = np.arange(ds.n_samples)
-        for f in range(folds):
-            test = np.sort(np.concatenate([perm[f::folds] for perm in perms]))
-            splits.append(Split(np.setdiff1d(everything, test), test, STRATIFIED, seed))
-        return splits
-    raise ValueError(f"unknown stratification scheme {scheme!r}")
+    streams = np.random.SeedSequence(seed).spawn(folds)
+    return [_stratified_once(ds, test_fraction, seed, np.random.default_rng(s))
+            for s in streams]
 
 
 def _stratified_once(ds: Dataset, test_fraction: float, seed: int,

@@ -200,8 +200,10 @@ def _checked_rows(ids: list, rows: list, linenos: list, path, width: int) -> np.
 
 
 def _read_boxes(path, with_confidence: bool) -> tuple[list[str], np.ndarray]:
-    """Image ids and one float64 array of the box rows of :func:`load_boxes`:
-    ``(n, 5)`` corners and confidence, or ``(n, 4)`` corners."""
+    """Image ids and one float64 array of the rows of a CSV file of
+    ``image_id,x_min,y_min,x_max,y_max[,confidence]`` lines: ``(n, 5)``
+    corners and confidence, or ``(n, 4)`` corners.  ``#`` comments and an
+    ``image_id`` header row are skipped; a bad row is reported by line."""
     path = Path(path)
     expected = 6 if with_confidence else 5
     ids, rows, linenos = [], [], []
@@ -227,12 +229,3 @@ def _read_boxes(path, with_confidence: bool) -> tuple[list[str], np.ndarray]:
         linenos.append(lineno)
     return ids, _checked_rows(ids, rows, linenos, path, expected - 1)
 
-
-def load_boxes(path, with_confidence: bool) -> list[BoundingBox]:
-    """Read ``image_id,x_min,y_min,x_max,y_max[,confidence]`` CSV rows.
-
-    Comment lines (``#``) and a header row starting with ``image_id`` are
-    skipped.  Malformed rows are reported with their line number.
-    """
-    ids, values = _read_boxes(path, with_confidence)
-    return [BoundingBox(image_id, *row) for image_id, row in zip(ids, values.tolist())]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, identity_disjoint_split
-from .model import EmbeddingHead, TrainedModel, embed, logits
+from .model import embed, logits
 
 
 @dataclass(frozen=True)
@@ -89,64 +89,20 @@ class EvalReport:
                    tuple(float(t) for t in thresholds))
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Probe-by-gallery similarity scores with the labels on both axes."""
-
-    scores: np.ndarray
-    probe_labels: np.ndarray
-    gallery_labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        probe = np.asarray(self.probe_labels)
-        gallery = np.asarray(self.gallery_labels)
-        if scores.shape != (probe.size, gallery.size):
-            raise ValueError(f"score shape {scores.shape} does not match "
-                             f"{probe.size} probes x {gallery.size} gallery")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "probe_labels", probe)
-        object.__setattr__(self, "gallery_labels", gallery)
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors; errors on zero norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for a zero-norm vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
-def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
+def _unit_rows(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
-        raise ValueError(f"non-finite {what} embedding at index {int(bad[0])}")
+        raise ValueError(f"non-finite test embedding at index {int(bad[0])}")
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"zero-norm {what} embedding at index {int(zero[0])}")
+        raise ValueError(f"zero-norm test embedding at index {int(zero[0])}")
     return x / norms[:, None]
 
 
-def score_matrix(probe_embeddings, probe_labels, gallery_embeddings,
-                 gallery_labels) -> ScoreMatrix:
-    """All pairwise cosine similarities between probes and gallery samples."""
-    p = _unit_rows(probe_embeddings, "probe")
-    g = _unit_rows(gallery_embeddings, "gallery")
-    if p.shape[1] != g.shape[1]:
-        raise ValueError(f"embedding dims differ: {p.shape[1]} vs {g.shape[1]}")
-    scores = np.clip(p @ g.T, -1.0, 1.0)
-    return ScoreMatrix(scores, np.asarray(probe_labels), np.asarray(gallery_labels))
-
-
-def classification_accuracy(model, features, labels) -> float:
+def classification_accuracy(head, features, labels) -> float:
     """Fraction of argmax-correct logits (ties resolve to the lowest class id)."""
-    head = model.head if isinstance(model, TrainedModel) else model
     y = np.asarray(labels)
     if y.size and (y.min() < 0 or y.max() >= head.n_classes):
         raise ValueError("label outside the model's class range")
@@ -162,8 +118,9 @@ def classification_accuracy(model, features, labels) -> float:
 _POOL_BLOCK_CELLS = 1 << 18
 
 
-def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Max-pool gallery scores per identity.
+def identity_max_scores(scores: np.ndarray,
+                        gallery_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-pool the (P, G) probe-by-gallery scores per gallery identity.
 
     Probe rows are pooled in blocks of at most ``_POOL_BLOCK_CELLS`` score
     cells, so the label-ordered copy of the scores never exceeds one block.
@@ -174,15 +131,15 @@ def identity_max_scores(sm: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
         (P, G_id) array of per-identity scores and the sorted identity ids
         forming its columns.
     """
-    order = np.argsort(sm.gallery_labels, kind="stable")
-    ids, starts = np.unique(sm.gallery_labels[order], return_index=True)
+    order = np.argsort(gallery_labels, kind="stable")
+    ids, starts = np.unique(gallery_labels[order], return_index=True)
     if ids.size == order.size:  # one column per identity: pooling only permutes
-        return sm.scores[:, order], ids
-    n_probes = sm.scores.shape[0]
+        return scores[:, order], ids
+    n_probes = scores.shape[0]
     pooled = np.empty((n_probes, ids.size))
     block = max(1, _POOL_BLOCK_CELLS // max(1, order.size))
     for lo in range(0, n_probes, block):
-        pooled[lo:lo + block] = np.maximum.reduceat(sm.scores[lo:lo + block, order],
+        pooled[lo:lo + block] = np.maximum.reduceat(scores[lo:lo + block, order],
                                                     starts, axis=1)
     return pooled, ids
 
@@ -302,15 +259,15 @@ class _TestIndex:
 
     def __init__(self, embeddings, labels):
         self.labels = np.asarray(labels)
-        self.unit = _unit_rows(embeddings, "test")
+        self.unit = _unit_rows(embeddings)
         self.order = np.argsort(self.labels, kind="stable")
         self.identities, self.starts, self.counts = np.unique(
             self.labels[self.order], return_index=True, return_counts=True)
 
-    def scores(self, probe_rows, gallery_rows) -> ScoreMatrix:
+    def scores(self, probe_rows, gallery_rows) -> np.ndarray:
         scores = self.unit[probe_rows] @ self.unit[gallery_rows].T
         np.clip(scores, -1.0, 1.0, out=scores)
-        return ScoreMatrix(scores, self.labels[probe_rows], self.labels[gallery_rows])
+        return scores
 
 
 def _draw_gallery(index: _TestIndex, groups, per_identity: int,
@@ -337,20 +294,14 @@ def _draw_gallery(index: _TestIndex, groups, per_identity: int,
 
 def _closed_set_trial(index: _TestIndex, per_identity: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One gallery draw; returns (per-rank probe counts, probe count)."""
     groups = np.arange(index.identities.size)
     gallery_rows, probe_rows = _draw_gallery(index, groups, per_identity, rng)
-    sm = index.scores(probe_rows, gallery_rows)
-    pooled, ids = identity_max_scores(sm)
-    ranks = probe_ranks(pooled, ids, sm.probe_labels)
+    pooled, ids = identity_max_scores(index.scores(probe_rows, gallery_rows),
+                                      index.labels[gallery_rows])
+    ranks = probe_ranks(pooled, ids, index.labels[probe_rows])
     counts = np.bincount(ranks, minlength=index.identities.size + 1)[1:]
     return counts, int(probe_rows.size)
-
-
-def closed_set_trial(embeddings, labels, cfg: TrialConfig,
-                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One gallery draw; returns (per-rank probe counts, probe count)."""
-    return _closed_set_trial(_TestIndex(embeddings, labels),
-                             cfg.gallery_images_per_identity, rng)
 
 
 def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
@@ -399,11 +350,12 @@ def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
                 identities, size=cfg.distractor_identities, replace=False))
         gallery_rows, probe_rows = _draw_gallery(index, mated_groups,
                                                  cfg.gallery_images_per_identity, rng)
-        sm = index.scores(np.concatenate([probe_rows, distractor_rows]), gallery_rows)
-        pooled, ids = identity_max_scores(sm)
+        pooled, ids = identity_max_scores(
+            index.scores(np.concatenate([probe_rows, distractor_rows]), gallery_rows),
+            index.labels[gallery_rows])
         n_mated = probe_rows.size
         mated_max = pooled[:n_mated].max(axis=1)
-        ranks = probe_ranks(pooled[:n_mated], ids, sm.probe_labels[:n_mated])
+        ranks = probe_ranks(pooled[:n_mated], ids, index.labels[probe_rows])
         nonmated_max = pooled[n_mated:].max(axis=1)
         rate, tau = dir_at_far(mated_max, ranks == 1, nonmated_max, cfg.far_target)
         rates.append(rate)
@@ -424,11 +376,11 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
     if lonely.size:
         raise ValueError(f"identity {int(lonely[0])} has a single sample; "
                          "verification needs at least two per identity")
-    e = _unit_rows(embeddings, "test")
+    e = _unit_rows(embeddings)
     sims = e @ e.T  # the one n x n array: clipped in place, pooled by row blocks
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
-    per_identity, _ = identity_max_scores(ScoreMatrix(sims, labels, labels))
+    per_identity, _ = identity_max_scores(sims, labels)
     own_col = np.searchsorted(identities, labels)
     rows = np.arange(labels.size)
     positives = per_identity[rows, own_col]
@@ -446,11 +398,10 @@ def verification_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
                                   thresholds=[tau])
 
 
-def transfer_eval(model, ds: Dataset, cfg: TrialConfig,
+def transfer_eval(head, ds: Dataset, cfg: TrialConfig,
                   identity_test_fraction: float = 0.2) -> dict[str, EvalReport]:
-    """Freeze the model, embed a new dataset, and run all three protocols
+    """Freeze the head, embed a new dataset, and run all three protocols
     on its identity-disjoint test side (split seeded from ``cfg.seed``)."""
-    head = model.head if isinstance(model, TrainedModel) else model
     if ds.dim != head.input_dim:
         raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
                          f"{head.input_dim}")

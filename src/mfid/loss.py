@@ -16,7 +16,6 @@ Gradients are analytic, with hinge and clamp kinks assigned subgradient 0.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,26 +64,6 @@ class LossReport:
 # elementary operations (single vectors)
 
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax of a 1-D logit vector (>= 2 classes)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError("logits must be a 1-D vector with at least two classes")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logit")
-    return _softmax_rows(z[None, :])[0]
-
-
-def cross_entropy(probs, label: int, epsilon: float = DEFAULT_EPS) -> float:
-    """-log of the probability assigned to ``label``, clamped at ``epsilon``."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("probs must be a 1-D probability vector")
-    if not 0 <= label < p.size:
-        raise ValueError(f"label {label} out of range for {p.size} classes")
-    return float(-np.log(max(float(p[label]), epsilon)))
-
-
 def kl_div(p, q, epsilon: float = DEFAULT_EPS) -> float:
     """KL(p || q) in nats; zero-probability terms of p contribute exactly 0."""
     p = np.asarray(p, dtype=np.float64)
@@ -128,12 +107,6 @@ def total_loss(logits, labels, pairs, cfg: LossConfig) -> LossReport:
     return report
 
 
-def loss_gradient(logits, labels, pairs, cfg: LossConfig) -> np.ndarray:
-    """d(total)/d(logits) for the same batch layout as :func:`total_loss`."""
-    _, grad = _loss_and_grad(logits, labels, pairs, cfg, want_grad=True)
-    return grad
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=1, keepdims=True))
     e /= e.sum(axis=1, keepdims=True)
@@ -158,6 +131,8 @@ def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
                    want_grad: bool) -> tuple[LossReport, np.ndarray | None]:
+    """Loss report and, with ``want_grad``, d(total)/d(logits), for the batch
+    layout of :func:`total_loss`."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError("logits must be a (B, K) array with K >= 2")

@@ -102,15 +102,6 @@ def _forward_rows(head: EmbeddingHead, x: np.ndarray):
     return hidden, pre, hidden @ p["w2"].T + p["b2"]
 
 
-def forward(head: EmbeddingHead, x) -> tuple[np.ndarray, np.ndarray]:
-    """(embedding, logits) for a single feature vector of length input_dim."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single 1-D feature vector")
-    emb, _, logits = _forward_batch(head, x[None, :])
-    return emb[0], logits[0]
-
-
 def embed(head: EmbeddingHead, x) -> np.ndarray:
     """Downstream embeddings for a (B, d) batch (raw input for linear heads)."""
     emb, _, _ = _forward_batch(head, x)

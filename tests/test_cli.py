@@ -223,6 +223,20 @@ def test_eval_unknown_protocol(synth_dir, trained_dir, tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--splits", "0"), "splits must be at least 1"),
+    (("--split-file", ","), "splits must be at least 1"),
+    (("--protocols", ","), "no protocol given"),
+], ids=["zero splits", "no split file", "no protocol"])
+def test_eval_rejects_a_run_that_scores_nothing(synth_dir, trained_dir, tmp_path, capsys,
+                                                flags, message):
+    assert run_cli("eval", "--data", str(synth_dir / "dataset.csv"),
+                   "--model", str(trained_dir / "model.mfhd"), *flags,
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_rejects_dead_relu_head(synth_dir, tmp_path, capsys):
     # every hidden unit is off for every input: all embeddings are zero
     head = mfid.init_head("mlp1", 8, 4, 6, seed=0)
@@ -482,6 +496,12 @@ def test_ablate_worker_error_reaches_main(tmp_path, capsys):
     assert err[0].startswith("error: ") and "similar pairs" in err[0]
 
 
+def test_ablate_rejects_zero_seeds(tmp_path, capsys):
+    assert run_cli("ablate", "--seeds", "0", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seeds must be at least 1"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_ablate_requires_two_objectives(tmp_path, capsys):
     assert run_cli("ablate", "--objectives", "mfid", "--out", str(tmp_path)) == 1
     assert "two" in capsys.readouterr().err
@@ -687,14 +707,6 @@ def test_readme_typical_session_runs(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, " ".join(argv)
 
 
-def test_readme_library_names_exist():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    names = re.findall(r"`([A-Za-z_]\w*)`", section)
-    assert "draw_pairs" in names
-    assert [name for name in names if not hasattr(mfid, name)] == []
-
-
 def test_module_invocation():
     proc = subprocess.run([sys.executable, "-m", "mfid.cli", "--version"],
                           capture_output=True, text=True, env=child_env())
@@ -798,7 +810,7 @@ def write_scoring_inputs(directory):
     labels = rng.permutation(np.repeat(np.arange(30), counts))  # not grouped
     centres = rng.normal(size=(30, 6))
     features = centres[labels] + 0.6 * rng.normal(size=(labels.size, 6))
-    mfid.save_dataset(mfid.Dataset(features, labels), directory / "scoring.bin", "binary")
+    mfid.save_dataset(mfid.Dataset(features, labels), directory / "scoring.bin")
     head = mfid.EmbeddingHead("linear", 6, 6, 30, {"w": centres + rng.normal(size=(30, 6)),
                                                    "b": rng.normal(size=30)})
     mfid.save_head(head, directory / "scoring.mfhd")
@@ -836,3 +848,39 @@ def test_scoring_outputs_are_pinned(tmp_path):
                for path in sorted(tmp_path.glob("*/*.csv"))
                if not path.is_relative_to(inputs)}
     assert digests == SCORING_DIGESTS
+
+
+# sha256 of the three files transfer writes, on write_scoring_inputs' data,
+# recorded before the ScoreMatrix wrapper was deleted from the scoring code
+# (same platform as above).  The second run draws two gallery images per
+# identity and its distractors per trial.
+TRANSFER_DIGESTS = {
+    "g1/transfer_cmc.csv":
+        "2bf46ff18c34bea94196c98a9d9e61fbb172ecaabb443b81b5d9957e2d8519d4",
+    "g1/transfer_metrics.csv":
+        "9cb1df80fc39353a5c50db66f4a3c46b5ec69e492e888177f14ae55a92e8606f",
+    "g1/transfer_roc.csv":
+        "71d796a3db1353e5a094908255899c37c0e3aa62f31482edfd0d754b8a56c791",
+    "g2/transfer_cmc.csv":
+        "384a8a24b1422ed41bf5509efdbc2b52c32c095972ba71c35ad09d2d317098f1",
+    "g2/transfer_metrics.csv":
+        "080d1cd62912b1c955d1d8e34e6c832b1b54c225371f4e056473055f81cab195",
+    "g2/transfer_roc.csv":
+        "f8071e9d90b67f5526746a0d84c5a16586d552b084186db8ecbf34278c9773a0",
+}
+
+
+def test_transfer_outputs_are_pinned(tmp_path):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_scoring_inputs(inputs)
+    data = ("--data", str(inputs / "scoring.bin"), "--model", str(inputs / "scoring.mfhd"),
+            "--trials", "15", "--test-fraction", "0.5", "--seed", "31")
+    assert run_cli("transfer", *data, "--out", str(tmp_path / "g1")) == 0
+    assert run_cli("transfer", *data, "--gallery-per-identity", "2", "--distractors", "4",
+                   "--distractor-mode", "per_trial", "--far", "0.1",
+                   "--out", str(tmp_path / "g2")) == 0
+    digests = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("g*/*.csv"))}
+    assert digests == TRANSFER_DIGESTS

@@ -265,13 +265,6 @@ def test_stratified_both_sides_nonempty_per_identity():
             assert np.unique(ds.labels[side]).size == 4
 
 
-def test_stratified_kfold_partitions():
-    ds = synth_gaussian(5, 12, 3, 1.0, 0.1, seed=2)
-    splits = stratified_splits(ds, 4, 0.2, seed=7, scheme="kfold")
-    pooled = np.concatenate([s.test_indices for s in splits])
-    assert np.array_equal(np.sort(pooled), np.arange(ds.n_samples))
-
-
 def test_stratified_rejects_singleton_identity():
     ds = Dataset(np.zeros((3, 2)), [0, 0, 1])
     with pytest.raises(ValueError, match="identity 1"):

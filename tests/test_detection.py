@@ -12,9 +12,9 @@ from mfid import (
     average_precision,
     detection_report,
     iou,
-    load_boxes,
     match_detections,
 )
+from mfid.detection import _read_boxes
 
 
 def box(x0, y0, x1, y1, conf=None, image="img0"):
@@ -299,45 +299,45 @@ def test_load_boxes_with_confidence(tmp_path):
                     "image_id,x_min,y_min,x_max,y_max,confidence\n"
                     "frame0,0,0,4,4,0.9\n"
                     "frame1,1.5,2.5,3.5,4.5,0.25\n")
-    boxes = load_boxes(path, with_confidence=True)
-    assert len(boxes) == 2
-    assert boxes[0].image_id == "frame0"
-    assert boxes[1].corners() == (1.5, 2.5, 3.5, 4.5)
-    assert boxes[1].confidence == 0.25
+    ids, boxes = _read_boxes(path, with_confidence=True)
+    assert ids == ["frame0", "frame1"]
+    assert boxes.tolist() == [[0.0, 0.0, 4.0, 4.0, 0.9], [1.5, 2.5, 3.5, 4.5, 0.25]]
 
 
 def test_load_boxes_without_confidence(tmp_path):
     path = tmp_path / "gt.csv"
     path.write_text("frame0,0,0,4,4\n")
-    (gt,) = load_boxes(path, with_confidence=False)
-    assert gt.confidence is None
+    ids, boxes = _read_boxes(path, with_confidence=False)
+    assert ids == ["frame0"]
+    assert boxes.tolist() == [[0.0, 0.0, 4.0, 4.0]]
 
 
 def test_load_boxes_wrong_width(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame0,0,0,4,4,0.9\nframe0,0,0,4\n")
     with pytest.raises(ValueError, match="line 2"):
-        load_boxes(path, with_confidence=True)
+        _read_boxes(path, with_confidence=True)
 
 
 def test_load_boxes_malformed_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame0,0,zero,4,4\n")
     with pytest.raises(ValueError, match="line 1"):
-        load_boxes(path, with_confidence=False)
+        _read_boxes(path, with_confidence=False)
 
 
 def test_load_boxes_degenerate_box_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame0,0,0,4,4\nframe0,5,5,5,9\n")
     with pytest.raises(ValueError, match="line 2"):
-        load_boxes(path, with_confidence=False)
+        _read_boxes(path, with_confidence=False)
 
 
 def test_load_boxes_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
-    assert load_boxes(path, with_confidence=True) == []
+    ids, boxes = _read_boxes(path, with_confidence=True)
+    assert ids == [] and boxes.shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,7 @@ def test_load_boxes_errors_match_earlier_loader(tmp_path, with_confidence, text,
         reference_load_boxes(path, with_confidence)
     assert str(expected.value) == f"{path}: {message}"
     with pytest.raises(ValueError) as ours:
-        load_boxes(path, with_confidence)
+        _read_boxes(path, with_confidence)
     assert str(ours.value) == str(expected.value)
 
 
@@ -489,8 +489,10 @@ def test_load_boxes_matches_earlier_loader(tmp_path):
         if not with_confidence:
             path.write_text(path.read_text().replace(",0.5\n", "\n").replace(",1\n", "\n")
                             .replace(",-0\n", "\n"))
-        ours = load_boxes(path, with_confidence)
+        ids, rows = _read_boxes(path, with_confidence)
         theirs = reference_load_boxes(path, with_confidence)
-        assert ours == theirs
-        assert [repr(b.corners() + (b.confidence,)) for b in ours] == [
-            repr(b.corners() + (b.confidence,)) for b in theirs]
+        assert ids == [b.image_id for b in theirs]
+        # repr tells -0.0 from 0.0
+        assert [repr(tuple(row)) for row in rows.tolist()] == [
+            repr(b.corners() + ((b.confidence,) if with_confidence else ()))
+            for b in theirs]

@@ -15,15 +15,12 @@ from mfid import (
     TrialConfig,
     classification_accuracy,
     closed_set_eval,
-    closed_set_trial,
-    cosine_similarity,
     dir_at_far,
     far_threshold,
     far_thresholds,
     open_set_eval,
     probe_ranks,
     roc_points,
-    score_matrix,
     synth_gaussian,
     tar_at_far,
     train,
@@ -33,7 +30,7 @@ from mfid import (
 )
 from mfid.dataset import identity_disjoint_split
 import mfid.evaluation
-from mfid.evaluation import ScoreMatrix, identity_max_scores
+from mfid.evaluation import _closed_set_trial, _TestIndex, identity_max_scores
 from mfid.model import init_head
 
 
@@ -47,56 +44,43 @@ def cluster_embeddings(rng, k=5, per_id=8, dim=6, spread=0.05):
 
 
 # ---------------------------------------------------------------------------
-# cosine / score matrix
-
-
-def test_cosine_self_is_one():
-    v = np.array([3.0, -1.0, 2.0])
-    assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal_is_zero():
-    assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0)
-
-
-def test_cosine_worked_value():
-    assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / math.sqrt(2))
-
-
-def test_cosine_rejects_zero_norm():
-    with pytest.raises(ValueError, match="zero-norm"):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
+# score matrix
 
 
 def test_score_matrix_self_diagonal():
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(6, 4))
-    sm = score_matrix(emb, np.arange(6), emb, np.arange(6))
-    np.testing.assert_allclose(np.diag(sm.scores), 1.0, atol=1e-12)
+    scores = _TestIndex(emb, np.arange(6)).scores(np.arange(6), np.arange(6))
+    np.testing.assert_allclose(np.diag(scores), 1.0, atol=1e-12)
 
 
 def test_score_matrix_matches_nested_loops():
     rng = np.random.default_rng(1)
     probes = rng.normal(size=(5, 3))
     gallery = rng.normal(size=(7, 3))
-    sm = score_matrix(probes, np.zeros(5), gallery, np.zeros(7))
+    scores = _TestIndex(np.vstack([probes, gallery]), np.zeros(12)).scores(
+        np.arange(5), np.arange(5, 12))
     for i in range(5):
         for j in range(7):
-            assert sm.scores[i, j] == pytest.approx(
-                cosine_similarity(probes[i], gallery[j]), abs=1e-12)
+            cosine = probes[i] @ gallery[j] / (np.linalg.norm(probes[i])
+                                               * np.linalg.norm(gallery[j]))
+            assert scores[i, j] == pytest.approx(cosine, abs=1e-12)
 
 
 def test_score_matrix_reports_zero_norm_index():
-    emb = np.ones((3, 2))
+    emb = np.ones((4, 2))
     emb[1] = 0.0
-    with pytest.raises(ValueError, match="index 1"):
-        score_matrix(emb, np.arange(3), np.ones((2, 2)), np.arange(2))
+    labels = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="zero-norm test embedding at index 1"):
+        closed_set_eval(emb, labels, TrialConfig())
+    with pytest.raises(ValueError, match="zero-norm test embedding at index 1"):
+        verification_scores(emb, labels)
 
 
 def test_score_matrix_single_pair():
-    sm = score_matrix([[1.0, 0.0]], [0], [[1.0, 1.0]], [0])
-    assert sm.scores.shape == (1, 1)
-    assert sm.scores[0, 0] == pytest.approx(1 / math.sqrt(2))
+    scores = _TestIndex([[1.0, 0.0], [1.0, 1.0]], [0, 0]).scores([0], [1])
+    assert scores.shape == (1, 1)
+    assert scores[0, 0] == pytest.approx(1 / math.sqrt(2))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +156,9 @@ def test_probe_ranks_missing_identity():
 
 
 def test_identity_max_scores_pools_max():
-    sm = score_matrix(np.array([[1.0, 0.0]]), [0],
-                      np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-                      np.array([7, 7, 9]))
-    pooled, ids = identity_max_scores(sm)
+    # one probe (1, 0) against gallery rows (1, 0), (0, 1) and (1, 1)
+    scores = np.array([[1.0, 0.0, 1 / math.sqrt(2)]])
+    pooled, ids = identity_max_scores(scores, np.array([7, 7, 9]))
     assert ids.tolist() == [7, 9]
     assert pooled[0, 0] == pytest.approx(1.0)
     assert pooled[0, 1] == pytest.approx(1 / math.sqrt(2))
@@ -320,8 +303,7 @@ def test_closed_set_trial_rejects_small_identity():
     emb = np.ones((3, 2)) + np.arange(3)[:, None]
     labels = np.array([0, 0, 1])
     with pytest.raises(ValueError, match="identity 1"):
-        closed_set_trial(emb, labels, TrialConfig(gallery_images_per_identity=1),
-                         np.random.default_rng(0))
+        _closed_set_trial(_TestIndex(emb, labels), 1, np.random.default_rng(0))
 
 
 def test_closed_set_std_zero_for_single_trial():
@@ -398,7 +380,7 @@ def test_verification_excludes_self_match():
     labels = np.array([0, 0, 1, 1])
     positives, _ = verification_scores(emb, labels)
     assert positives[2] == pytest.approx(1.0)  # [0,1] vs [0,2]: same direction
-    assert positives[0] == pytest.approx(cosine_similarity([1.0, 0.0], [0.9, 0.1]))
+    assert positives[0] == pytest.approx(0.9 / math.hypot(0.9, 0.1))
 
 
 def test_verification_chance_when_scores_uninformative():
@@ -435,7 +417,7 @@ def test_transfer_same_dataset_matches_direct_eval():
     split = identity_disjoint_split(ds, 0.3, seed=4)
     model = train(ds, split, TrainConfig(epochs=2, seed=0, initial_lr=0.1))
     cfg = TrialConfig(trials=4, distractor_identities=2, seed=4)
-    via_transfer = transfer_eval(model, ds, cfg, identity_test_fraction=0.3)
+    via_transfer = transfer_eval(model.head, ds, cfg, identity_test_fraction=0.3)
     from mfid.model import embed
 
     emb = embed(model.head, ds.features[split.test_indices])
@@ -457,7 +439,7 @@ def test_transfer_fresh_draw_same_generator():
 
     in_domain = closed_set_eval(embed(model.head, ds_a.features[split.test_indices]),
                                 ds_a.labels[split.test_indices], cfg)
-    transferred = transfer_eval(model, ds_b, cfg, identity_test_fraction=0.25)
+    transferred = transfer_eval(model.head, ds_b, cfg, identity_test_fraction=0.25)
     assert abs(transferred["closed_set"].mean - in_domain.mean) <= 0.05
 
 
@@ -467,7 +449,7 @@ def test_transfer_dimension_mismatch_names_both():
     model = train(ds, split, TrainConfig(epochs=1))
     other = synth_gaussian(6, 6, 7, 1.0, 0.2, seed=34)
     with pytest.raises(ValueError, match="7.*10|10.*7"):
-        transfer_eval(model, other, TrialConfig())
+        transfer_eval(model.head, other, TrialConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +614,9 @@ def test_identity_max_scores_match_reference(seed, tied):
     rng = np.random.default_rng(150 + seed)
     for n_probes in (0, 1, 5):
         labels = rng.integers(0, 6, size=int(rng.integers(1, 20)))
-        sm = ScoreMatrix(draw_scores(rng, (n_probes, labels.size), tied),
-                         np.zeros(n_probes), labels)
-        pooled, ids = identity_max_scores(sm)
-        ref_pooled, ref_ids = reference_identity_max_scores(sm.scores, labels)
+        scores = draw_scores(rng, (n_probes, labels.size), tied)
+        pooled, ids = identity_max_scores(scores, labels)
+        ref_pooled, ref_ids = reference_identity_max_scores(scores, labels)
         assert ids.tolist() == ref_ids.tolist()
         assert pooled.tolist() == ref_pooled.tolist()
 
@@ -649,10 +630,9 @@ def test_identity_max_scores_blocks_match_reference(monkeypatch, block_cells, ti
     rng = np.random.default_rng(200 + block_cells)
     for n_probes in (0, 1, 2, 17):
         labels = rng.integers(0, 4, size=7)
-        sm = ScoreMatrix(draw_scores(rng, (n_probes, labels.size), tied),
-                         np.zeros(n_probes), labels)
-        pooled, ids = identity_max_scores(sm)
-        ref_pooled, ref_ids = reference_identity_max_scores(sm.scores, labels)
+        scores = draw_scores(rng, (n_probes, labels.size), tied)
+        pooled, ids = identity_max_scores(scores, labels)
+        ref_pooled, ref_ids = reference_identity_max_scores(scores, labels)
         assert pooled.shape == (n_probes, ref_ids.size)
         assert ids.tolist() == ref_ids.tolist()
         assert pooled.tolist() == ref_pooled.tolist()
@@ -784,24 +764,23 @@ def pooled_gallery_cases(draw):
                                       min_size=probe_labels.size * gallery_labels.size,
                                       max_size=probe_labels.size * gallery_labels.size)))
     columns = np.asarray(draw(st.permutations(range(gallery_labels.size))))
-    return (ScoreMatrix(scores.reshape(probe_labels.size, -1), probe_labels,
-                        gallery_labels), columns)
+    return (scores.reshape(probe_labels.size, -1), probe_labels, gallery_labels,
+            columns)
 
 
-def closed_set_ranks(sm):
-    pooled, ids = identity_max_scores(sm)
-    ranks = probe_ranks(pooled, ids, sm.probe_labels)
+def closed_set_ranks(scores, probe_labels, gallery_labels):
+    pooled, ids = identity_max_scores(scores, gallery_labels)
+    ranks = probe_ranks(pooled, ids, probe_labels)
     return ranks, np.bincount(ranks, minlength=ids.size + 1)[1:]
 
 
 @PROPERTY_SETTINGS
 @given(pooled_gallery_cases())
 def test_ranks_invariant_to_gallery_column_order(case):
-    sm, columns = case
-    shuffled = ScoreMatrix(sm.scores[:, columns], sm.probe_labels,
-                           sm.gallery_labels[columns])
-    ranks, counts = closed_set_ranks(sm)
-    shuffled_ranks, shuffled_counts = closed_set_ranks(shuffled)
+    scores, probe_labels, gallery_labels, columns = case
+    ranks, counts = closed_set_ranks(scores, probe_labels, gallery_labels)
+    shuffled_ranks, shuffled_counts = closed_set_ranks(
+        scores[:, columns], probe_labels, gallery_labels[columns])
     np.testing.assert_array_equal(shuffled_ranks, ranks)
     np.testing.assert_array_equal(shuffled_counts, counts)
 
@@ -826,12 +805,13 @@ def test_tar_at_far_invariant_to_score_order(positives, negatives, far):
 
 
 def test_score_matrix_reports_non_finite_index():
-    emb = np.ones((3, 2))
+    emb = np.ones((4, 2))
     emb[2, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite probe embedding at index 2"):
-        score_matrix(emb, np.arange(3), np.ones((2, 2)), np.arange(2))
-    with pytest.raises(ValueError, match="non-finite gallery embedding at index 2"):
-        score_matrix(np.ones((2, 2)), np.arange(2), emb, np.arange(3))
+    labels = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="non-finite test embedding at index 2"):
+        closed_set_eval(emb, labels, TrialConfig())
+    with pytest.raises(ValueError, match="non-finite test embedding at index 2"):
+        verification_scores(emb, labels)
 
 
 def test_verification_scores_reject_infinite_embedding():
@@ -845,15 +825,22 @@ def test_verification_scores_reject_infinite_embedding():
 # indexed trials against the per-identity loops they replaced
 #
 # The references below are the earlier trial code: per trial and identity a
-# flatnonzero / setdiff1d gallery draw, the rows normalised per trial by
-# score_matrix, and pooling by reduceat only.
+# flatnonzero / setdiff1d gallery draw, the rows normalised per trial, and
+# pooling by reduceat only.
 
 
-def reference_pool(sm):
+def reference_scores(probes, gallery):
+    """Clipped cosines of probe and gallery rows, each normalised on its own."""
+    p = probes / np.linalg.norm(probes, axis=1)[:, None]
+    g = gallery / np.linalg.norm(gallery, axis=1)[:, None]
+    return np.clip(p @ g.T, -1.0, 1.0)
+
+
+def reference_pool(scores, gallery_labels):
     """Label-ordered reduceat pooling, whatever the gallery labels."""
-    order = np.argsort(sm.gallery_labels, kind="stable")
-    ids, starts = np.unique(sm.gallery_labels[order], return_index=True)
-    return np.maximum.reduceat(sm.scores[:, order], starts, axis=1), ids
+    order = np.argsort(gallery_labels, kind="stable")
+    ids, starts = np.unique(gallery_labels[order], return_index=True)
+    return np.maximum.reduceat(scores[:, order], starts, axis=1), ids
 
 
 def reference_draw_gallery(labels, identities, per_identity, rng):
@@ -874,9 +861,9 @@ def reference_closed_set_trial(embeddings, labels, cfg, rng):
     identities = np.unique(labels)
     gallery_idx, probe_idx = reference_draw_gallery(
         labels, identities, cfg.gallery_images_per_identity, rng)
-    sm = score_matrix(embeddings[probe_idx], labels[probe_idx],
-                      embeddings[gallery_idx], labels[gallery_idx])
-    pooled, ids = reference_pool(sm)
+    pooled, ids = reference_pool(
+        reference_scores(embeddings[probe_idx], embeddings[gallery_idx]),
+        labels[gallery_idx])
     ranks = probe_ranks(pooled, ids, labels[probe_idx])
     return np.bincount(ranks, minlength=identities.size + 1)[1:], int(probe_idx.size)
 
@@ -912,9 +899,9 @@ def reference_open_set_eval(embeddings, labels, cfg):
             labels, mated_ids, cfg.gallery_images_per_identity, rng)
         distractor_idx = np.flatnonzero(np.isin(labels, distractors))
         rows = np.concatenate([probe_idx, distractor_idx])
-        sm = score_matrix(embeddings[rows], labels[rows],
-                          embeddings[gallery_idx], labels[gallery_idx])
-        pooled, ids = reference_pool(sm)
+        pooled, ids = reference_pool(
+            reference_scores(embeddings[rows], embeddings[gallery_idx]),
+            labels[gallery_idx])
         n_mated = probe_idx.size
         ranks = probe_ranks(pooled[:n_mated], ids, labels[probe_idx])
         rate, tau = dir_at_far(pooled[:n_mated].max(axis=1), ranks == 1,
@@ -964,7 +951,8 @@ def test_trials_match_per_identity_loop(per_identity, tied):
         assert closed_set_eval(emb, labels, cfg) == reference_closed_set_eval(
             emb, labels, cfg)
         trial_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        counts, n_probes = closed_set_trial(emb, labels, cfg, trial_rng)
+        counts, n_probes = _closed_set_trial(_TestIndex(emb, labels),
+                                             per_identity, trial_rng)
         ref_counts, ref_n_probes = reference_closed_set_trial(emb, labels, cfg, ref_rng)
         assert counts.tolist() == ref_counts.tolist() and n_probes == ref_n_probes
 
@@ -988,14 +976,14 @@ def distinct_gallery_cases(draw):
     labels = 7 * np.asarray(draw(st.permutations(range(draw(st.integers(1, 6))))))
     scores = np.asarray(draw(st.lists(SCORE_VALUES, min_size=n_probes * labels.size,
                                       max_size=n_probes * labels.size)))
-    return ScoreMatrix(scores.reshape(n_probes, labels.size), np.zeros(n_probes), labels)
+    return scores.reshape(n_probes, labels.size), labels
 
 
 @PROPERTY_SETTINGS
 @given(distinct_gallery_cases())
-def test_identity_max_scores_permutation_path_matches_reduceat(sm):
-    pooled, ids = identity_max_scores(sm)
-    ref_pooled, ref_ids = reference_pool(sm)
+def test_identity_max_scores_permutation_path_matches_reduceat(case):
+    pooled, ids = identity_max_scores(*case)
+    ref_pooled, ref_ids = reference_pool(*case)
     assert ids.tolist() == ref_ids.tolist()
     assert pooled.shape == ref_pooled.shape
     assert pooled.tolist() == ref_pooled.tolist()

@@ -1,4 +1,4 @@
-"""Objective terms: softmax, CE, directed KL, pair losses, and their gradients.
+"""Objective terms: softmax rows, CE, directed KL, pair losses, and their gradients.
 
 The frozen constants in here were computed by hand / with a few lines of
 high-precision arithmetic, independent of the implementation:
@@ -16,15 +16,13 @@ from mfid import (
     LossConfig,
     LossReport,
     backprop,
-    cross_entropy,
     dissim_pair_loss,
     init_head,
     kl_div,
-    loss_gradient,
     sim_pair_loss,
-    softmax,
     total_loss,
 )
+from mfid.loss import _loss_and_grad, _softmax_rows
 
 KL_PQ = 0.14384103622589045
 KL_QP = 0.13081203594113697
@@ -42,16 +40,17 @@ def random_simplex(rng, k):
 
 
 def test_softmax_uniform_on_zeros():
-    np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_softmax_rows(np.zeros((1, 3))), [np.full(3, 1 / 3)],
+                               rtol=0, atol=1e-15)
 
 
 def test_softmax_ln2_case():
-    np.testing.assert_allclose(softmax(np.array([math.log(2), 0.0])), [2 / 3, 1 / 3],
-                               rtol=1e-15)
+    np.testing.assert_allclose(_softmax_rows(np.array([[math.log(2), 0.0]])),
+                               [[2 / 3, 1 / 3]], rtol=1e-15)
 
 
 def test_softmax_large_logits_stable():
-    p = softmax(np.array([1000.0, 0.0]))
+    (p,) = _softmax_rows(np.array([[1000.0, 0.0]]))
     assert np.isfinite(p).all()
     assert p[0] == pytest.approx(1.0)
     assert p.sum() == pytest.approx(1.0)
@@ -60,20 +59,25 @@ def test_softmax_large_logits_stable():
 def test_softmax_sums_to_one():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        z = rng.normal(scale=10, size=rng.integers(2, 9))
-        assert softmax(z).sum() == pytest.approx(1.0, abs=1e-12)
+        z = rng.normal(scale=10, size=(1, rng.integers(2, 9)))
+        assert _softmax_rows(z).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def ce_term(logits, label):
+    return total_loss(np.array([logits]), np.array([label]), [], LossConfig()).ce_term
 
 
 def test_cross_entropy_one_hot_is_zero():
-    assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+    # exp(-1000) underflows, so the softmax row is exactly (0, 1, 0)
+    assert ce_term([-1000.0, 0.0, -1000.0], 1) == 0.0
 
 
 def test_cross_entropy_half_half():
-    assert cross_entropy(P, 0) == pytest.approx(math.log(2), rel=1e-12)
+    assert ce_term([0.0, 0.0], 0) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_cross_entropy_zero_prob_clamps():
-    value = cross_entropy(np.array([0.0, 1.0]), 0)
+    value = ce_term([-1000.0, 0.0], 0)
     assert value == pytest.approx(-math.log(1e-12))
     assert math.isfinite(value)
 
@@ -257,6 +261,11 @@ def finite_difference(logits, labels, pairs, cfg, step=1e-6):
     return grad
 
 
+def logit_gradient(logits, labels, pairs, cfg):
+    _, grad = _loss_and_grad(logits, labels, pairs, cfg, want_grad=True)
+    return grad
+
+
 def relative_error(a, b):
     return np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-300)
 
@@ -266,7 +275,7 @@ def test_gradient_matches_finite_differences():
     cfg = LossConfig()
     for _ in range(10):
         logits, labels, pairs = random_batch(rng, n=8, k=5, n_pairs=6)
-        analytic = loss_gradient(logits, labels, pairs, cfg)
+        analytic = logit_gradient(logits, labels, pairs, cfg)
         numeric = finite_difference(logits, labels, pairs, cfg)
         assert relative_error(analytic, numeric) < 1e-5
 
@@ -274,7 +283,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_zero_at_perfect_configuration():
     logits = np.array([[40.0, 0.0], [40.0, 0.0]])
     labels = np.array([0, 0])
-    grad = loss_gradient(logits, labels, [(0, 1, True)], LossConfig())
+    grad = logit_gradient(logits, labels, [(0, 1, True)], LossConfig())
     assert np.abs(grad).max() < 1e-12
 
 
@@ -285,12 +294,13 @@ def test_gradient_accumulates_over_duplicate_pairs():
     labels = np.array([0, 0, 1])
     cfg = LossConfig(sim_weight=1.0, dissim_weight=1.0)
 
-    both = loss_gradient(logits, labels, [(0, 1, True), (0, 2, False)], cfg)
-    only_sim = loss_gradient(logits, labels, [(0, 1, True)], cfg)
-    only_dis = loss_gradient(logits, labels, [(0, 2, False)], cfg)
+    both = logit_gradient(logits, labels, [(0, 1, True), (0, 2, False)], cfg)
+    only_sim = logit_gradient(logits, labels, [(0, 1, True)], cfg)
+    only_dis = logit_gradient(logits, labels, [(0, 2, False)], cfg)
 
     # remove the shared CE part once: grads are CE + pair contributions
-    ce_part = loss_gradient(logits, labels, [], LossConfig(sim_weight=0.0, dissim_weight=0.0))
+    ce_part = logit_gradient(logits, labels, [],
+                             LossConfig(sim_weight=0.0, dissim_weight=0.0))
     np.testing.assert_allclose(both - ce_part,
                                (only_sim - ce_part) + (only_dis - ce_part),
                                atol=1e-12)
@@ -299,8 +309,8 @@ def test_gradient_accumulates_over_duplicate_pairs():
 def test_gradient_hinge_inactive_pairs_contribute_nothing():
     p_sharp = np.array([[60.0, 0.0], [0.0, 60.0]])
     labels = np.array([0, 1])
-    with_pair = loss_gradient(p_sharp, labels, [(0, 1, False)], LossConfig(margin=1.0))
-    without = loss_gradient(p_sharp, labels, [], LossConfig(margin=1.0))
+    with_pair = logit_gradient(p_sharp, labels, [(0, 1, False)], LossConfig(margin=1.0))
+    without = logit_gradient(p_sharp, labels, [], LossConfig(margin=1.0))
     np.testing.assert_allclose(with_pair, without, atol=1e-15)
 
 
@@ -310,9 +320,10 @@ def test_negative_pair_index_is_rejected(pair):
     rng = np.random.default_rng(14)
     z = rng.normal(size=(4, 3))
     labels = np.array([0, 1, 2, 0])
-    for score in (total_loss, loss_gradient):
-        with pytest.raises(ValueError, match="pair index out of range for batch"):
-            score(z, labels, [pair], LossConfig())
+    with pytest.raises(ValueError, match="pair index out of range for batch"):
+        total_loss(z, labels, [pair], LossConfig())
+    with pytest.raises(ValueError, match="pair index out of range for batch"):
+        logit_gradient(z, labels, [pair], LossConfig())
     head = init_head("linear", 5, 0, 3, seed=0)
     with pytest.raises(ValueError, match="pair index out of range for batch"):
         backprop(head, rng.normal(size=(4, 5)), labels, [pair], LossConfig())

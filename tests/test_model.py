@@ -12,7 +12,6 @@ from mfid import (
     TrainConfig,
     backprop,
     embed,
-    forward,
     init_head,
     load_head,
     lr_schedule,
@@ -91,24 +90,23 @@ def test_linear_identity_weights_pass_through():
     head = init_head("linear", 3, 0, 3, seed=0)
     head.params["w"] = np.eye(3)
     head.params["b"] = np.zeros(3)
-    emb, z = forward(head, np.array([1.0, -2.0, 3.0]))
-    np.testing.assert_array_equal(z, [1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(emb, [1.0, -2.0, 3.0])
+    x = np.array([[1.0, -2.0, 3.0]])
+    np.testing.assert_array_equal(head_logits(head, x), x)
+    np.testing.assert_array_equal(embed(head, x), x)
 
 
 def test_mlp_all_negative_preactivations_zero_embedding():
     head = init_head("mlp1", 2, 3, 2, seed=0)
     head.params["w1"] = -np.ones((3, 2))
     head.params["b1"] = np.full(3, -1.0)
-    emb, _ = forward(head, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(emb, np.zeros(3))
+    np.testing.assert_array_equal(embed(head, np.array([[1.0, 1.0]])), np.zeros((1, 3)))
 
 
 def test_forward_matches_manual_matrix_product():
     rng = np.random.default_rng(3)
     head = init_head("mlp1", 5, 4, 3, seed=7)
     x = rng.normal(size=5)
-    emb, z = forward(head, x)
+    (emb,), (z,) = embed(head, x[None, :]), head_logits(head, x[None, :])
     hidden = np.maximum(head.params["w1"] @ x + head.params["b1"], 0.0)
     np.testing.assert_allclose(emb, hidden, atol=1e-12)
     np.testing.assert_allclose(z, head.params["w2"] @ hidden + head.params["b2"],
@@ -118,7 +116,7 @@ def test_forward_matches_manual_matrix_product():
 def test_forward_rejects_non_finite():
     head = init_head("linear", 2, 0, 2, seed=0)
     with pytest.raises(ValueError, match="finite"):
-        forward(head, np.array([1.0, np.inf]))
+        head_logits(head, np.array([[1.0, np.inf]]))
 
 
 def test_embed_rejects_non_finite_batch():
@@ -308,7 +306,7 @@ def test_train_separable_reaches_full_accuracy():
     (split,) = stratified_splits(ds, 1, 0.2, seed=0)
     cfg = TrainConfig(epochs=50, initial_lr=0.5, seed=0)
     model = train(ds, split, cfg)
-    acc = classification_accuracy(model, ds.features[split.test_indices],
+    acc = classification_accuracy(model.head, ds.features[split.test_indices],
                                   ds.labels[split.test_indices])
     assert acc == 1.0
 

@@ -1,0 +1,68 @@
+"""Checks over the package source: every export has a caller, no import is unused."""
+
+import ast
+import re
+from pathlib import Path
+
+import mfid
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(mfid.__file__).resolve().parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+# Exported names with no caller in the package or the acceptance suite, and why
+# they stay.
+UNCALLED_EXPORTS = {
+    "save_split": "the only writer of the train --split / eval --split-file format",
+}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced_names(tree):
+    """Names a module reads as code: variables and attributes, not strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def module_imports(tree):
+    """(bound name, line) of each module-level import, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def test_exports_are_documented_and_called():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"`([A-Za-z_]\w*)`", section)
+    assert "draw_pairs" in documented
+    assert [name for name in documented if not hasattr(mfid, name)] == []
+
+    exports = [name for name, _ in module_imports(parse(PACKAGE / "__init__.py"))]
+    assert "draw_pairs" in exports
+    called = set().union(*(referenced_names(parse(path)) for path in MODULES),
+                         referenced_names(parse(ROOT / "tests" / "test_acceptance.py")))
+    uncalled = {name for name in exports if name not in called}
+    assert uncalled == set(UNCALLED_EXPORTS)
+
+
+def test_no_unused_module_imports():
+    # __init__.py imports only to re-export; the test above checks those names.
+    unused = []
+    for path in MODULES:
+        tree = parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in module_imports(tree) if name not in read]
+    assert unused == []

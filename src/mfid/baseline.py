@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import LabelGroups
+
 DEFAULT_C_GRID = tuple(10.0 ** k for k in range(-5, 6))
 
 
@@ -231,11 +233,11 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with one label per row")
-    classes = np.unique(y)
-    n_classes = classes.size
+    groups = LabelGroups(y)
+    n_classes = groups.ids.size
     if n_classes < 2:
         raise ValueError("logistic regression needs at least two classes")
-    if not np.array_equal(classes, np.arange(n_classes)):
+    if not np.array_equal(groups.ids, np.arange(n_classes)):
         raise ValueError("labels must be dense integers in [0, K)")
     grid = sorted(float(c) for c in c_grid)
     if not grid or not all(c > 0.0 and 1.0 / c < math.inf for c in grid):
@@ -243,15 +245,9 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     if not 0.0 < validation_fraction < 1.0:
         raise ValueError("validation_fraction must be in (0, 1)")
 
-    rng = np.random.default_rng(seed)
-    holdout_parts = []
-    for cls in range(n_classes):
-        idx = np.flatnonzero(y == cls)
-        k = min(int(math.floor(idx.size * validation_fraction + 0.5)), idx.size - 1)
-        if k > 0:
-            holdout_parts.append(rng.choice(idx, size=k, replace=False))
-    holdout = (np.sort(np.concatenate(holdout_parts))
-               if holdout_parts else np.empty(0, dtype=np.int64))
+    sizes = np.minimum(np.floor(groups.counts * validation_fraction + 0.5).astype(np.int64),
+                       groups.counts - 1)
+    holdout = np.sort(groups.order[groups.draw(sizes, np.random.default_rng(seed))])
     fit_idx = np.setdiff1d(np.arange(x.shape[0]), holdout)
 
     record: dict[float, float] = {}

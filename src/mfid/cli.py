@@ -56,18 +56,17 @@ _TRAIN = {
     "sim_weight": 1.0, "dissim_weight": 1.0, "similar_fraction": 0.5,
     "momentum": 0.0,
 }
-_TRIAL = {"test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
-          "distractors": 6, "far": 0.01}
+_TRIAL = {"test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1, "far": 0.01}
+_OPEN_SET = {"distractors": 6, "distractor_mode": "fixed"}
 _RUN = {"seed": 0, "out": "out"}
 
 _DEFAULTS = {
     "synth": {**_SYNTH, **_RUN},
     "train": {"data": None, "split": None, "objective": "mfid", **_TRAIN, **_RUN},
     "eval": {"data": None, "model": None, "protocols": "closed,open,verif",
-             "splits": 5, **_TRIAL, "distractor_mode": "fixed", "split_file": None,
-             **_RUN},
+             "splits": 5, **_TRIAL, **_OPEN_SET, "split_file": None, **_RUN},
     "transfer": {"model": None, "data": None, "source_name": None, **_TRIAL,
-                 "distractor_mode": "fixed", **_RUN},
+                 **_OPEN_SET, **_RUN},
     "detmetrics": {"detections": None, "ground_truth": None, "iou_threshold": 0.5,
                    **_RUN},
     "ablate": {"data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
@@ -251,7 +250,7 @@ def _trial_config(options: dict, seed: int) -> TrialConfig:
                        distractor_identities=options["distractors"],
                        far_target=options["far"],
                        seed=seed,
-                       distractor_mode=options.get("distractor_mode", "fixed"))
+                       distractor_mode=options["distractor_mode"])
 
 
 _ROC_GRID = tuple(np.round(np.linspace(0.01, 1.0, 100), 10))
@@ -290,10 +289,9 @@ def cmd_eval(options: dict) -> None:
                                       options["seed"])
                     if "classification" in protocols else None)
 
-    def eval_split(i: int):
-        split_seed_stream, trial_stream = split_children[i].spawn(2)
-        trial_seed = _child_seed(trial_stream)
-        rows, cmc, roc_tars = [], None, None
+    rows, cmc_rates, roc_tars = [], [], []
+    for i, split_stream in enumerate(split_children):
+        split_seed_stream, trial_stream = split_stream.spawn(2)
         if disjoint_wanted:
             if provided is not None:
                 split = provided[i]
@@ -302,11 +300,11 @@ def cmd_eval(options: dict) -> None:
                                                 _child_seed(split_seed_stream))
             embeddings = embed(head, ds.features[split.test_indices])
             test_labels = ds.labels[split.test_indices]
-            cfg = _trial_config(options, trial_seed)
+            cfg = _trial_config(options, _child_seed(trial_stream))
             if "closed_set" in protocols:
                 report = closed_set_eval(embeddings, test_labels, cfg)
                 rows.append(("closed_set", i, report.mean, report.std, ""))
-                cmc = report.curve
+                cmc_rates.append([rate for _, rate in report.curve])
             if "open_set" in protocols:
                 report = open_set_eval(embeddings, test_labels, cfg)
                 mean_tau = float(np.mean(report.thresholds))
@@ -315,45 +313,33 @@ def cmd_eval(options: dict) -> None:
                 positives, negatives = verification_scores(embeddings, test_labels)
                 tar, tau = tar_at_far(positives, negatives, cfg.far_target)
                 rows.append(("verification", i, tar, 0.0, repr(tau)))
-                roc_tars = _accept_rates(positives,
-                                         far_thresholds(negatives, _ROC_GRID)).tolist()
+                roc_tars.append(_accept_rates(positives,
+                                              far_thresholds(negatives, _ROC_GRID)))
         if "classification" in protocols:
             split = strat_splits[i]
             accuracy = classification_accuracy(
                 head, ds.features[split.test_indices], ds.labels[split.test_indices])
             rows.append(("classification", i, accuracy, 0.0, ""))
-        return rows, cmc, roc_tars
 
-    results = [eval_split(i) for i in range(n_splits)]
     out = _out_dir(options)
     header = _header("eval", options)
-
-    metric_rows = []
-    by_protocol: dict[str, list[float]] = {}
-    for rows, _, _ in results:
-        for protocol, split_idx, mean, std, tau in rows:
-            metric_rows.append(f"{protocol},{split_idx},{mean!r},{std!r},{tau}")
-            by_protocol.setdefault(protocol, []).append(mean)
-    for protocol in sorted(by_protocol):
-        values = np.asarray(by_protocol[protocol])
+    metric_rows = [f"{protocol},{split_idx},{mean!r},{std!r},{tau}"
+                   for protocol, split_idx, mean, std, tau in rows]
+    for protocol in sorted({row[0] for row in rows}):
+        values = np.asarray([row[2] for row in rows if row[0] == protocol])
         metric_rows.append(
             f"{protocol},mean,{float(values.mean())!r},{float(values.std())!r},")
     _write_report(out / "metrics.csv", header,
                   "protocol,split,mean,std,threshold", metric_rows)
-
-    cmc_curves = [cmc for _, cmc, _ in results if cmc is not None]
-    if cmc_curves:
-        stacked = np.asarray([[point[1] for point in curve] for curve in cmc_curves])
-        averaged = stacked.mean(axis=0)
-        rows = [f"{rank + 1},{float(rate)!r}" for rank, rate in enumerate(averaged)]
-        _write_report(out / "cmc.csv", header, "rank,rate", rows)
-
-    roc_lists = [tars for _, _, tars in results if tars is not None]
-    if roc_lists:
-        averaged = np.asarray(roc_lists).mean(axis=0)
-        rows = [f"{float(far)!r},{float(tar)!r}"
-                for far, tar in zip(_ROC_GRID, averaged)]
-        _write_report(out / "roc.csv", header, "far,tar", rows)
+    if cmc_rates:
+        averaged = np.asarray(cmc_rates).mean(axis=0)
+        _write_report(out / "cmc.csv", header, "rank,rate",
+                      [f"{rank + 1},{float(rate)!r}" for rank, rate in enumerate(averaged)])
+    if roc_tars:
+        averaged = np.asarray(roc_tars).mean(axis=0)
+        _write_report(out / "roc.csv", header, "far,tar",
+                      [f"{float(far)!r},{float(tar)!r}"
+                       for far, tar in zip(_ROC_GRID, averaged)])
 
 
 def cmd_transfer(options: dict) -> None:
@@ -422,7 +408,11 @@ def cmd_ablate(options: dict) -> None:
         split = identity_disjoint_split(ds, options["test_fraction"],
                                         _child_seed(split_stream))
         train_seed = _child_seed(train_stream)
-        trial_cfg = _trial_config(options, _child_seed(trial_stream))
+        # Verification and the closed set only: no open-set fields.
+        trial_cfg = TrialConfig(trials=options["trials"],
+                                gallery_images_per_identity=options["gallery_per_identity"],
+                                far_target=options["far"],
+                                seed=_child_seed(trial_stream))
         test_labels = ds.labels[split.test_indices]
         metrics = []
         for arm in arms:
@@ -457,6 +447,8 @@ def cmd_ablate(options: dict) -> None:
 
 def cmd_baseline(options: dict) -> None:
     _require(options, "data")
+    if options["splits"] < 1:
+        raise ValueError("splits must be at least 1")
     ds = load_dataset(options["data"])
     grid = [float(v) for v in str(options["c_grid"]).split(",") if v.strip()]
     splits = stratified_splits(ds, options["splits"], options["test_fraction"],

@@ -12,6 +12,11 @@ Two file formats are supported; the file suffix chooses one:
 * A binary container (``.bin`` or ``.mfid``): magic ``MFID``, version u32,
   ``n`` u64, ``d`` u64, row-major little-endian float64 features, then u32
   label ids.
+
+Rows are grouped by identity in one place, :class:`LabelGroups` (the stable
+label order, and each group's label, start and count in it), which the
+splits, the baseline's holdout, the pair constraints and the evaluation
+protocols all share.  Its ``draw`` makes one ``rng.choice`` per group.
 """
 
 from __future__ import annotations
@@ -218,6 +223,35 @@ def _load_binary(path: Path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# identity groups
+
+
+class LabelGroups:
+    """The rows of a label sequence grouped by label.
+
+    ``order`` is the stable argsort of ``labels``, so each label's rows form
+    one run of it, in row order.  Group g has label ``ids[g]`` (ascending)
+    and occupies ``order[starts[g]:starts[g] + counts[g]]``.
+    """
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels)
+        self.order = np.argsort(self.labels, kind="stable")
+        self.ids, self.starts, self.counts = np.unique(
+            self.labels[self.order], return_index=True, return_counts=True)
+
+    def draw(self, sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Positions in ``order`` of ``sizes[g]`` distinct rows of each group g,
+        from one ``rng.choice(counts[g], size=sizes[g], replace=False)`` per
+        group with a positive size, in group order: the stream and rows of one
+        ``rng.choice(rows, ...)`` over each group's rows in row order."""
+        parts = [start + rng.choice(count, size=k, replace=False)
+                 for start, count, k in zip(self.starts.tolist(), self.counts.tolist(),
+                                            sizes.tolist()) if k > 0]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # splits
 
 
@@ -274,26 +308,19 @@ def stratified_splits(ds: Dataset, folds: int, test_fraction: float,
         raise ValueError("folds must be at least 1")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    lonely = np.flatnonzero(np.bincount(ds.labels, minlength=ds.n_identities) < 2)
+    groups = LabelGroups(ds.labels)
+    lonely = groups.ids[groups.counts < 2]
     if lonely.size:
         raise ValueError(
             f"identity {int(lonely[0])} has a single sample and cannot be stratified")
-    streams = np.random.SeedSequence(seed).spawn(folds)
-    return [_stratified_once(ds, test_fraction, seed, np.random.default_rng(s))
-            for s in streams]
-
-
-def _stratified_once(ds: Dataset, test_fraction: float, seed: int,
-                     rng: np.random.Generator) -> Split:
-    test_parts = []
-    for ident in range(ds.n_identities):
-        idx = np.flatnonzero(ds.labels == ident)
-        k = int(math.floor(idx.size * test_fraction + 0.5))
-        k = min(max(k, 1), idx.size - 1)
-        test_parts.append(rng.choice(idx, size=k, replace=False))
-    test = np.sort(np.concatenate(test_parts))
-    train = np.setdiff1d(np.arange(ds.n_samples), test)
-    return Split(train, test, STRATIFIED, seed)
+    sizes = np.clip(np.floor(groups.counts * test_fraction + 0.5).astype(np.int64),
+                    1, groups.counts - 1)
+    splits = []
+    for stream in np.random.SeedSequence(seed).spawn(folds):
+        test = groups.order[groups.draw(sizes, np.random.default_rng(stream))]
+        train = np.setdiff1d(np.arange(ds.n_samples), test)
+        splits.append(Split(train, test, STRATIFIED, seed))
+    return splits
 
 
 def identity_disjoint_split(ds: Dataset, identity_test_fraction: float, seed: int) -> Split:
@@ -386,18 +413,15 @@ class PairConstraints:
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a nonempty 1-D sequence")
         n = labels.size
-        # Stable sort: every label's rows form one run of slots, in row order.
-        order = np.argsort(labels, kind="stable")
-        ranked = labels[order]
-        first_slot = np.concatenate([[True], ranked[1:] != ranked[:-1]])
-        group = np.cumsum(first_slot) - 1
-        starts = np.flatnonzero(first_slot)
-        member = np.arange(n) - starts[group]
-        group_size = np.diff(np.append(starts, n))
+        # Every label's rows form one run of slots, in row order.
+        groups = LabelGroups(labels)
+        order = groups.order
+        group = np.repeat(np.arange(groups.ids.size), groups.counts)
+        member = np.arange(n) - groups.starts[group]
         slot = np.empty(n, dtype=np.int64)
         slot[order] = np.arange(n)
         same_after = np.empty(n, dtype=np.int64)
-        same_after[order] = group_size[group] - 1 - member
+        same_after[order] = groups.counts[group] - 1 - member
         other_after = (n - 1 - np.arange(n)) - same_after
         self.n_labels = n
         self._order = order

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, identity_disjoint_split
+from .dataset import Dataset, LabelGroups, identity_disjoint_split
 from .model import embed, logits
 
 
@@ -131,8 +131,8 @@ def identity_max_scores(scores: np.ndarray,
         (P, G_id) array of per-identity scores and the sorted identity ids
         forming its columns.
     """
-    order = np.argsort(gallery_labels, kind="stable")
-    ids, starts = np.unique(gallery_labels[order], return_index=True)
+    groups = LabelGroups(gallery_labels)
+    order, ids = groups.order, groups.ids
     if ids.size == order.size:  # one column per identity: pooling only permutes
         return scores[:, order], ids
     n_probes = scores.shape[0]
@@ -140,7 +140,7 @@ def identity_max_scores(scores: np.ndarray,
     block = max(1, _POOL_BLOCK_CELLS // max(1, order.size))
     for lo in range(0, n_probes, block):
         pooled[lo:lo + block] = np.maximum.reduceat(scores[lo:lo + block, order],
-                                                    starts, axis=1)
+                                                    groups.starts, axis=1)
     return pooled, ids
 
 
@@ -252,17 +252,13 @@ def roc_points(positive_scores, negative_scores) -> tuple[tuple[float, float], .
 # protocols
 
 
-class _TestIndex:
+class _TestIndex(LabelGroups):
     """One test split, prepared once for all of a protocol run's trials:
-    the unit rows, the stable label order, and each identity's start and
-    count in that order."""
+    its rows grouped by identity, and its unit rows."""
 
     def __init__(self, embeddings, labels):
-        self.labels = np.asarray(labels)
+        super().__init__(labels)
         self.unit = _unit_rows(embeddings)
-        self.order = np.argsort(self.labels, kind="stable")
-        self.identities, self.starts, self.counts = np.unique(
-            self.labels[self.order], return_index=True, return_counts=True)
 
     def scores(self, probe_rows, gallery_rows) -> np.ndarray:
         scores = self.unit[probe_rows] @ self.unit[gallery_rows].T
@@ -274,20 +270,16 @@ def _draw_gallery(index: _TestIndex, groups, per_identity: int,
                   rng: np.random.Generator):
     """Per identity group, draw gallery rows; the group's other rows become
     probes, in label order and ascending row within an identity."""
-    positions = []
-    for g in groups:
-        count = int(index.counts[g])
-        if count <= per_identity:
-            raise ValueError(
-                f"identity {int(index.identities[g])} has {count} samples; needs "
-                f"more than {per_identity} to field both gallery and probes")
-        # Same stream and values as drawing from the group's row indices.
-        positions.append(index.starts[g] + rng.choice(count, size=per_identity,
-                                                       replace=False))
-    positions = np.concatenate(positions)
-    member = np.zeros(index.identities.size, dtype=bool)
-    member[groups] = True
-    probe = np.repeat(member, index.counts)
+    short = groups[index.counts[groups] <= per_identity]
+    if short.size:
+        g = short[0]
+        raise ValueError(
+            f"identity {int(index.ids[g])} has {int(index.counts[g])} samples; needs "
+            f"more than {per_identity} to field both gallery and probes")
+    sizes = np.zeros(index.ids.size, dtype=np.int64)
+    sizes[groups] = per_identity
+    positions = index.draw(sizes, rng)
+    probe = np.repeat(sizes > 0, index.counts)
     probe[positions] = False
     return index.order[positions], index.order[probe]
 
@@ -295,12 +287,12 @@ def _draw_gallery(index: _TestIndex, groups, per_identity: int,
 def _closed_set_trial(index: _TestIndex, per_identity: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """One gallery draw; returns (per-rank probe counts, probe count)."""
-    groups = np.arange(index.identities.size)
+    groups = np.arange(index.ids.size)
     gallery_rows, probe_rows = _draw_gallery(index, groups, per_identity, rng)
     pooled, ids = identity_max_scores(index.scores(probe_rows, gallery_rows),
                                       index.labels[gallery_rows])
     ranks = probe_ranks(pooled, ids, index.labels[probe_rows])
-    counts = np.bincount(ranks, minlength=index.identities.size + 1)[1:]
+    counts = np.bincount(ranks, minlength=index.ids.size + 1)[1:]
     return counts, int(probe_rows.size)
 
 
@@ -308,7 +300,7 @@ def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     """Rank-1 rate over trials, with the trial-averaged CMC as the curve."""
     index = _TestIndex(embeddings, labels)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    n_ids = index.identities.size
+    n_ids = index.ids.size
     rank1 = []
     cmc_sum = np.zeros(n_ids)
     for stream in streams:
@@ -325,7 +317,7 @@ def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     """DIR at an FPIR of ``far_target`` over trials with probe-only
     distractor identities."""
     index = _TestIndex(embeddings, labels)
-    identities = index.identities
+    identities = index.ids
     if identities.size <= cfg.distractor_identities:
         raise ValueError(
             f"need more than {cfg.distractor_identities} identities for an "
@@ -370,21 +362,20 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
     self excluded) and one negative per other identity (max similarity into
     that identity), i.e. K-1 negatives per sample.
     """
-    labels = np.asarray(labels)
-    identities, counts = np.unique(labels, return_counts=True)
-    lonely = identities[counts < 2]
+    index = _TestIndex(embeddings, labels)
+    lonely = index.ids[index.counts < 2]
     if lonely.size:
         raise ValueError(f"identity {int(lonely[0])} has a single sample; "
                          "verification needs at least two per identity")
-    e = _unit_rows(embeddings)
-    sims = e @ e.T  # the one n x n array: clipped in place, pooled by row blocks
+    # The one n x n array (one SYRK call): clipped in place, pooled by row blocks.
+    sims = index.unit @ index.unit.T
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
-    per_identity, _ = identity_max_scores(sims, labels)
-    own_col = np.searchsorted(identities, labels)
-    rows = np.arange(labels.size)
+    per_identity, _ = identity_max_scores(sims, index.labels)
+    own_col = np.searchsorted(index.ids, index.labels)
+    rows = np.arange(index.labels.size)
     positives = per_identity[rows, own_col]
-    other = np.arange(identities.size)[None, :] != own_col[:, None]
+    other = np.arange(index.ids.size)[None, :] != own_col[:, None]
     negatives = per_identity[other]
     return positives, negatives
 

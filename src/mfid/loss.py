@@ -11,11 +11,16 @@ demand at least ``margin`` nats of divergence in each direction:
 All logarithms are natural; probabilities inside logs are clamped at
 ``epsilon``, and zero-probability terms of KL contribute exactly zero.
 Gradients are analytic, with hinge and clamp kinks assigned subgradient 0.
+
+Pair batches have one layout: the similar pairs first, then the dissimilar
+ones, with the two counts (a :class:`_PairLayout`).  The pair terms work on
+the slices ``[:n_similar]`` and ``[n_similar:]``; the ``(a, b, similar)``
+triples of :func:`total_loss` are stable-sorted into that order, which keeps
+each kind's pairs in their given order.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,15 +123,13 @@ def _kl_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(p > 0.0, p * log_ratio, 0.0).sum(axis=1)
 
 
-def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first indices, second indices, similar mask) of (a, b, similar) triples."""
+def _pair_arrays(pairs) -> tuple[np.ndarray, int]:
+    """The (P, 2) row indices of (a, b, similar) triples, stable-sorted so the
+    similar pairs come first, and the similar count."""
     triples = list(pairs)
-    if not triples:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=bool)
-    a, b, sim = zip(*triples)
-    return (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-            np.asarray(sim, dtype=bool))
+    similar = np.array([t[2] for t in triples], dtype=bool)
+    rows = np.array([t[:2] for t in triples], dtype=np.int64).reshape(-1, 2)
+    return rows[np.argsort(~similar, kind="stable")], int(similar.sum())
 
 
 def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
@@ -142,43 +145,43 @@ def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
         raise ValueError(f"expected {batch} labels, got shape {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError("label out of range for logit width")
-    first, second, sim_mask = _pair_arrays(pairs)
-    if first.size and (min(first.min(), second.min()) < 0
-                       or max(first.max(), second.max()) >= batch):
+    rows, n_similar = _pair_arrays(pairs)
+    if rows.size and (rows.min() < 0 or rows.max() >= batch):
         raise ValueError("pair index out of range for batch")
 
     probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad)
-    layout = _pair_layout(sim_mask, cfg)
+    layout = _pair_layout(n_similar, len(rows) - n_similar, cfg)
     sim_term = dissim_term = 0.0
-    if sim_mask.size:
-        pair_probs = probs[np.column_stack([first, second])]
+    if rows.size:
+        pair_probs = probs[rows]
         sim_term, dissim_term, pair_grad = _pair_terms(
             pair_probs, np.log(np.maximum(pair_probs, cfg.epsilon)), layout, cfg,
             want_grad)
         if want_grad:
             # Indices may repeat, so contributions are accumulated unbuffered,
             # similar pairs before dissimilar ones.
-            for mask in (layout.similar, layout.dissimilar):
-                np.add.at(grad, first[mask], pair_grad[mask, 0])
-                np.add.at(grad, second[mask], pair_grad[mask, 1])
+            for kind in (slice(None, n_similar), slice(n_similar, None)):
+                np.add.at(grad, rows[kind, 0], pair_grad[kind, 0])
+                np.add.at(grad, rows[kind, 1], pair_grad[kind, 1])
     return _report(cfg, ce_term, sim_term, dissim_term, layout), grad
 
 
-def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, similar: np.ndarray,
+def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, layout: _PairLayout,
                             cfg: LossConfig) -> tuple[LossReport, np.ndarray]:
     """Loss report and d(total)/d(logits) for the batch layout ``train`` draws.
 
-    Pair k is rows 2k and 2k + 1, and ``similar[k]`` is its kind; an empty
-    ``similar`` leaves cross-entropy alone.  Every row belongs to at most
-    one pair, so the pair gradient is added to the rows directly, with the
-    same bits as :func:`_loss_and_grad` on the triples
-    ``(2k, 2k + 1, similar[k])``.  Inputs are not validated.
+    Pair k is rows 2k and 2k + 1; the first ``layout.n_similar`` pairs are
+    similar and the next ``layout.n_dissimilar`` dissimilar.  A layout of no
+    pairs leaves cross-entropy alone.  Every row belongs to at most one
+    pair, so the pair gradient is added to the rows directly, with the same
+    bits as :func:`_loss_and_grad` on the triples ``(2k, 2k + 1, k <
+    n_similar)``.  Inputs are not validated.
     """
     probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad=True)
-    layout = _cached_pair_layout(similar.tobytes(), cfg)
+    n_pairs = layout.n_similar + layout.n_dissimilar
     sim_term = dissim_term = 0.0
-    if similar.size:
-        pairs = probs.reshape(similar.size, 2, -1)
+    if n_pairs:
+        pairs = probs.reshape(n_pairs, 2, -1)
         sim_term, dissim_term, pair_grad = _pair_terms(
             pairs, np.log(np.maximum(pairs, cfg.epsilon)), layout, cfg, want_grad=True)
         grad += pair_grad.reshape(grad.shape)
@@ -202,47 +205,34 @@ def _ce_terms(z: np.ndarray, y: np.ndarray, cfg: LossConfig, want_grad: bool):
 
 
 class _PairLayout(NamedTuple):
-    """What the pair terms of a batch take from its pair kinds and weights."""
+    """A pair batch's kinds and weights: its first ``n_similar`` pairs are
+    similar and the other ``n_dissimilar`` dissimilar; each kind's gradient
+    is scaled by its term weight over its count."""
 
     n_similar: int
     n_dissimilar: int
-    similar: np.ndarray     # (P,) bool
-    dissimilar: np.ndarray  # (P,) bool
-    sign: np.ndarray        # (P, 1): +1 pulls a similar pair, -1 pushes a dissimilar one
-    weight: np.ndarray      # (P, 1, 1): the pair's term weight over its kind's count
+    sim_scale: float
+    dissim_scale: float
 
 
-def _pair_layout(similar: np.ndarray, cfg: LossConfig) -> _PairLayout:
-    n_similar = int(similar.sum())
-    n_dissimilar = similar.size - n_similar
-    weight = np.where(similar, cfg.sim_weight / max(n_similar, 1),
-                      cfg.dissim_weight / max(n_dissimilar, 1))
-    return _PairLayout(n_similar, n_dissimilar, similar, ~similar,
-                       np.where(similar, 1.0, -1.0)[:, None], weight[:, None, None])
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_pair_layout(kinds: bytes, cfg: LossConfig) -> _PairLayout:
-    """:func:`_pair_layout` of the bool mask ``kinds``, built once per
-    training run rather than once per step.  Its arrays are shared, so they
-    are read-only."""
-    layout = _pair_layout(np.frombuffer(kinds, dtype=bool), cfg)
-    for array in (layout.dissimilar, layout.sign, layout.weight):
-        array.flags.writeable = False
-    return layout
+def _pair_layout(n_similar: int, n_dissimilar: int, cfg: LossConfig) -> _PairLayout:
+    return _PairLayout(n_similar, n_dissimilar, cfg.sim_weight / max(n_similar, 1),
+                       cfg.dissim_weight / max(n_dissimilar, 1))
 
 
 def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
                 cfg: LossConfig, want_grad: bool):
-    """Both pair terms in one masked pass over the pairs.
+    """Both pair terms in one pass over the pairs.
 
     ``probs[k]`` holds pair k's two softmax rows (pa, pb), and ``log_probs``
-    their logs clamped at epsilon, both of shape (P, 2, K).  Similar pairs
-    are scored by the symmetric KL, the others by the two-sided hinge.
-    Returns the mean similar term, the mean dissimilar term, and the
-    weighted gradient of those terms with respect to every row's logits,
-    shaped like ``probs`` (None without ``want_grad``).
+    their logs clamped at epsilon, both of shape (P, 2, K), the similar
+    pairs first as ``layout`` counts them.  Similar pairs are scored by the
+    symmetric KL, the others by the two-sided hinge.  Returns the mean
+    similar term, the mean dissimilar term, and the weighted gradient of
+    those terms with respect to every row's logits, shaped like ``probs``
+    (None without ``want_grad``).
     """
+    similar, dissimilar = slice(None, layout.n_similar), slice(layout.n_similar, None)
     # ratio[k] holds log(pa / pb) and then log(pb / pa), so one masked pass
     # gives kl[k] = (KL(pa || pb), KL(pb || pa)), each row summed on its own.
     ratio = np.empty_like(log_probs)
@@ -251,11 +241,11 @@ def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
     kl = np.where(probs > 0.0, probs * ratio, 0.0).sum(axis=2)
     # Means as sum / count: np.mean's own reduction and division, without its
     # per-call overhead.
-    sim_term = (float((kl[:, 0] + kl[:, 1])[layout.similar].sum()) / layout.n_similar
+    sim_term = (float((kl[similar, 0] + kl[similar, 1]).sum()) / layout.n_similar
                 if layout.n_similar else 0.0)
-    hinges = np.maximum(0.0, cfg.margin - kl)
-    dissim_term = (float((hinges[:, 0] + hinges[:, 1])[layout.dissimilar].sum())
-                   / layout.n_dissimilar if layout.n_dissimilar else 0.0)
+    hinges = np.maximum(0.0, cfg.margin - kl[dissimilar])
+    dissim_term = (float((hinges[:, 0] + hinges[:, 1]).sum()) / layout.n_dissimilar
+                   if layout.n_dissimilar else 0.0)
     if not want_grad:
         return sim_term, dissim_term, None
     # Similar pairs pull both divergences down.  A dissimilar hinge pushes its
@@ -263,7 +253,9 @@ def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
     # subgradient is taken as zero.  The factors +1, -1 and -0.0 give exactly
     # the bits of d_klab + d_klba (similar) and of
     # -(active_ab * d_klab) - (active_ba * d_klba) (dissimilar).
-    signs = (layout.sign * (layout.similar[:, None] | (kl < cfg.margin)))[:, :, None]
+    signs = np.ones_like(kl)
+    np.multiply(-1.0, kl[dissimilar] < cfg.margin, out=signs[dissimilar])
+    signs = signs[:, :, None]
     # A row's own divergence, KL(p || partner), has d/dz = p * (log(p /
     # partner) - KL); its partner's, KL(partner || p), has d/dz = p - partner.
     grad = ratio
@@ -273,7 +265,8 @@ def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
     cross = probs - probs[:, ::-1]
     cross *= signs[:, ::-1]
     grad += cross
-    grad *= layout.weight
+    grad[similar] *= layout.sim_scale
+    grad[dissimilar] *= layout.dissim_scale
     return sim_term, dissim_term, grad
 
 

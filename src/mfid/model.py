@@ -27,7 +27,8 @@ from .dataset import (
     draw_pairs,
     pair_batch_counts,
 )
-from .loss import LossConfig, LossReport, _adjacent_loss_and_grad, _loss_and_grad
+from .loss import (LossConfig, LossReport, _PairLayout, _adjacent_loss_and_grad,
+                   _loss_and_grad, _pair_layout)
 
 CHECKPOINT_MAGIC = b"MFHD"
 CHECKPOINT_VERSION = 1
@@ -128,16 +129,17 @@ def backprop(head: EmbeddingHead, x, labels, pairs,
 
 
 def _adjacent_backprop(head: EmbeddingHead, x: np.ndarray, labels: np.ndarray,
-                       similar: np.ndarray,
+                       layout: _PairLayout,
                        loss_cfg: LossConfig) -> tuple[LossReport, dict[str, np.ndarray]]:
     """:func:`backprop` on the batch layout ``train`` gathers, bit for bit.
 
-    Pair k is rows 2k and 2k + 1 and ``similar[k]`` is its kind; an empty
-    ``similar`` is a plain cross-entropy batch.  ``x`` must be a float64
-    array already checked for finite values.
+    Pair k is rows 2k and 2k + 1, similar pairs first: ``layout.n_similar``
+    similar pairs, then ``layout.n_dissimilar`` dissimilar ones.  A layout of
+    no pairs is a plain cross-entropy batch.  ``x`` must be a float64 array
+    already checked for finite values.
     """
     hidden, pre, z = _forward_rows(head, x)
-    report, g = _adjacent_loss_and_grad(z, labels, similar, loss_cfg)
+    report, g = _adjacent_loss_and_grad(z, labels, layout, loss_cfg)
     return report, _param_grads(head, x, hidden, pre, g)
 
 
@@ -265,10 +267,10 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
         constraints = build_pair_constraints(y)
         n_similar, n_dissimilar = pair_batch_counts(constraints, cfg.batch_pairs,
                                                     cfg.similar_fraction)
-        # Rows 2k and 2k + 1 of the gathered batch are the k-th pair's images.
-        similar = np.arange(cfg.batch_pairs) < n_similar
     else:
-        similar = np.zeros(0, dtype=bool)
+        n_similar = n_dissimilar = 0
+    # Rows 2k and 2k + 1 of the gathered batch are the k-th pair's images.
+    layout = _pair_layout(n_similar, n_dissimilar, cfg.loss)
     # The head is private to this call until it returns, so its parameters
     # (and the velocity) are updated in place.
     params = head.params
@@ -286,7 +288,7 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
                                            replace=False) for _ in range(steps)])
         ce_sum = sim_sum = dissim_sum = 0.0
         for step, rows in enumerate(batches):
-            report, grads = _adjacent_backprop(head, x[rows], y[rows], similar, cfg.loss)
+            report, grads = _adjacent_backprop(head, x[rows], y[rows], layout, cfg.loss)
             if not math.isfinite(report.total):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, step {step}")
             if velocity is not None:

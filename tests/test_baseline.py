@@ -197,6 +197,40 @@ def test_logreg_fit_starts_each_c_from_the_previous_solution(monkeypatch):
     assert calls[3][2][0] is chosen[0] and calls[3][2][1] is chosen[1]
 
 
+def reference_holdout(y, validation_fraction, seed):
+    """logreg_fit's per-class holdout loop before the label-group index."""
+    rng = np.random.default_rng(seed)
+    holdout_parts = []
+    for cls in range(y.max() + 1):
+        idx = np.flatnonzero(y == cls)
+        k = min(int(math.floor(idx.size * validation_fraction + 0.5)), idx.size - 1)
+        if k > 0:
+            holdout_parts.append(rng.choice(idx, size=k, replace=False))
+    return (np.sort(np.concatenate(holdout_parts))
+            if holdout_parts else np.empty(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("validation_fraction", [0.05, 0.2, 0.5])
+def test_logreg_holdout_matches_per_class_loop(monkeypatch, validation_fraction):
+    # Shuffled rows, 1 to 6 per class: at 0.2 and 0.5 some classes' holdouts
+    # round to 0 and draw nothing, and at 0.05 all of them do.
+    rng = np.random.default_rng(23)
+    y = rng.permutation(np.repeat(np.arange(8), rng.integers(1, 7, size=8)))
+    x = rng.normal(size=(y.size, 3))
+    solve, fit_rows = mfid.baseline._logreg_solve, []
+
+    def recorded(x_fit, y_fit, *args, **kwargs):
+        fit_rows.append(x_fit)
+        return solve(x_fit, y_fit, *args, **kwargs)
+
+    monkeypatch.setattr(mfid.baseline, "_logreg_solve", recorded)
+    logreg_fit(x, y, c_grid=[1.0], validation_fraction=validation_fraction, seed=9)
+    holdout = reference_holdout(y, validation_fraction, 9)
+    assert (holdout.size == 0) == (validation_fraction == 0.05)
+    np.testing.assert_array_equal(fit_rows[0],
+                                  x[np.setdiff1d(np.arange(y.size), holdout)])
+
+
 def test_logreg_skips_non_converging_c():
     rng = np.random.default_rng(90)
     x = rng.normal(size=(40, 3))

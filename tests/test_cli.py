@@ -415,7 +415,7 @@ def test_ablate_paired_rows_and_summary(tmp_path):
     assert run_cli("ablate", "--seeds", "10", "--identities", "8",
                    "--per-id", "8", "--dim", "8", "--sigma", "0.05",
                    "--epochs", "3", "--lr", "0.2", "--test-fraction", "0.5",
-                   "--trials", "10", "--distractors", "1", "--seed", "2",
+                   "--trials", "10", "--seed", "2",
                    "--out", str(tmp_path)) == 0
     rows = read_rows(tmp_path / "ablation.csv")
     paired = [r for r in rows if not r.startswith("summary")]
@@ -428,7 +428,7 @@ def test_ablate_identical_objectives_tie(tmp_path):
     assert run_cli("ablate", "--objectives", "mfid,mfid", "--seeds", "4",
                    "--identities", "6", "--per-id", "6", "--dim", "6",
                    "--sigma", "0.1", "--epochs", "2", "--test-fraction", "0.5",
-                   "--trials", "5", "--distractors", "1", "--seed", "3",
+                   "--trials", "5", "--seed", "3",
                    "--out", str(tmp_path)) == 0
     rows = read_rows(tmp_path / "ablation.csv")
     for row in rows:
@@ -445,7 +445,7 @@ def test_ablate_separable_mfid_at_least_ce(tmp_path):
     assert run_cli("ablate", "--seeds", "10", "--identities", "8",
                    "--per-id", "8", "--dim", "16", "--sigma", "0.01",
                    "--epochs", "5", "--lr", "0.2", "--test-fraction", "0.5",
-                   "--trials", "10", "--distractors", "1", "--seed", "12",
+                   "--trials", "10", "--seed", "12",
                    "--out", str(tmp_path)) == 0
     at_least = 0
     for row in read_rows(tmp_path / "ablation.csv"):
@@ -459,8 +459,7 @@ def test_ablate_separable_mfid_at_least_ce(tmp_path):
 
 _SMALL_ABLATE = ("ablate", "--seeds", "3", "--identities", "6", "--per-id", "6",
                  "--dim", "6", "--sigma", "0.1", "--epochs", "2",
-                 "--test-fraction", "0.5", "--trials", "5", "--distractors", "1",
-                 "--seed", "5")
+                 "--test-fraction", "0.5", "--trials", "5", "--seed", "5")
 
 
 def test_ablate_jobs_matches_sequential(tmp_path):
@@ -509,6 +508,14 @@ def test_ablate_requires_two_objectives(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # baseline
+
+
+def test_baseline_rejects_zero_splits(tmp_path, capsys):
+    # the split count is checked before the data file is read
+    assert run_cli("baseline", "--splits", "0", "--data", str(tmp_path / "missing.bin"),
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: splits must be at least 1"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_baseline_command(synth_dir, tmp_path):
@@ -588,23 +595,23 @@ PINNED_OPTIONS = {
     "eval": ("d9c335c23854e0ac", {
         "data": None, "model": None, "protocols": "closed,open,verif", "splits": 5,
         "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
-        "distractors": 6, "far": 0.01, "distractor_mode": "fixed",
+        "far": 0.01, "distractors": 6, "distractor_mode": "fixed",
         "split_file": None, "seed": 0, "out": "out"}),
     "transfer": ("248c2b7ac6ae8485", {
         "model": None, "data": None, "source_name": None, "test_fraction": 0.2,
-        "trials": 100, "gallery_per_identity": 1, "distractors": 6, "far": 0.01,
+        "trials": 100, "gallery_per_identity": 1, "far": 0.01, "distractors": 6,
         "distractor_mode": "fixed", "seed": 0, "out": "out"}),
     "detmetrics": ("13a05c2c3349c307", {
         "detections": None, "ground_truth": None, "iou_threshold": 0.5,
         "seed": 0, "out": "out"}),
-    "ablate": ("8d8cf675bf4d97b1", {
+    "ablate": ("25d89e21fb497452", {
         "data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
         "identities": 20, "per_id": 50, "dim": 64, "center_scale": 1.0,
         "sigma": 0.3, "architecture": "mlp1", "embed_dim": 32, "epochs": 50,
         "batch_pairs": 16, "lr": 0.001, "decay_factor": 0.1, "decay_every": 20,
         "margin": 1.0, "sim_weight": 1.0, "dissim_weight": 1.0,
         "similar_fraction": 0.5, "momentum": 0.0, "test_fraction": 0.2,
-        "trials": 100, "gallery_per_identity": 1, "distractors": 6, "far": 0.01,
+        "trials": 100, "gallery_per_identity": 1, "far": 0.01,
         "seed": 0, "out": "out", "jobs": 1}),
     "baseline": ("87c3e88f3a48c5e2", {
         "data": None, "splits": 5, "test_fraction": 0.2, "energy": 0.99,
@@ -770,10 +777,12 @@ def test_baseline_output_is_pinned(tmp_path, synth):
 # README session's dataset, and of ablation.csv from a small ablate,
 # recorded before train drew each epoch's pairs at once (same platform as
 # above).  The pair-KL run is the README's; the linear run adds momentum and
-# a batch of similar pairs only; ablate trains both objectives.
+# a batch of similar pairs only; ablate trains both objectives.  The
+# ablation.csv digest was re-recorded when ablate lost --distractors, which
+# changed only its header's config hash.
 TRAINING_DIGESTS = {
     "ablate/ablation.csv":
-        "d1b22314dc3765fa76c21d416c301631078f3a5ccd8b032d09b19b7961c70336",
+        "5aeb54db0f6edc39d685bf57f54f5b05d70c3c2a06edbd126cfd3dd6a4225a43",
     "linear/loss_history.csv":
         "e2da302775453e529da6950e72efb0b99a26e9183ab3156bd32acdbd7f896e31",
     "linear/model.mfhd":

@@ -265,6 +265,35 @@ def test_stratified_both_sides_nonempty_per_identity():
             assert np.unique(ds.labels[side]).size == 4
 
 
+def reference_stratified_test_side(labels, test_fraction, rng):
+    """The per-identity loop stratified splits were drawn with before the
+    label-group index: one rng.choice over each identity's rows, in id order."""
+    test_parts = []
+    for ident in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == ident)
+        k = int(math.floor(idx.size * test_fraction + 0.5))
+        k = min(max(k, 1), idx.size - 1)
+        test_parts.append(rng.choice(idx, size=k, replace=False))
+    return np.sort(np.concatenate(test_parts))
+
+
+@pytest.mark.parametrize("test_fraction", [0.05, 0.2, 0.5, 0.95])
+def test_stratified_matches_per_identity_loop(test_fraction):
+    # Shuffled rows, 2 to 9 per identity: at 0.05 every test side rounds to
+    # 0 and is raised to 1; at 0.95 every one rounds to all rows and is cut
+    # to all but one.
+    rng = np.random.default_rng(17)
+    labels = rng.permutation(np.repeat(np.arange(12), rng.integers(2, 10, size=12)))
+    ds = Dataset(np.zeros((labels.size, 1)), labels)
+    splits = stratified_splits(ds, 3, test_fraction, seed=4)
+    for split, stream in zip(splits, np.random.SeedSequence(4).spawn(3)):
+        want = reference_stratified_test_side(labels, test_fraction,
+                                              np.random.default_rng(stream))
+        np.testing.assert_array_equal(split.test_indices, want)
+        np.testing.assert_array_equal(split.train_indices,
+                                      np.setdiff1d(np.arange(labels.size), want))
+
+
 def test_stratified_rejects_singleton_identity():
     ds = Dataset(np.zeros((3, 2)), [0, 0, 1])
     with pytest.raises(ValueError, match="identity 1"):
@@ -626,9 +655,10 @@ def test_train_gathers_each_pair_into_adjacent_rows(monkeypatch):
     seen = []
     real_step = mfid.model._adjacent_backprop
 
-    def recording_step(head, x, labels, similar, loss_cfg):
-        seen.append((np.asarray(labels), np.asarray(similar)))
-        return real_step(head, x, labels, similar, loss_cfg)
+    def recording_step(head, x, labels, layout, loss_cfg):
+        kinds = np.arange(layout.n_similar + layout.n_dissimilar) < layout.n_similar
+        seen.append((np.asarray(labels), kinds))
+        return real_step(head, x, labels, layout, loss_cfg)
 
     monkeypatch.setattr(mfid.model, "_adjacent_backprop", recording_step)
     train(ds, split, TrainConfig(epochs=2, batch_pairs=4, seed=2, embed_dim=3))

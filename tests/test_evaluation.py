@@ -926,11 +926,11 @@ def test_draw_gallery_matches_per_identity_loop(seed, per_identity):
     rng = np.random.default_rng(300 + seed)
     emb, labels = shuffled_uneven_embeddings(rng)
     index = mfid.evaluation._TestIndex(emb, labels)
-    for groups in (np.arange(index.identities.size), np.array([0, 2, 3, 7])):
+    for groups in (np.arange(index.ids.size), np.array([0, 2, 3, 7])):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         gallery, probes = mfid.evaluation._draw_gallery(index, groups, per_identity, ours)
         ref_gallery, ref_probes = reference_draw_gallery(
-            labels, index.identities[groups], per_identity, theirs)
+            labels, index.ids[groups], per_identity, theirs)
         np.testing.assert_array_equal(gallery, ref_gallery)
         np.testing.assert_array_equal(probes, ref_probes)
         assert ours.random() == theirs.random()  # the same stream was used

@@ -306,6 +306,34 @@ def test_gradient_accumulates_over_duplicate_pairs():
                                atol=1e-12)
 
 
+def test_pair_kinds_in_any_order_give_the_bits_of_similar_first():
+    # Interleaved kinds, a row in several pairs and a repeated pair: the
+    # objective, its logit gradient and the parameter gradients keep the bits
+    # of the same triples listed similar-first.  One dissimilar pair's hinge
+    # is active in one direction only, so both -1 and -0.0 factors occur.
+    rng = np.random.default_rng(12)
+    x = rng.normal(scale=3.0, size=(6, 3))
+    labels = np.array([0, 1, 0, 2, 1, 2])
+    head = init_head("mlp1", 3, 4, 3, seed=5)
+    interleaved = [(0, 1, False), (0, 2, True), (3, 0, False), (1, 4, True),
+                   (2, 0, True), (5, 3, True), (4, 0, False), (1, 4, True)]
+    similar_first = ([t for t in interleaved if t[2]]
+                     + [t for t in interleaved if not t[2]])
+    cfg = LossConfig(margin=1.0, sim_weight=0.7, dissim_weight=1.3)
+    z = x @ rng.normal(size=(3, 3))
+    reports, grads = [], []
+    for pairs in (interleaved, similar_first):
+        report, grad = _loss_and_grad(z, labels, pairs, cfg, want_grad=True)
+        assert total_loss(z, labels, pairs, cfg) == report
+        head_report, head_grads = backprop(head, x, labels, pairs, cfg)
+        reports.append((report, head_report))
+        grads.append([grad.tobytes()] + [head_grads[name].tobytes()
+                                         for name in sorted(head_grads)])
+    assert reports[0] == reports[1]
+    assert (reports[0][0].n_similar, reports[0][0].n_dissimilar) == (5, 3)
+    assert grads[0] == grads[1]
+
+
 def test_gradient_hinge_inactive_pairs_contribute_nothing():
     p_sharp = np.array([[60.0, 0.0], [0.0, 60.0]])
     labels = np.array([0, 1])

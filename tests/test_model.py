@@ -478,9 +478,10 @@ def test_train_steps_on_the_rows_single_draws_give(monkeypatch, objective,
     seen = []
     real_step = mfid.model._adjacent_backprop
 
-    def recording_step(head, x, labels, similar, loss_cfg):
-        seen.append((x[:, 0].astype(np.int64), labels, similar))
-        return real_step(head, x, labels, similar, loss_cfg)
+    def recording_step(head, x, labels, layout, loss_cfg):
+        seen.append((x[:, 0].astype(np.int64), labels, layout.n_similar,
+                     layout.n_dissimilar))
+        return real_step(head, x, labels, layout, loss_cfg)
 
     monkeypatch.setattr(mfid.model, "_adjacent_backprop", recording_step)
     train(ds, split, cfg)
@@ -497,9 +498,10 @@ def test_train_steps_on_the_rows_single_draws_give(monkeypatch, objective,
         else:
             expected.append(rng.choice(ds.n_samples, size=10, replace=False))
     assert len(seen) == len(expected) == 3 * 5
-    for (rows, labels, similar), want in zip(seen, expected):
+    for (rows, labels, layout_similar, layout_dissimilar), want in zip(seen, expected):
         np.testing.assert_array_equal(rows, want)
         np.testing.assert_array_equal(labels, ds.labels[want])
+        similar = np.arange(layout_similar + layout_dissimilar) < layout_similar
         if objective == "mfid":
             # pair k is rows 2k and 2k + 1, the similar pairs first
             np.testing.assert_array_equal(similar, np.arange(5) < n_similar)

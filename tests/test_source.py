@@ -1,4 +1,5 @@
-"""Checks over the package source: every export has a caller, no import is unused."""
+"""Checks over the package source: every export has a caller, every module-level
+function and class is used, and no import is unused."""
 
 import ast
 import re
@@ -66,3 +67,16 @@ def test_no_unused_module_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in module_imports(tree) if name not in read]
     assert unused == []
+
+
+def test_module_level_definitions_are_used():
+    # A function or class that no package module reads and __init__ does not
+    # export is an orphan: its last caller went away and it stayed behind.
+    exports = {name for name, _ in module_imports(parse(PACKAGE / "__init__.py"))}
+    trees = {path.name: parse(path) for path in MODULES}
+    read = set().union(*(referenced_names(tree) for tree in trees.values()))
+    orphans = [f"{module}:{node.lineno}: {node.name}"
+               for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name not in read and node.name not in exports]
+    assert orphans == []

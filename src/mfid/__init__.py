@@ -58,7 +58,6 @@ from .evaluation import (
     probe_ranks,
     roc_points,
     tar_at_far,
-    transfer_eval,
     verification_eval,
     verification_scores,
 )

@@ -35,17 +35,13 @@ from .detection import _read_boxes, _score_boxes
 from .evaluation import (
     TrialConfig,
     _accept_rates,
+    _score_split,
     classification_accuracy,
-    closed_set_eval,
     far_thresholds,
-    open_set_eval,
-    tar_at_far,
-    transfer_eval,
-    verification_eval,
-    verification_scores,
+    roc_points,
 )
 from .loss import LOSS_CSV_HEADER, LossConfig
-from .model import TrainConfig, embed, load_head, save_head, train
+from .model import TrainConfig, load_head, save_head, train
 
 # Option groups shared by the commands that make data, train a head, score
 # trials, or write outputs.
@@ -162,6 +158,12 @@ def _require(options: dict, *keys: str) -> None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
 
 
+def _metric_line(protocol: str, key, value: float, std: float, threshold) -> str:
+    """One ``protocol,<key>,mean,std,threshold`` row; no threshold prints empty."""
+    tau = "" if threshold is None else repr(threshold)
+    return f"{protocol},{key},{value!r},{std!r},{tau}"
+
+
 # The work of the running _map_indexed call.  Forked workers inherit it with
 # the data its closure holds, so only indices and results are pickled.
 _FORKED_WORK = None
@@ -253,6 +255,16 @@ def _trial_config(options: dict, seed: int) -> TrialConfig:
                        distractor_mode=options["distractor_mode"])
 
 
+def _head_and_data(options: dict):
+    """The model and the dataset a scoring command reads, checked to fit."""
+    ds = load_dataset(options["data"])
+    head = load_head(options["model"])
+    if ds.dim != head.input_dim:
+        raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
+                         f"{head.input_dim}")
+    return head, ds
+
+
 _ROC_GRID = tuple(np.round(np.linspace(0.01, 1.0, 100), 10))
 
 
@@ -274,12 +286,7 @@ def cmd_eval(options: dict) -> None:
         n_splits = len(stems)
     if n_splits < 1:
         raise ValueError("splits must be at least 1")
-    ds = load_dataset(options["data"])
-    head = load_head(options["model"])
-    if ds.dim != head.input_dim:
-        raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
-                         f"{head.input_dim}")
-
+    head, ds = _head_and_data(options)
     provided = (None if stems is None
                 else [load_split(stem, ds.n_samples) for stem in stems])
     split_children = np.random.SeedSequence(options["seed"]).spawn(n_splits)
@@ -298,37 +305,28 @@ def cmd_eval(options: dict) -> None:
             else:
                 split = identity_disjoint_split(ds, options["test_fraction"],
                                                 _child_seed(split_seed_stream))
-            embeddings = embed(head, ds.features[split.test_indices])
-            test_labels = ds.labels[split.test_indices]
             cfg = _trial_config(options, _child_seed(trial_stream))
-            if "closed_set" in protocols:
-                report = closed_set_eval(embeddings, test_labels, cfg)
-                rows.append(("closed_set", i, report.mean, report.std, ""))
-                cmc_rates.append([rate for _, rate in report.curve])
-            if "open_set" in protocols:
-                report = open_set_eval(embeddings, test_labels, cfg)
-                mean_tau = float(np.mean(report.thresholds))
-                rows.append(("open_set", i, report.mean, report.std, repr(mean_tau)))
-            if "verification" in protocols:
-                positives, negatives = verification_scores(embeddings, test_labels)
-                tar, tau = tar_at_far(positives, negatives, cfg.far_target)
-                rows.append(("verification", i, tar, 0.0, repr(tau)))
+            scored, cmc, verification = _score_split(head, ds, split, protocols, cfg)
+            rows.extend((protocol, i, *values) for protocol, *values in scored)
+            if cmc is not None:
+                cmc_rates.append(cmc)
+            if verification is not None:
+                positives, negatives = verification
                 roc_tars.append(_accept_rates(positives,
                                               far_thresholds(negatives, _ROC_GRID)))
         if "classification" in protocols:
             split = strat_splits[i]
             accuracy = classification_accuracy(
                 head, ds.features[split.test_indices], ds.labels[split.test_indices])
-            rows.append(("classification", i, accuracy, 0.0, ""))
+            rows.append(("classification", i, accuracy, 0.0, None))
 
     out = _out_dir(options)
     header = _header("eval", options)
-    metric_rows = [f"{protocol},{split_idx},{mean!r},{std!r},{tau}"
-                   for protocol, split_idx, mean, std, tau in rows]
+    metric_rows = [_metric_line(*row) for row in rows]
     for protocol in sorted({row[0] for row in rows}):
         values = np.asarray([row[2] for row in rows if row[0] == protocol])
-        metric_rows.append(
-            f"{protocol},mean,{float(values.mean())!r},{float(values.std())!r},")
+        metric_rows.append(_metric_line(protocol, "mean", float(values.mean()),
+                                        float(values.std()), None))
     _write_report(out / "metrics.csv", header,
                   "protocol,split,mean,std,threshold", metric_rows)
     if cmc_rates:
@@ -344,29 +342,21 @@ def cmd_eval(options: dict) -> None:
 
 def cmd_transfer(options: dict) -> None:
     _require(options, "model", "data")
-    head = load_head(options["model"])
-    ds = load_dataset(options["data"])
+    head, ds = _head_and_data(options)
     source = options["source_name"] or Path(options["model"]).stem
-    target = Path(options["data"]).stem
-    pair = f"{source}->{target}"
-    reports = transfer_eval(head, ds, _trial_config(options, options["seed"]),
-                            options["test_fraction"])
-    closed, opened, verif = reports["closed_set"], reports["open_set"], reports["verification"]
+    pair = f"{source}->{Path(options['data']).stem}"
+    cfg = _trial_config(options, options["seed"])
+    split = identity_disjoint_split(ds, options["test_fraction"], cfg.seed)
+    scored, cmc, (positives, negatives) = _score_split(
+        head, ds, split, ("closed_set", "open_set", "verification"), cfg)
     out = _out_dir(options)
     header = _header("transfer", options)
-    rows = [
-        f"closed_set,{pair},{closed.mean!r},{closed.std!r},",
-        f"open_set,{pair},{opened.mean!r},{opened.std!r},"
-        f"{float(np.mean(opened.thresholds))!r}",
-        f"verification,{pair},{verif.mean!r},{verif.std!r},"
-        f"{verif.thresholds[0]!r}",
-    ]
-    _write_report(out / "transfer_metrics.csv", header,
-                  "protocol,pair,mean,std,threshold", rows)
-    cmc_rows = [f"{int(rank)},{rate!r}" for rank, rate in closed.curve]
-    _write_report(out / "transfer_cmc.csv", header, "rank,rate", cmc_rows)
-    roc_rows = [f"{far!r},{tar!r}" for far, tar in verif.curve]
-    _write_report(out / "transfer_roc.csv", header, "far,tar", roc_rows)
+    _write_report(out / "transfer_metrics.csv", header, "protocol,pair,mean,std,threshold",
+                  [_metric_line(protocol, pair, *values) for protocol, *values in scored])
+    _write_report(out / "transfer_cmc.csv", header, "rank,rate",
+                  [f"{rank + 1},{rate!r}" for rank, rate in enumerate(cmc)])
+    _write_report(out / "transfer_roc.csv", header, "far,tar",
+                  [f"{far!r},{tar!r}" for far, tar in roc_points(positives, negatives)])
 
 
 def cmd_detmetrics(options: dict) -> None:
@@ -413,15 +403,14 @@ def cmd_ablate(options: dict) -> None:
                                 gallery_images_per_identity=options["gallery_per_identity"],
                                 far_target=options["far"],
                                 seed=_child_seed(trial_stream))
-        test_labels = ds.labels[split.test_indices]
         metrics = []
         for arm in arms:
             cfg = _train_config({**options, "objective": arm, "seed": train_seed})
             model = train(ds, split, cfg)
-            embeddings = embed(model.head, ds.features[split.test_indices])
-            verif = verification_eval(embeddings, test_labels, trial_cfg)
-            closed = closed_set_eval(embeddings, test_labels, trial_cfg)
-            metrics.append((verif.mean, closed.mean))
+            scored, _, _ = _score_split(model.head, ds, split,
+                                        ("verification", "closed_set"), trial_cfg)
+            values = {protocol: value for protocol, value, _, _ in scored}
+            metrics.append((values["verification"], values["closed_set"]))
         return metrics
 
     results = _map_indexed(run_seed, options["seeds"], options["jobs"])

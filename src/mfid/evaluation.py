@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabelGroups, identity_disjoint_split
+from .dataset import Dataset, LabelGroups
 from .model import embed, logits
 
 
@@ -118,30 +118,21 @@ def classification_accuracy(head, features, labels) -> float:
 _POOL_BLOCK_CELLS = 1 << 18
 
 
-def identity_max_scores(scores: np.ndarray,
-                        gallery_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def identity_max_scores(scores: np.ndarray, groups: LabelGroups) -> np.ndarray:
     """Max-pool the (P, G) probe-by-gallery scores per gallery identity.
 
-    Probe rows are pooled in blocks of at most ``_POOL_BLOCK_CELLS`` score
-    cells, so the label-ordered copy of the scores never exceeds one block.
-    When every gallery label is distinct, the result is the label-ordered
-    column permutation of the scores.
-
-    Returns:
-        (P, G_id) array of per-identity scores and the sorted identity ids
-        forming its columns.
+    ``groups`` indexes the G gallery labels; column g of the (P, K) result
+    is identity ``groups.ids[g]``.  Probe rows are pooled in blocks of at
+    most ``_POOL_BLOCK_CELLS`` score cells, so the label-ordered copy of the
+    scores never exceeds one block.
     """
-    groups = LabelGroups(gallery_labels)
-    order, ids = groups.order, groups.ids
-    if ids.size == order.size:  # one column per identity: pooling only permutes
-        return scores[:, order], ids
     n_probes = scores.shape[0]
-    pooled = np.empty((n_probes, ids.size))
-    block = max(1, _POOL_BLOCK_CELLS // max(1, order.size))
+    pooled = np.empty((n_probes, groups.ids.size))
+    block = max(1, _POOL_BLOCK_CELLS // max(1, groups.order.size))
     for lo in range(0, n_probes, block):
-        pooled[lo:lo + block] = np.maximum.reduceat(scores[lo:lo + block, order],
+        pooled[lo:lo + block] = np.maximum.reduceat(scores[lo:lo + block, groups.order],
                                                     groups.starts, axis=1)
-    return pooled, ids
+    return pooled
 
 
 def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
@@ -253,8 +244,8 @@ def roc_points(positive_scores, negative_scores) -> tuple[tuple[float, float], .
 
 
 class _TestIndex(LabelGroups):
-    """One test split, prepared once for all of a protocol run's trials:
-    its rows grouped by identity, and its unit rows."""
+    """One test split, prepared once for every protocol and trial that scores
+    it: its rows grouped by identity, and its unit rows."""
 
     def __init__(self, embeddings, labels):
         super().__init__(labels)
@@ -265,11 +256,18 @@ class _TestIndex(LabelGroups):
         np.clip(scores, -1.0, 1.0, out=scores)
         return scores
 
+    def identity_scores(self, probe_rows, gallery_rows, per_identity: int) -> np.ndarray:
+        """Each probe's best score per gallery identity, for a gallery that
+        :func:`_draw_gallery` laid out as ``per_identity`` rows per group."""
+        scores = self.scores(probe_rows, gallery_rows)
+        return scores.reshape(scores.shape[0], -1, per_identity).max(axis=2)
+
 
 def _draw_gallery(index: _TestIndex, groups, per_identity: int,
                   rng: np.random.Generator):
     """Per identity group, draw gallery rows; the group's other rows become
-    probes, in label order and ascending row within an identity."""
+    probes, in label order and ascending row within an identity.  The
+    gallery holds ``per_identity`` rows of each group, group by group."""
     short = groups[index.counts[groups] <= per_identity]
     if short.size:
         g = short[0]
@@ -284,45 +282,37 @@ def _draw_gallery(index: _TestIndex, groups, per_identity: int,
     return index.order[positions], index.order[probe]
 
 
-def _closed_set_trial(index: _TestIndex, per_identity: int,
-                      rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One gallery draw; returns (per-rank probe counts, probe count)."""
+def _closed_set(index: _TestIndex, cfg: TrialConfig) -> EvalReport:
     groups = np.arange(index.ids.size)
-    gallery_rows, probe_rows = _draw_gallery(index, groups, per_identity, rng)
-    pooled, ids = identity_max_scores(index.scores(probe_rows, gallery_rows),
-                                      index.labels[gallery_rows])
-    ranks = probe_ranks(pooled, ids, index.labels[probe_rows])
-    counts = np.bincount(ranks, minlength=index.ids.size + 1)[1:]
-    return counts, int(probe_rows.size)
+    per_identity = cfg.gallery_images_per_identity
+    rank1 = []
+    cmc_sum = np.zeros(index.ids.size)
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+        gallery_rows, probe_rows = _draw_gallery(index, groups, per_identity,
+                                                 np.random.default_rng(stream))
+        ranks = probe_ranks(index.identity_scores(probe_rows, gallery_rows, per_identity),
+                            index.ids, index.labels[probe_rows])
+        counts = np.bincount(ranks, minlength=index.ids.size + 1)[1:]
+        cmc = np.cumsum(counts) / probe_rows.size
+        rank1.append(cmc[0])
+        cmc_sum += cmc
+    curve = tuple((r + 1, cmc_sum[r] / cfg.trials) for r in range(index.ids.size))
+    return EvalReport.from_values("closed_set", rank1, curve=curve)
 
 
 def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     """Rank-1 rate over trials, with the trial-averaged CMC as the curve."""
-    index = _TestIndex(embeddings, labels)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    n_ids = index.ids.size
-    rank1 = []
-    cmc_sum = np.zeros(n_ids)
-    for stream in streams:
-        counts, n_probes = _closed_set_trial(index, cfg.gallery_images_per_identity,
-                                             np.random.default_rng(stream))
-        cmc = np.cumsum(counts) / n_probes
-        rank1.append(cmc[0])
-        cmc_sum += cmc
-    curve = tuple((r + 1, cmc_sum[r] / cfg.trials) for r in range(n_ids))
-    return EvalReport.from_values("closed_set", rank1, curve=curve)
+    return _closed_set(_TestIndex(embeddings, labels), cfg)
 
 
-def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
-    """DIR at an FPIR of ``far_target`` over trials with probe-only
-    distractor identities."""
-    index = _TestIndex(embeddings, labels)
+def _open_set(index: _TestIndex, cfg: TrialConfig) -> EvalReport:
     identities = index.ids
     if identities.size <= cfg.distractor_identities:
         raise ValueError(
             f"need more than {cfg.distractor_identities} identities for an "
             f"open-set evaluation, got {identities.size}")
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials + 1)
+    per_identity = cfg.gallery_images_per_identity
 
     def split_off(distractors):
         """(mated identity groups, distractor rows in row order)."""
@@ -340,19 +330,42 @@ def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
         else:
             mated_groups, distractor_rows = split_off(rng.choice(
                 identities, size=cfg.distractor_identities, replace=False))
-        gallery_rows, probe_rows = _draw_gallery(index, mated_groups,
-                                                 cfg.gallery_images_per_identity, rng)
-        pooled, ids = identity_max_scores(
-            index.scores(np.concatenate([probe_rows, distractor_rows]), gallery_rows),
-            index.labels[gallery_rows])
+        gallery_rows, probe_rows = _draw_gallery(index, mated_groups, per_identity, rng)
+        pooled = index.identity_scores(np.concatenate([probe_rows, distractor_rows]),
+                                       gallery_rows, per_identity)
         n_mated = probe_rows.size
         mated_max = pooled[:n_mated].max(axis=1)
-        ranks = probe_ranks(pooled[:n_mated], ids, index.labels[probe_rows])
+        ranks = probe_ranks(pooled[:n_mated], identities[mated_groups],
+                            index.labels[probe_rows])
         nonmated_max = pooled[n_mated:].max(axis=1)
         rate, tau = dir_at_far(mated_max, ranks == 1, nonmated_max, cfg.far_target)
         rates.append(rate)
         thresholds.append(tau)
     return EvalReport.from_values("open_set", rates, thresholds=thresholds)
+
+
+def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
+    """DIR at an FPIR of ``far_target`` over trials with probe-only
+    distractor identities."""
+    return _open_set(_TestIndex(embeddings, labels), cfg)
+
+
+def _verification_scores(index: _TestIndex) -> tuple[np.ndarray, np.ndarray]:
+    lonely = index.ids[index.counts < 2]
+    if lonely.size:
+        raise ValueError(f"identity {int(lonely[0])} has a single sample; "
+                         "verification needs at least two per identity")
+    # The one n x n array (one SYRK call): clipped in place, pooled by row blocks.
+    sims = index.unit @ index.unit.T
+    np.clip(sims, -1.0, 1.0, out=sims)
+    np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
+    per_identity = identity_max_scores(sims, index)
+    own_col = np.searchsorted(index.ids, index.labels)
+    rows = np.arange(index.labels.size)
+    positives = per_identity[rows, own_col]
+    other = np.arange(index.ids.size)[None, :] != own_col[:, None]
+    negatives = per_identity[other]
+    return positives, negatives
 
 
 def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -362,22 +375,7 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
     self excluded) and one negative per other identity (max similarity into
     that identity), i.e. K-1 negatives per sample.
     """
-    index = _TestIndex(embeddings, labels)
-    lonely = index.ids[index.counts < 2]
-    if lonely.size:
-        raise ValueError(f"identity {int(lonely[0])} has a single sample; "
-                         "verification needs at least two per identity")
-    # The one n x n array (one SYRK call): clipped in place, pooled by row blocks.
-    sims = index.unit @ index.unit.T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
-    per_identity, _ = identity_max_scores(sims, index.labels)
-    own_col = np.searchsorted(index.ids, index.labels)
-    rows = np.arange(index.labels.size)
-    positives = per_identity[rows, own_col]
-    other = np.arange(index.ids.size)[None, :] != own_col[:, None]
-    negatives = per_identity[other]
-    return positives, negatives
+    return _verification_scores(_TestIndex(embeddings, labels))
 
 
 def verification_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
@@ -389,18 +387,29 @@ def verification_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
                                   thresholds=[tau])
 
 
-def transfer_eval(head, ds: Dataset, cfg: TrialConfig,
-                  identity_test_fraction: float = 0.2) -> dict[str, EvalReport]:
-    """Freeze the head, embed a new dataset, and run all three protocols
-    on its identity-disjoint test side (split seeded from ``cfg.seed``)."""
-    if ds.dim != head.input_dim:
-        raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
-                         f"{head.input_dim}")
-    split = identity_disjoint_split(ds, identity_test_fraction, cfg.seed)
-    test_embeddings = embed(head, ds.features[split.test_indices])
-    test_labels = ds.labels[split.test_indices]
-    return {
-        "closed_set": closed_set_eval(test_embeddings, test_labels, cfg),
-        "open_set": open_set_eval(test_embeddings, test_labels, cfg),
-        "verification": verification_eval(test_embeddings, test_labels, cfg),
-    }
+def _score_split(head, ds: Dataset, split, protocols, cfg: TrialConfig):
+    """Embed a split's test side, index it once, and score it under each of
+    ``protocols`` ("closed_set", "open_set", "verification") it names.
+
+    Returns:
+        (protocol, value, std, threshold) rows in that protocol order, the
+        threshold None for the closed set; the closed set's trial-averaged
+        CMC rates, or None; and the verification (positives, negatives), or
+        None.
+    """
+    index = _TestIndex(embed(head, ds.features[split.test_indices]),
+                       ds.labels[split.test_indices])
+    rows, cmc, verification = [], None, None
+    if "closed_set" in protocols:
+        report = _closed_set(index, cfg)
+        rows.append(("closed_set", report.mean, report.std, None))
+        cmc = [rate for _, rate in report.curve]
+    if "open_set" in protocols:
+        report = _open_set(index, cfg)
+        rows.append(("open_set", report.mean, report.std,
+                     float(np.mean(report.thresholds))))
+    if "verification" in protocols:
+        verification = _verification_scores(index)
+        tar, tau = tar_at_far(*verification, cfg.far_target)
+        rows.append(("verification", tar, 0.0, tau))
+    return rows, cmc, verification

@@ -256,6 +256,30 @@ def test_eval_rejects_dead_relu_head(synth_dir, tmp_path, capsys):
                    "--out", str(tmp_path / "classification")) == 0
 
 
+def test_eval_indexes_each_split_once(synth_dir, trained_dir, tmp_path, monkeypatch):
+    # every protocol and trial of a split reads one normalized, grouped index
+    grouped, normalized = [], []
+    group_labels, unit_rows = mfid.dataset.LabelGroups.__init__, mfid.evaluation._unit_rows
+
+    def counting_groups(self, labels):
+        grouped.append(len(labels))
+        group_labels(self, labels)
+
+    def counting_unit_rows(x):
+        normalized.append(len(x))
+        return unit_rows(x)
+
+    monkeypatch.setattr(mfid.dataset.LabelGroups, "__init__", counting_groups)
+    monkeypatch.setattr(mfid.evaluation, "_unit_rows", counting_unit_rows)
+    assert run_cli("eval", "--data", str(synth_dir / "dataset.csv"),
+                   "--model", str(trained_dir / "model.mfhd"),
+                   "--protocols", "closed,open,verif", "--splits", "2",
+                   "--test-fraction", "0.5", "--trials", "5", "--distractors", "1",
+                   "--out", str(tmp_path)) == 0
+    assert len(grouped) == 2
+    assert normalized == grouped
+
+
 def test_eval_verification_rows_match_library(trained_dir, tmp_path):
     # noisy clusters, so TAR varies along the FAR grid
     data = tmp_path / "noisy" / "dataset.csv"
@@ -354,6 +378,30 @@ def test_transfer_pair_labels_and_values(synth_dir, trained_dir, tmp_path):
     for row in rows:
         protocol, _, mean, _, _ = row.split(",")
         assert float(mean) == expected[protocol]
+
+
+def test_transfer_fresh_draw_same_generator(tmp_path):
+    # same generative parameters, new sample: closed-set Rank-1 within 5 points
+    gen = ("--identities", "16", "--per-id", "12", "--dim", "24", "--sigma", "0.15")
+    for seed in ("31", "32"):
+        assert run_cli("synth", *gen, "--seed", seed, "--out", str(tmp_path / seed)) == 0
+    own = tmp_path / "31" / "dataset.bin"
+    stem = tmp_path / "split"
+    save_split(identity_disjoint_split(load_dataset(own), 0.25, seed=0), stem)
+    assert run_cli("train", "--data", str(own), "--split", str(stem), "--epochs", "30",
+                   "--lr", "0.5", "--seed", "0", "--out", str(tmp_path / "model")) == 0
+    rank1 = []
+    for seed in ("31", "32"):
+        # the same seed holds out the training split's test identities of 31
+        assert run_cli("transfer", "--model", str(tmp_path / "model" / "model.mfhd"),
+                       "--data", str(tmp_path / seed / "dataset.bin"),
+                       "--test-fraction", "0.25", "--trials", "10", "--distractors", "2",
+                       "--seed", "0", "--out", str(tmp_path / f"to{seed}")) == 0
+        rows = [row.split(",") for row in
+                read_rows(tmp_path / f"to{seed}" / "transfer_metrics.csv")]
+        rank1.append(float(rows[0][2]))
+        assert rows[0][0] == "closed_set"
+    assert abs(rank1[1] - rank1[0]) <= 0.05
 
 
 def test_transfer_dim_mismatch(trained_dir, tmp_path, capsys):
@@ -893,3 +941,30 @@ def test_transfer_outputs_are_pinned(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.glob("g*/*.csv"))}
     assert digests == TRANSFER_DIGESTS
+
+
+def test_scoring_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # The determinism contract holds whatever thread count OpenBLAS uses for
+    # the score products and the verification SYRK.
+    assert run_cli("synth", "--identities", "40", "--per-id", "30", "--dim", "32",
+                   "--sigma", "0.5", "--seed", "9", "--out", str(tmp_path / "data")) == 0
+    mfid.save_head(mfid.init_head("mlp1", 32, 16, 40, seed=0), tmp_path / "head.mfhd")
+    data = ("--data", str(tmp_path / "data" / "dataset.bin"),
+            "--model", str(tmp_path / "head.mfhd"), "--test-fraction", "0.5",
+            "--trials", "5", "--seed", "3")
+    runs = {"eval": ("eval", *data, "--splits", "1",
+                     "--protocols", "closed,open,verif,classification"),
+            "transfer": ("transfer", *data)}
+    outputs = {}
+    for threads in ("1", "2"):
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}{threads}"
+            proc = subprocess.run([sys.executable, "-m", "mfid.cli", *argv,
+                                   "--out", str(out)], capture_output=True, text=True,
+                                  env={**child_env(), "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs[name, threads] = {path.name: path.read_bytes()
+                                      for path in sorted(out.iterdir())}
+    for name in runs:
+        assert len(outputs[name, "1"]) == 3
+        assert outputs[name, "2"] == outputs[name, "1"]

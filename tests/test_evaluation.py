@@ -1,4 +1,4 @@
-"""Evaluation protocols: scores, ranks, thresholds, CMC/DIR/TAR, transfer."""
+"""Evaluation protocols: scores, ranks, thresholds, CMC/DIR/TAR."""
 
 import math
 import re
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mfid import (
     EvalReport,
-    TrainConfig,
     TrialConfig,
     classification_accuracy,
     closed_set_eval,
@@ -21,16 +20,13 @@ from mfid import (
     open_set_eval,
     probe_ranks,
     roc_points,
-    synth_gaussian,
     tar_at_far,
-    train,
-    transfer_eval,
     verification_eval,
     verification_scores,
 )
-from mfid.dataset import identity_disjoint_split
+from mfid.dataset import LabelGroups
 import mfid.evaluation
-from mfid.evaluation import _closed_set_trial, _TestIndex, identity_max_scores
+from mfid.evaluation import _closed_set, _open_set, _TestIndex, identity_max_scores
 from mfid.model import init_head
 
 
@@ -158,8 +154,9 @@ def test_probe_ranks_missing_identity():
 def test_identity_max_scores_pools_max():
     # one probe (1, 0) against gallery rows (1, 0), (0, 1) and (1, 1)
     scores = np.array([[1.0, 0.0, 1 / math.sqrt(2)]])
-    pooled, ids = identity_max_scores(scores, np.array([7, 7, 9]))
-    assert ids.tolist() == [7, 9]
+    groups = LabelGroups([7, 7, 9])
+    pooled = identity_max_scores(scores, groups)
+    assert groups.ids.tolist() == [7, 9]
     assert pooled[0, 0] == pytest.approx(1.0)
     assert pooled[0, 1] == pytest.approx(1 / math.sqrt(2))
 
@@ -303,7 +300,7 @@ def test_closed_set_trial_rejects_small_identity():
     emb = np.ones((3, 2)) + np.arange(3)[:, None]
     labels = np.array([0, 0, 1])
     with pytest.raises(ValueError, match="identity 1"):
-        _closed_set_trial(_TestIndex(emb, labels), 1, np.random.default_rng(0))
+        _closed_set(_TestIndex(emb, labels), TrialConfig(trials=1))
 
 
 def test_closed_set_std_zero_for_single_trial():
@@ -406,50 +403,6 @@ def test_verification_rejects_singleton_identity():
     emb = np.ones((3, 2)) + np.arange(3)[:, None]
     with pytest.raises(ValueError, match="single sample"):
         verification_scores(emb, np.array([0, 0, 1]))
-
-
-# ---------------------------------------------------------------------------
-# transfer
-
-
-def test_transfer_same_dataset_matches_direct_eval():
-    ds = synth_gaussian(12, 8, 10, 1.0, 0.2, seed=20)
-    split = identity_disjoint_split(ds, 0.3, seed=4)
-    model = train(ds, split, TrainConfig(epochs=2, seed=0, initial_lr=0.1))
-    cfg = TrialConfig(trials=4, distractor_identities=2, seed=4)
-    via_transfer = transfer_eval(model.head, ds, cfg, identity_test_fraction=0.3)
-    from mfid.model import embed
-
-    emb = embed(model.head, ds.features[split.test_indices])
-    labels = ds.labels[split.test_indices]
-    assert via_transfer["closed_set"] == closed_set_eval(emb, labels, cfg)
-    assert via_transfer["verification"] == verification_eval(emb, labels, cfg)
-
-
-def test_transfer_fresh_draw_same_generator():
-    # same generative parameters, new sample: closed-set Rank-1 within 5 points
-    gen = dict(k_identities=16, samples_per_identity=12, dim=24,
-               center_scale=1.0, noise_sigma=0.15)
-    ds_a = synth_gaussian(seed=31, **gen)
-    ds_b = synth_gaussian(seed=32, **gen)
-    split = identity_disjoint_split(ds_a, 0.25, seed=0)
-    model = train(ds_a, split, TrainConfig(epochs=30, seed=0, initial_lr=0.5))
-    cfg = TrialConfig(trials=10, distractor_identities=2, seed=0)
-    from mfid.model import embed
-
-    in_domain = closed_set_eval(embed(model.head, ds_a.features[split.test_indices]),
-                                ds_a.labels[split.test_indices], cfg)
-    transferred = transfer_eval(model.head, ds_b, cfg, identity_test_fraction=0.25)
-    assert abs(transferred["closed_set"].mean - in_domain.mean) <= 0.05
-
-
-def test_transfer_dimension_mismatch_names_both():
-    ds = synth_gaussian(6, 6, 10, 1.0, 0.2, seed=33)
-    split = identity_disjoint_split(ds, 0.34, seed=0)
-    model = train(ds, split, TrainConfig(epochs=1))
-    other = synth_gaussian(6, 6, 7, 1.0, 0.2, seed=34)
-    with pytest.raises(ValueError, match="7.*10|10.*7"):
-        transfer_eval(model.head, other, TrialConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +568,8 @@ def test_identity_max_scores_match_reference(seed, tied):
     for n_probes in (0, 1, 5):
         labels = rng.integers(0, 6, size=int(rng.integers(1, 20)))
         scores = draw_scores(rng, (n_probes, labels.size), tied)
-        pooled, ids = identity_max_scores(scores, labels)
+        groups = LabelGroups(labels)
+        pooled, ids = identity_max_scores(scores, groups), groups.ids
         ref_pooled, ref_ids = reference_identity_max_scores(scores, labels)
         assert ids.tolist() == ref_ids.tolist()
         assert pooled.tolist() == ref_pooled.tolist()
@@ -631,7 +585,8 @@ def test_identity_max_scores_blocks_match_reference(monkeypatch, block_cells, ti
     for n_probes in (0, 1, 2, 17):
         labels = rng.integers(0, 4, size=7)
         scores = draw_scores(rng, (n_probes, labels.size), tied)
-        pooled, ids = identity_max_scores(scores, labels)
+        groups = LabelGroups(labels)
+        pooled, ids = identity_max_scores(scores, groups), groups.ids
         ref_pooled, ref_ids = reference_identity_max_scores(scores, labels)
         assert pooled.shape == (n_probes, ref_ids.size)
         assert ids.tolist() == ref_ids.tolist()
@@ -769,9 +724,9 @@ def pooled_gallery_cases(draw):
 
 
 def closed_set_ranks(scores, probe_labels, gallery_labels):
-    pooled, ids = identity_max_scores(scores, gallery_labels)
-    ranks = probe_ranks(pooled, ids, probe_labels)
-    return ranks, np.bincount(ranks, minlength=ids.size + 1)[1:]
+    groups = LabelGroups(gallery_labels)
+    ranks = probe_ranks(identity_max_scores(scores, groups), groups.ids, probe_labels)
+    return ranks, np.bincount(ranks, minlength=groups.ids.size + 1)[1:]
 
 
 @PROPERTY_SETTINGS
@@ -936,7 +891,9 @@ def test_draw_gallery_matches_per_identity_loop(seed, per_identity):
         assert ours.random() == theirs.random()  # the same stream was used
 
 
-@pytest.mark.parametrize("per_identity", [1, 2])
+# Three gallery rows per identity check that pooling a trial's gallery by
+# reshape reads each identity's rows, whatever their count.
+@pytest.mark.parametrize("per_identity", [1, 2, 3])
 @pytest.mark.parametrize("tied", [True, False])
 def test_trials_match_per_identity_loop(per_identity, tied):
     rng = np.random.default_rng(310 + per_identity)
@@ -950,11 +907,10 @@ def test_trials_match_per_identity_loop(per_identity, tied):
                 emb, labels, cfg)
         assert closed_set_eval(emb, labels, cfg) == reference_closed_set_eval(
             emb, labels, cfg)
-        trial_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        counts, n_probes = _closed_set_trial(_TestIndex(emb, labels),
-                                             per_identity, trial_rng)
-        ref_counts, ref_n_probes = reference_closed_set_trial(emb, labels, cfg, ref_rng)
-        assert counts.tolist() == ref_counts.tolist() and n_probes == ref_n_probes
+        # one index scores both protocols, as a split of the CLI does
+        index = _TestIndex(emb, labels)
+        assert _open_set(index, cfg) == reference_open_set_eval(emb, labels, cfg)
+        assert _closed_set(index, cfg) == reference_closed_set_eval(emb, labels, cfg)
 
 
 def test_trials_reject_small_identity_as_before():
@@ -971,7 +927,8 @@ def test_trials_reject_small_identity_as_before():
 
 @st.composite
 def distinct_gallery_cases(draw):
-    """Scores against a gallery with one column per (sparse, unsorted) identity."""
+    """Scores against a gallery with one column per (sparse, unsorted) identity:
+    pooling is then a column permutation."""
     n_probes = draw(st.integers(0, 4))
     labels = 7 * np.asarray(draw(st.permutations(range(draw(st.integers(1, 6))))))
     scores = np.asarray(draw(st.lists(SCORE_VALUES, min_size=n_probes * labels.size,
@@ -982,8 +939,10 @@ def distinct_gallery_cases(draw):
 @PROPERTY_SETTINGS
 @given(distinct_gallery_cases())
 def test_identity_max_scores_permutation_path_matches_reduceat(case):
-    pooled, ids = identity_max_scores(*case)
-    ref_pooled, ref_ids = reference_pool(*case)
-    assert ids.tolist() == ref_ids.tolist()
+    scores, labels = case
+    groups = LabelGroups(labels)
+    pooled = identity_max_scores(scores, groups)
+    ref_pooled, ref_ids = reference_pool(scores, labels)
+    assert groups.ids.tolist() == ref_ids.tolist()
     assert pooled.shape == ref_pooled.shape
     assert pooled.tolist() == ref_pooled.tolist()

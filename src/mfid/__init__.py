@@ -11,6 +11,21 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+
+def _one_blas_thread_unless_chosen() -> None:
+    # OpenBLAS reads its thread count once, when numpy first loads it, so
+    # this runs before the first numpy import.  The commands are small GEMMs,
+    # and `ablate --jobs` forks its own workers; a helper thread per process
+    # only oversubscribes the cores.  The import is local so that the module's
+    # imports stay the package's exports.
+    import os
+
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
+_one_blas_thread_unless_chosen()
+
 from .dataset import (
     Dataset,
     PairConstraints,

@@ -10,7 +10,11 @@ backtracking (Armijo) line search, so repeat runs are bit-identical.
 1e-5 .. 1e+5, ties resolved toward the smaller (more regularized) value,
 then the model is refit on all training data.  The grid is walked upward
 and each C starts from the previous C's solution; the refit starts from the
-chosen C's.  Grid values whose fit does not converge are skipped.
+chosen C's.  Grid values whose fit does not converge are skipped, and the
+walk stops at the first C that scores the holdout perfectly, since no
+larger C can then win.  The objective, its gradient and every prediction
+are computed in row blocks of about 2^22 cells, so the memory beyond the
+inputs is O(block × classes) rather than O(rows × classes).
 """
 
 from __future__ import annotations
@@ -56,18 +60,26 @@ class LogRegModel:
         return self.weights.shape[0]
 
 
+def _check_finite(x) -> None:
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite feature value in row {int(bad[0])}")
+
+
 def pca_fit(x, energy_threshold: float) -> PCAModel:
     """Fit PCA keeping the minimal component count reaching the energy target.
 
     Components are the right singular vectors of the centered data; the kept
     count r is the smallest k whose cumulative explained-variance ratio is
-    >= energy_threshold (zero-variance directions are never kept).
+    >= energy_threshold (zero-variance directions are never kept).  A
+    non-finite feature is an error naming its row.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("PCA needs a 2-D array with at least two rows")
     if not 0.0 < energy_threshold <= 1.0:
         raise ValueError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
+    _check_finite(x)
     mean = x.mean(axis=0)
     centered = x - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -117,20 +129,51 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
-def _logreg_ce_grad(theta, x1, onehot, ridge):
+# Rows per block hold about _BLOCK_CELLS class scores (32 MB of float64), and
+# never fewer than _MIN_BLOCK_ROWS rows, so a block's GEMM stays large.
+_BLOCK_CELLS = 1 << 22
+_MIN_BLOCK_ROWS = 2048
+
+
+def _block_rows(n_classes: int) -> int:
+    return max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // n_classes)
+
+
+def _logreg_ce_grad(theta, x1, y, ridge):
     """Objective and gradient at ``theta``, the weights with the bias as last column.
 
-    ``x1`` is the rows with a constant 1 appended, ``onehot`` the boolean
-    label mask and ``ridge`` the per-column penalty (1/C, and 0 for the
-    bias).  The cross-entropy is summed as ``Σ log Σ e^z − Σ z[y]``.
+    ``x1`` is the rows with a constant 1 appended, ``y`` their integer labels
+    and ``ridge`` the per-column penalty (1/C, and 0 for the bias).  The
+    cross-entropy is summed as ``Σ log Σ e^z − Σ z[y]``, one block of rows at
+    a time; with a single block the arithmetic is that of the dense form.
     """
-    z = x1 @ theta.T
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    sums = e.sum(axis=1, keepdims=True)
+    step = _block_rows(theta.shape[0])
     penalized = theta * ridge
-    value = float(np.log(sums).sum() - z[onehot].sum() + 0.5 * np.vdot(penalized, theta))
-    return value, (e / sums - onehot).T @ x1 + penalized
+    grad = penalized.copy()
+    log_sums = picked = 0.0
+    for start in range(0, x1.shape[0], step):
+        rows, labels = x1[start:start + step], y[start:start + step]
+        at_label = (np.arange(labels.size), labels)
+        z = rows @ theta.T
+        z -= z.max(axis=1, keepdims=True)
+        picked += z[at_label].sum()
+        e = np.exp(z, out=z)
+        sums = e.sum(axis=1, keepdims=True)
+        log_sums += np.log(sums).sum()
+        e /= sums
+        e[at_label] -= 1.0
+        grad += e.T @ rows
+    value = float(log_sums - picked + 0.5 * np.vdot(penalized, theta))
+    return value, grad
+
+
+def _predict(x, weights, bias) -> np.ndarray:
+    """Argmax of ``x @ weights.T + bias`` per row, one block of rows at a time."""
+    step = _block_rows(bias.size)
+    out = np.empty(x.shape[0], dtype=np.intp)
+    for start in range(0, x.shape[0], step):
+        out[start:start + step] = np.argmax(x[start:start + step] @ weights.T + bias, axis=1)
+    return out
 
 
 def _lbfgs_direction(grad, pairs, ridge):
@@ -175,11 +218,10 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol, start=None):
     """
     n, d = x.shape
     x1 = np.hstack([x, np.ones((n, 1))])
-    onehot = y[:, None] == np.arange(n_classes)
     ridge = np.full(d + 1, 1.0 / c_value)
     ridge[-1] = 0.0
     theta = np.zeros((n_classes, d + 1)) if start is None else np.column_stack(start)
-    value, grad = _logreg_ce_grad(theta, x1, onehot, ridge)
+    value, grad = _logreg_ce_grad(theta, x1, y, ridge)
     pairs = deque(maxlen=_LBFGS_MEMORY)
     history = []
     for iteration in range(max_iter + 1):
@@ -196,7 +238,7 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol, start=None):
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = theta + step * direction
-            trial_value, trial_grad = _logreg_ce_grad(trial, x1, onehot, ridge)
+            trial_value, trial_grad = _logreg_ce_grad(trial, x1, y, ridge)
             if trial_value <= value + _ARMIJO * step * slope:
                 break
             step *= 0.5
@@ -213,7 +255,7 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol, start=None):
 def logreg_predict(model: LogRegModel, x) -> np.ndarray:
     """Argmax class per row (ties resolve to the lowest class id)."""
     x = np.asarray(x, dtype=np.float64)
-    return np.argmax(x @ model.weights.T + model.bias, axis=1)
+    return _predict(x, model.weights, model.bias)
 
 
 def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.2,
@@ -221,24 +263,29 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     """Fit multinomial logistic regression with validation-based C selection.
 
     A per-class slice of ``validation_fraction`` is held out (deterministic
-    given ``seed``); every C on the grid is fit on the remainder and scored
-    on the holdout; accuracy ties go to the smaller C.  A C whose fit does
-    not converge within ``max_iter`` iterations is left out of the selection
-    and of ``validation_accuracy``.  The grid is solved in ascending order,
-    each C starting from the previous C's solution.  The winner is refit on
-    all rows, starting from its solution on the fit rows.
-    Raises if no C converges, or if the refit does not.
+    given ``seed``); the C values are fit on the remainder in ascending
+    order, each starting from the previous C's solution, and scored on the
+    holdout; accuracy ties go to the smaller C.  The walk stops at the first
+    C with holdout accuracy 1.0: a later C could only tie it.  A C whose fit
+    does not converge within ``max_iter`` iterations is left out of the
+    selection.  ``validation_accuracy`` records every C that was fit and
+    converged.  The winner is refit on all rows, starting from its solution
+    on the fit rows.
+    Raises on a non-finite feature, if no C converges, or if the refit does
+    not.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with one label per row")
+    _check_finite(x)
     groups = LabelGroups(y)
     n_classes = groups.ids.size
     if n_classes < 2:
         raise ValueError("logistic regression needs at least two classes")
     if not np.array_equal(groups.ids, np.arange(n_classes)):
         raise ValueError("labels must be dense integers in [0, K)")
+    y = y.astype(np.intp, copy=False)
     grid = sorted(float(c) for c in c_grid)
     if not grid or not all(c > 0.0 and 1.0 / c < math.inf for c in grid):
         raise ValueError("C grid must be nonempty and positive, with a finite 1/C")
@@ -254,25 +301,27 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     best_c, best_acc, best_fit = None, -1.0, None
     fit_x, fit_y = x[fit_idx], y[fit_idx]
     probe = holdout if holdout.size else fit_idx
+    probe_x, probe_y = x[probe], y[probe]
     fit = None
     for c_value in grid:
         w, b, _, residual = _logreg_solve(fit_x, fit_y, n_classes, c_value,
                                           max_iter, tol, start=fit)
         fit = (w, b)
-        if residual > tol:
+        if not residual <= tol:  # a NaN residual has not converged either
             continue
-        pred = np.argmax(x[probe] @ w.T + b, axis=1)
-        acc = float(np.mean(pred == y[probe]))
+        acc = float(np.mean(_predict(probe_x, w, b) == probe_y))
         record[c_value] = acc
         if acc > best_acc:  # strict: ties keep the earlier (smaller) C
             best_c, best_acc, best_fit = c_value, acc, fit
+        if acc == 1.0:
+            break
     if best_c is None:
         raise RuntimeError(f"logistic regression did not converge for any C in "
                            f"{grid} within {max_iter} iterations")
 
     w, b, history, residual = _logreg_solve(x, y, n_classes, best_c, max_iter, tol,
                                             start=best_fit)
-    if residual > tol:
+    if not residual <= tol:
         raise RuntimeError(
             f"logistic regression did not converge for C={best_c:g} "
             f"within {max_iter} iterations (gradient norm {residual:.3e})")

@@ -1,5 +1,6 @@
 """PCA energy truncation, L2 normalization, and logistic-regression baseline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from mfid import (
     pca_transform,
     synth_gaussian,
 )
-from mfid.baseline import DEFAULT_C_GRID, _logreg_solve
+from mfid.baseline import DEFAULT_C_GRID, _logreg_ce_grad, _logreg_solve
 from mfid.dataset import stratified_splits
 
 
@@ -112,6 +113,14 @@ def test_pca_transformed_features_uncorrelated():
     cov = np.cov(z, rowvar=False)
     off_diag = cov - np.diag(np.diag(cov))
     assert np.abs(off_diag).max() < 1e-8
+
+
+def test_pca_rejects_non_finite_rows():
+    x = np.random.default_rng(4).normal(size=(60, 5))
+    x[17, 2] = np.nan
+    x[40, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite feature value in row 17$"):
+        pca_fit(x, 0.99)
 
 
 def test_pca_rejects_rank_zero():
@@ -231,6 +240,33 @@ def test_logreg_holdout_matches_per_class_loop(monkeypatch, validation_fraction)
                                   x[np.setdiff1d(np.arange(y.size), holdout)])
 
 
+def test_logreg_rejects_non_finite_rows():
+    # Before the check, a NaN made every fit's residual NaN, and a NaN
+    # residual passed as converged: all 11 C values were recorded at 1/3.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(60, 5))
+    y = np.repeat(np.arange(3), 20)
+    x[33, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite feature value in row 33$"):
+        logreg_fit(x, y)
+    x[33, 4] = -np.inf
+    with pytest.raises(ValueError, match="non-finite feature value in row 33$"):
+        logreg_fit(x, y)
+
+
+def test_logreg_non_finite_residual_is_not_converged(monkeypatch):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(30, 2))
+    y = np.repeat(np.arange(3), 10)
+
+    def diverged(x, y, n_classes, c_value, max_iter, tol, start=None):
+        return np.zeros((n_classes, x.shape[1])), np.zeros(n_classes), [0.0], math.nan
+
+    monkeypatch.setattr(mfid.baseline, "_logreg_solve", diverged)
+    with pytest.raises(RuntimeError, match="did not converge for any C"):
+        logreg_fit(x, y)
+
+
 def test_logreg_skips_non_converging_c():
     rng = np.random.default_rng(90)
     x = rng.normal(size=(40, 3))
@@ -325,6 +361,100 @@ def test_logreg_solve_matches_reference(seed):
     assert capped and converged
 
 
+def dense_logreg_ce_grad(theta, x1, y, ridge):
+    """_logreg_ce_grad before it took rows in blocks: n × K arrays throughout."""
+    onehot = y[:, None] == np.arange(theta.shape[0])
+    z = x1 @ theta.T
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=1, keepdims=True)
+    penalized = theta * ridge
+    value = float(np.log(sums).sum() - z[onehot].sum() + 0.5 * np.vdot(penalized, theta))
+    return value, (e / sums - onehot).T @ x1 + penalized
+
+
+def ce_grad_inputs(rng, n, d, k, scale=1.0):
+    """(theta, x1, y, ridge) for one objective evaluation at a random point."""
+    x1 = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
+    theta = scale * rng.normal(size=(k, d + 1))
+    ridge = np.append(np.full(d, float(10.0 ** rng.integers(-3, 4))), 0.0)
+    return theta, x1, rng.integers(0, k, size=n), ridge
+
+
+@pytest.mark.parametrize("n, d, k", [(1, 1, 2), (37, 3, 4), (500, 8, 50), (1600, 16, 50),
+                                     (2048, 3, 2100)])
+def test_logreg_ce_grad_in_one_block_is_the_dense_form(n, d, k):
+    # K = 2100 puts 2^22 // K below the 2,048-row floor, so 2,048 rows are
+    # still one block; the benchmark's fits are at most 1,600 × 50.
+    rows = mfid.baseline._block_rows(k)
+    assert n <= rows and (k < 2100 or rows == 2048)
+    rng = np.random.default_rng(n + k)
+    for scale in (0.0, 1.0, 30.0):
+        args = ce_grad_inputs(rng, n, d, k, scale)
+        value, grad = _logreg_ce_grad(*args)
+        dense_value, dense_grad = dense_logreg_ce_grad(*args)
+        assert value == dense_value
+        assert grad.tobytes() == dense_grad.tobytes()
+
+
+@pytest.mark.parametrize("block_cells, min_rows", [(24, 1), (100, 7), (400, 64)])
+def test_logreg_ce_grad_in_many_blocks(monkeypatch, block_cells, min_rows):
+    # Across blocks the sums are regrouped, so the bits may move: the value and
+    # each gradient entry stay within a few ulps of the scale of their terms.
+    monkeypatch.setattr(mfid.baseline, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(mfid.baseline, "_MIN_BLOCK_ROWS", min_rows)
+    rng = np.random.default_rng(block_cells)
+    eps = np.finfo(np.float64).eps
+    for n, d, k in [(300, 4, 3), (257, 6, 5), (1000, 2, 12)]:
+        assert mfid.baseline._block_rows(k) < n
+        theta, x1, y, ridge = ce_grad_inputs(rng, n, d, k)
+        value, grad = _logreg_ce_grad(theta, x1, y, ridge)
+        dense_value, dense_grad = dense_logreg_ce_grad(theta, x1, y, ridge)
+        # Every term of either sum is at most |z| + log K in size, or
+        # |p - onehot| · |x| <= |x|.
+        z = x1 @ theta.T
+        value_scale = float(np.abs(z).sum() + n * math.log(k))
+        grad_scale = np.abs(theta * ridge) + np.abs(x1).sum(axis=0)
+        assert abs(value - dense_value) <= 4 * (d + 1) * eps * value_scale
+        assert np.all(np.abs(grad - dense_grad) <= 4 * (d + 1) * eps * grad_scale)
+
+
+def test_logreg_ce_grad_in_blocks_matches_finite_differences(monkeypatch):
+    monkeypatch.setattr(mfid.baseline, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(mfid.baseline, "_MIN_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(12)
+    theta, x1, y, ridge = ce_grad_inputs(rng, 90, 3, 4)
+    _, grad = _logreg_ce_grad(theta, x1, y, ridge)
+    h = 1e-6
+    numeric = np.zeros_like(theta)
+    for index in np.ndindex(theta.shape):
+        step = np.zeros_like(theta)
+        step[index] = h
+        numeric[index] = (_logreg_ce_grad(theta + step, x1, y, ridge)[0]
+                          - _logreg_ce_grad(theta - step, x1, y, ridge)[0]) / (2 * h)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+
+def test_logreg_fit_and_predict_in_blocks(monkeypatch):
+    # Many blocks in the fits, the holdout probe and the prediction: the same
+    # choice of C and the same predictions as in one block, and weights that
+    # agree to the solver's tolerance.
+    rng = np.random.default_rng(13)
+    centres = 2.0 * rng.normal(size=(6, 5))
+    y = np.repeat(np.arange(6), 40)
+    x = centres[y] + rng.normal(size=(y.size, 5))
+    one_block = logreg_fit(x, y)
+    monkeypatch.setattr(mfid.baseline, "_BLOCK_CELLS", 60)
+    monkeypatch.setattr(mfid.baseline, "_MIN_BLOCK_ROWS", 1)
+    blocks = logreg_fit(x, y)
+    assert blocks.c_value == one_block.c_value
+    assert blocks.validation_accuracy == one_block.validation_accuracy
+    np.testing.assert_allclose(blocks.weights, one_block.weights, rtol=1e-4, atol=1e-6)
+    predictions = logreg_predict(blocks, x)
+    np.testing.assert_array_equal(predictions,
+                                  np.argmax(x @ blocks.weights.T + blocks.bias, axis=1))
+
+
 def logreg_hessian(w, b, x, c_value):
     """Hessian of the penalized cross-entropy in [W | b], one block per class."""
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -399,12 +529,83 @@ def test_logreg_objective_non_increasing():
 
 
 def test_logreg_ties_prefer_smaller_c():
-    # perfectly separable: all large-enough C values reach the same accuracy
+    # perfectly separable: the smallest C already scores 1.0, so it wins
+    # and no larger C, which could only tie it, is fit
     ds = synth_gaussian(3, 20, 4, 2.0, 0.01, seed=10)
     model = logreg_fit(ds.features, ds.labels)
-    winners = [c for c, acc in model.validation_accuracy.items()
-               if acc == max(model.validation_accuracy.values())]
+    assert model.validation_accuracy == {DEFAULT_C_GRID[0]: 1.0}
+    assert model.c_value == DEFAULT_C_GRID[0]
+
+
+def test_logreg_ties_below_one_prefer_smaller_c():
+    # random labels: the best holdout accuracy is below 1 and shared by
+    # several C values, and every C on the grid is fit
+    rng = np.random.default_rng(80)
+    x = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, size=60)
+    model = logreg_fit(x, y)
+    best = max(model.validation_accuracy.values())
+    winners = [c for c, acc in model.validation_accuracy.items() if acc == best]
+    assert best < 1.0 and len(winners) >= 2
+    assert list(model.validation_accuracy) == sorted(DEFAULT_C_GRID)
     assert model.c_value == min(winners)
+
+
+def reference_logreg_fit(x, y, c_grid=DEFAULT_C_GRID, validation_fraction=0.2, seed=0,
+                         max_iter=4000, tol=1e-6):
+    """logreg_fit's sweep before it stopped at a perfect holdout score: every
+    C is fit.  Returns (chosen C, weights, bias, validation record)."""
+    n_classes = int(y.max()) + 1
+    holdout = reference_holdout(y, validation_fraction, seed)
+    fit_idx = np.setdiff1d(np.arange(y.size), holdout)
+    probe = holdout if holdout.size else fit_idx
+    record, best, fit = {}, None, None
+    for c_value in sorted(c_grid):
+        w, b, _, residual = _logreg_solve(x[fit_idx], y[fit_idx], n_classes, c_value,
+                                          max_iter, tol, start=fit)
+        fit = (w, b)
+        if residual > tol:
+            continue
+        acc = float(np.mean(np.argmax(x[probe] @ w.T + b, axis=1) == y[probe]))
+        record[c_value] = acc
+        if best is None or acc > best[1]:
+            best = (c_value, acc, fit)
+    w, b, _, residual = _logreg_solve(x, y, n_classes, best[0], max_iter, tol,
+                                      start=best[2])
+    assert residual <= tol
+    return best[0], w, b, record
+
+
+def test_logreg_fit_matches_the_unstopped_sweep():
+    # Stopping at the first perfect holdout score changes nothing but the
+    # record, which ends at that C.  Class spreads from 0.3 to 10 give inputs
+    # that saturate at some C and inputs that never do.
+    rng = np.random.default_rng(400)
+    saturated = unsaturated = 0
+    for _ in range(48):
+        k, d = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        centres = float(rng.choice([0.3, 1.0, 3.0, 10.0])) * rng.normal(size=(k, d))
+        y = rng.permutation(np.repeat(np.arange(k), rng.integers(6, 16, size=k)))
+        x = centres[y] + rng.normal(size=(y.size, d))
+        test_y = rng.integers(0, k, size=40)
+        test_x = centres[test_y] + rng.normal(size=(40, d))
+
+        seed = int(rng.integers(100))
+        model = logreg_fit(x, y, seed=seed)
+        c_value, w, b, record = reference_logreg_fit(x, y, seed=seed)
+        assert model.c_value == c_value
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.tobytes() == b.tobytes()
+        assert (np.mean(logreg_predict(model, test_x) == test_y)
+                == np.mean(np.argmax(test_x @ w.T + b, axis=1) == test_y))
+        cut = list(itertools.takewhile(lambda item: item[1] < 1.0, record.items()))
+        cut += [item for item in record.items() if item[1] == 1.0][:1]
+        assert model.validation_accuracy == dict(cut)
+        if len(model.validation_accuracy) < len(record):
+            saturated += 1
+        elif 1.0 not in record.values():
+            unsaturated += 1
+    assert saturated >= 10 and unsaturated >= 10
 
 
 def test_logreg_deterministic():

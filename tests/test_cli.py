@@ -945,16 +945,23 @@ def test_transfer_outputs_are_pinned(tmp_path):
 
 def test_scoring_outputs_do_not_depend_on_blas_threads(tmp_path):
     # The determinism contract holds whatever thread count OpenBLAS uses for
-    # the score products and the verification SYRK.
+    # the score products, the verification SYRK and the logistic-regression
+    # solves, and in ablate's forked workers, which inherit the count.
     assert run_cli("synth", "--identities", "40", "--per-id", "30", "--dim", "32",
                    "--sigma", "0.5", "--seed", "9", "--out", str(tmp_path / "data")) == 0
+    # baseline gets noisier rows, on which no C scores the holdout perfectly
+    assert run_cli("synth", "--identities", "30", "--per-id", "20", "--dim", "32",
+                   "--sigma", "0.9", "--seed", "3", "--out", str(tmp_path / "noisy")) == 0
     mfid.save_head(mfid.init_head("mlp1", 32, 16, 40, seed=0), tmp_path / "head.mfhd")
     data = ("--data", str(tmp_path / "data" / "dataset.bin"),
             "--model", str(tmp_path / "head.mfhd"), "--test-fraction", "0.5",
             "--trials", "5", "--seed", "3")
     runs = {"eval": ("eval", *data, "--splits", "1",
                      "--protocols", "closed,open,verif,classification"),
-            "transfer": ("transfer", *data)}
+            "transfer": ("transfer", *data),
+            "baseline": ("baseline", "--data", str(tmp_path / "noisy" / "dataset.bin"),
+                         "--splits", "2"),
+            "ablate": (*_SMALL_ABLATE, "--jobs", "2")}
     outputs = {}
     for threads in ("1", "2"):
         for name, argv in runs.items():
@@ -966,5 +973,19 @@ def test_scoring_outputs_do_not_depend_on_blas_threads(tmp_path):
             outputs[name, threads] = {path.name: path.read_bytes()
                                       for path in sorted(out.iterdir())}
     for name in runs:
-        assert len(outputs[name, "1"]) == 3
+        assert len(outputs[name, "1"]) == (3 if name in ("eval", "transfer") else 1)
         assert outputs[name, "2"] == outputs[name, "1"]
+
+
+@pytest.mark.parametrize("chosen, expected", [({}, "1"),
+                                              ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+                                              ({"OMP_NUM_THREADS": "2"}, "None")])
+def test_import_runs_blas_on_one_thread_unless_chosen(chosen, expected):
+    env = {key: value for key, value in child_env().items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, mfid; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, env={**env, **chosen})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

@@ -287,11 +287,15 @@ def cmd_eval(options: dict) -> None:
     if n_splits < 1:
         raise ValueError("splits must be at least 1")
     head, ds = _head_and_data(options)
+    disjoint_wanted = [p for p in protocols if p != "classification"]
     provided = (None if stems is None
                 else [load_split(stem, ds.n_samples) for stem in stems])
+    if disjoint_wanted and provided is not None:
+        for stem, split in zip(stems, provided):
+            if split.test_indices.size == 0:
+                raise ValueError(f"{stem}: split has an empty test side")
     split_children = np.random.SeedSequence(options["seed"]).spawn(n_splits)
 
-    disjoint_wanted = [p for p in protocols if p != "classification"]
     strat_splits = (stratified_splits(ds, n_splits, options["test_fraction"],
                                       options["seed"])
                     if "classification" in protocols else None)

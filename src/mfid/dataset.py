@@ -538,6 +538,9 @@ def synth_gaussian(k_identities: int, samples_per_identity: int, dim: int,
     """
     if k_identities < 1 or samples_per_identity < 1 or dim < 1:
         raise ValueError("k_identities, samples_per_identity and dim must be >= 1")
+    for name, value in (("noise_sigma", noise_sigma), ("center_scale", center_scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
     if center_scale < 0:

@@ -10,6 +10,7 @@ area under the precision envelope as a function of recall).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box; corners must satisfy x_max > x_min, y_max > y_min."""
+    """Axis-aligned box; finite corners must satisfy x_max > x_min, y_max > y_min."""
 
     image_id: str
     x_min: float
@@ -30,6 +31,9 @@ class BoundingBox:
     def __post_init__(self) -> None:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError(f"degenerate box {self.corners()} in image "
+                             f"{self.image_id!r}")
+        if not all(map(math.isfinite, self.corners())):
+            raise ValueError(f"infinite corner in box {self.corners()} in image "
                              f"{self.image_id!r}")
         if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
@@ -187,14 +191,19 @@ def _checked_rows(ids: list, rows: list, linenos: list, path, width: int) -> np.
     that :class:`BoundingBox` would reject, naming its line."""
     values = np.array(rows, dtype=np.float64).reshape(-1, width)
     degenerate = ~((values[:, 2] > values[:, 0]) & (values[:, 3] > values[:, 1]))
-    bad = degenerate
+    infinite = np.isinf(values[:, :4]).any(axis=1)
+    bad = degenerate | infinite
     if width == 5:
         bad = bad | ~((values[:, 4] >= 0.0) & (values[:, 4] <= 1.0))
     if bad.any():
         k = int(np.argmax(bad))
         row = values[k].tolist()
-        problem = (f"degenerate box {tuple(row[:4])} in image {ids[k]!r}"
-                   if degenerate[k] else f"confidence must be in [0, 1], got {row[4]}")
+        if degenerate[k]:
+            problem = f"degenerate box {tuple(row[:4])} in image {ids[k]!r}"
+        elif infinite[k]:
+            problem = f"infinite corner in box {tuple(row[:4])} in image {ids[k]!r}"
+        else:
+            problem = f"confidence must be in [0, 1], got {row[4]}"
         raise ValueError(f"{path}: line {linenos[k]}: {problem}")
     return values
 

@@ -114,27 +114,6 @@ def classification_accuracy(head, features, labels) -> float:
 # ranking
 
 
-# Cells of the label-ordered score copy that pooling holds at once (2 MB).
-_POOL_BLOCK_CELLS = 1 << 18
-
-
-def identity_max_scores(scores: np.ndarray, groups: LabelGroups) -> np.ndarray:
-    """Max-pool the (P, G) probe-by-gallery scores per gallery identity.
-
-    ``groups`` indexes the G gallery labels; column g of the (P, K) result
-    is identity ``groups.ids[g]``.  Probe rows are pooled in blocks of at
-    most ``_POOL_BLOCK_CELLS`` score cells, so the label-ordered copy of the
-    scores never exceeds one block.
-    """
-    n_probes = scores.shape[0]
-    pooled = np.empty((n_probes, groups.ids.size))
-    block = max(1, _POOL_BLOCK_CELLS // max(1, groups.order.size))
-    for lo in range(0, n_probes, block):
-        pooled[lo:lo + block] = np.maximum.reduceat(scores[lo:lo + block, groups.order],
-                                                    groups.starts, axis=1)
-    return pooled
-
-
 def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
                 probe_labels) -> np.ndarray:
     """1-based rank of each probe's true identity (score ties -> lowest id).
@@ -350,22 +329,33 @@ def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     return _open_set(_TestIndex(embeddings, labels), cfg)
 
 
+# Cells of one row block of verification's product, and of the block's
+# label-ordered copy (2 MB each).
+_POOL_BLOCK_CELLS = 1 << 18
+
+
 def _verification_scores(index: _TestIndex) -> tuple[np.ndarray, np.ndarray]:
     lonely = index.ids[index.counts < 2]
     if lonely.size:
         raise ValueError(f"identity {int(lonely[0])} has a single sample; "
                          "verification needs at least two per identity")
-    # The one n x n array (one SYRK call): clipped in place, pooled by row blocks.
-    sims = index.unit @ index.unit.T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, -2.0)  # below any cosine, so self never wins
-    per_identity = identity_max_scores(sims, index)
+    n, n_ids = index.labels.size, index.ids.size
     own_col = np.searchsorted(index.ids, index.labels)
-    rows = np.arange(index.labels.size)
-    positives = per_identity[rows, own_col]
-    other = np.arange(index.ids.size)[None, :] != own_col[:, None]
-    negatives = per_identity[other]
-    return positives, negatives
+    positives = np.empty(n)
+    negatives = np.empty((n, max(n_ids - 1, 0)))
+    block = max(1, _POOL_BLOCK_CELLS // max(1, n))
+    for lo in range(0, n, block):
+        # With every row in one block, this is the one SYRK call of unit @ unit.T.
+        sims = index.unit[lo:lo + block] @ index.unit.T
+        np.clip(sims, -1.0, 1.0, out=sims)
+        rows = np.arange(sims.shape[0])
+        sims[rows, lo + rows] = -2.0  # below any cosine, so self never wins
+        pooled = np.maximum.reduceat(sims[:, index.order], index.starts, axis=1)
+        own = own_col[lo:lo + block]
+        positives[lo:lo + block] = pooled[rows, own]
+        negatives[lo:lo + block] = pooled[np.arange(n_ids) != own[:, None]].reshape(
+            rows.size, -1)
+    return positives, negatives.ravel()
 
 
 def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ each kind's pairs in their given order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +42,9 @@ class LossConfig:
     dissim_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("margin", "sim_weight", "dissim_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")
         if not 0.0 < self.epsilon <= 1e-6:

@@ -203,6 +203,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_pairs < 1:
             raise ValueError("batch_pairs must be at least 1")
+        if not math.isfinite(self.initial_lr):
+            raise ValueError(f"initial_lr must be finite, got {self.initial_lr}")
         if self.initial_lr <= 0:
             raise ValueError("initial_lr must be positive")
         if not 0.0 < self.decay_factor <= 1.0:
@@ -362,5 +364,7 @@ def load_head(path) -> EmbeddingHead:
         count = int(np.prod(shape))
         params[name] = np.frombuffer(blob, dtype="<f8", count=count,
                                      offset=offset).reshape(shape).astype(np.float64)
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"{path}: non-finite value in parameter {name!r}")
         offset += count * 8
     return EmbeddingHead(architecture, input_dim, embed_dim, n_classes, params)

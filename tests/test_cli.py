@@ -96,6 +96,25 @@ def test_synth_negative_sigma_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("synth", "--sigma", "nan"), "noise_sigma must be finite, got nan"),
+    (("synth", "--center-scale", "nan"), "center_scale must be finite, got nan"),
+    (("train", "--lr", "nan"), "initial_lr must be finite, got nan"),
+    (("train", "--lr", "inf"), "initial_lr must be finite, got inf"),
+    (("train", "--margin", "nan"), "margin must be finite, got nan"),
+    (("train", "--sim-weight", "inf"), "sim_weight must be finite, got inf"),
+    (("train", "--dissim-weight", "nan"), "dissim_weight must be finite, got nan"),
+], ids=["sigma nan", "center-scale nan", "lr nan", "lr inf", "margin nan", "sim-weight inf",
+        "dissim-weight nan"])
+def test_non_finite_option_rejected(synth_dir, tmp_path, capsys, argv, message):
+    command, *flags = argv
+    data = (("--data", str(synth_dir / "dataset.bin"), "--epochs", "1")
+            if command == "train" else ())
+    assert run_cli(command, *data, *flags, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_csv_loads_back(synth_dir):
     ds = load_dataset(synth_dir / "dataset.csv")
     assert ds.n_samples == 60 and ds.dim == 8 and ds.n_identities == 6
@@ -235,6 +254,33 @@ def test_eval_rejects_a_run_that_scores_nothing(synth_dir, trained_dir, tmp_path
                    "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_an_empty_test_side(synth_dir, trained_dir, tmp_path, capsys):
+    stem = tmp_path / "no_test"
+    save_split(identity_disjoint_split(load_dataset(synth_dir / "dataset.csv"), 0.5, seed=1),
+               stem)
+    test_side = tmp_path / "no_test.test.txt"
+    test_side.write_text(test_side.read_text().splitlines()[0] + "\n")  # header only
+    for protocols in ("closed", "open", "verif"):
+        assert run_cli("eval", "--data", str(synth_dir / "dataset.csv"),
+                       "--model", str(trained_dir / "model.mfhd"),
+                       "--protocols", protocols, "--split-file", str(stem),
+                       "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stem}: split has an empty test side"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_non_finite_checkpoint(synth_dir, tmp_path, capsys):
+    head = mfid.init_head("mlp1", 8, 4, 6, seed=0)
+    head.params["b1"][:] = np.nan
+    model = tmp_path / "nan.mfhd"
+    mfid.save_head(head, model)
+    assert run_cli("eval", "--data", str(synth_dir / "dataset.csv"), "--model", str(model),
+                   "--splits", "1", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {model}: non-finite value in parameter 'b1'"]
 
 
 def test_eval_rejects_dead_relu_head(synth_dir, tmp_path, capsys):
@@ -453,6 +499,18 @@ def test_detmetrics_malformed_file(tmp_path, capsys):
                    "--ground-truth", str(tmp_path / "gt.csv"),
                    "--out", str(tmp_path)) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_detmetrics_rejects_infinite_corner(tmp_path, capsys):
+    (tmp_path / "gt.csv").write_text("im1,0,0,4,4\n")
+    (tmp_path / "det.csv").write_text("im1,0,0,4,4,0.9\nim1,-inf,0,inf,2,0.5\n")
+    assert run_cli("detmetrics", "--detections", str(tmp_path / "det.csv"),
+                   "--ground-truth", str(tmp_path / "gt.csv"),
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {tmp_path / 'det.csv'}: line 2: infinite corner in box "
+        "(-inf, 0.0, inf, 2.0) in image 'im1'"]
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

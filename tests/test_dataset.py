@@ -733,3 +733,11 @@ def test_synth_deterministic():
 def test_synth_rejects_negative_sigma():
     with pytest.raises(ValueError, match="noise_sigma"):
         synth_gaussian(2, 2, 2, 1.0, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_synth_rejects_non_finite_scale(value):
+    with pytest.raises(ValueError, match=f"^noise_sigma must be finite, got {value}$"):
+        synth_gaussian(2, 2, 2, 1.0, value, seed=0)
+    with pytest.raises(ValueError, match=f"^center_scale must be finite, got {value}$"):
+        synth_gaussian(2, 2, 2, value, 0.1, seed=0)

@@ -1,6 +1,7 @@
 """Detection scoring: IoU, greedy matching, AP, and report arithmetic."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ def test_box_rejects_degenerate():
         box(0, 0, 0, 1)
     with pytest.raises(ValueError, match="degenerate"):
         box(0, 2, 1, 1)
+
+
+def test_box_rejects_infinite_corner():
+    with pytest.raises(ValueError) as raised:
+        box(-math.inf, 0, math.inf, 2, image="im1")
+    assert str(raised.value) == "infinite corner in box (-inf, 0, inf, 2) in image 'im1'"
 
 
 def test_box_rejects_out_of_range_confidence():
@@ -459,6 +466,10 @@ BAD_BOX_FILES = [
      "line 2: confidence must be in [0, 1], got -0.25"),
     ("NaN corner", False, "a,0,0,4,4\nb,nan,0,4,4\n",
      "line 2: degenerate box (nan, 0.0, 4.0, 4.0) in image 'b'"),
+    ("infinite corners", True, "im1,-inf,0,inf,2,0.5\n",
+     "line 1: infinite corner in box (-inf, 0.0, inf, 2.0) in image 'im1'"),
+    ("infinite corner", False, "a,0,0,4,4\nb,0,0,4,inf\n",
+     "line 2: infinite corner in box (0.0, 0.0, 4.0, inf) in image 'b'"),
     ("NaN confidence", True, "a,0,0,4,4,nan\n",
      "line 1: confidence must be in [0, 1], got nan"),
     ("bad box before a bad number", True, "a,0,0,4,4,0.5\na,4,0,4,4,2\na,x,0,4,4,0.5\n",

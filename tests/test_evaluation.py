@@ -24,9 +24,8 @@ from mfid import (
     verification_eval,
     verification_scores,
 )
-from mfid.dataset import LabelGroups
 import mfid.evaluation
-from mfid.evaluation import _closed_set, _open_set, _TestIndex, identity_max_scores
+from mfid.evaluation import _closed_set, _open_set, _TestIndex
 from mfid.model import init_head
 
 
@@ -151,14 +150,14 @@ def test_probe_ranks_missing_identity():
         probe_ranks(np.ones((1, 2)), np.array([0, 1]), np.array([5]))
 
 
-def test_identity_max_scores_pools_max():
-    # one probe (1, 0) against gallery rows (1, 0), (0, 1) and (1, 1)
-    scores = np.array([[1.0, 0.0, 1 / math.sqrt(2)]])
-    groups = LabelGroups([7, 7, 9])
-    pooled = identity_max_scores(scores, groups)
-    assert groups.ids.tolist() == [7, 9]
-    assert pooled[0, 0] == pytest.approx(1.0)
-    assert pooled[0, 1] == pytest.approx(1 / math.sqrt(2))
+def test_verification_scores_pool_max():
+    # rows (1, 0), (0, 1) of identity 9 and (1, 1), (-1, 0) of identity 7
+    emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]])
+    positives, negatives = verification_scores(emb, [9, 9, 7, 7])
+    half = 1 / math.sqrt(2)
+    np.testing.assert_allclose(positives, [0.0, 0.0, -half, -half], atol=1e-12)
+    # each row's best score into the other identity
+    np.testing.assert_allclose(negatives, [half, half, half, 0.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +471,19 @@ def reference_identity_max_scores(scores, gallery_labels):
     return pooled, ids
 
 
-def reference_verification_scores(embeddings, labels):
-    """Self-excluded similarity matrix pooled by the per-identity loop."""
+def reference_verification_scores(embeddings, labels, block_rows=None):
+    """Self-excluded similarity matrix pooled by the per-identity loop.
+
+    With ``block_rows``, the matrix is stacked from ``e[lo:hi] @ e.T``
+    products of that many rows, the products the scoring code forms.
+    """
     e = embeddings / np.linalg.norm(embeddings, axis=1)[:, None]
-    sims = np.clip(e @ e.T, -1.0, 1.0)
+    if block_rows is None:
+        sims = e @ e.T
+    else:
+        sims = np.vstack([e[lo:lo + block_rows] @ e.T
+                          for lo in range(0, labels.size, block_rows)])
+    sims = np.clip(sims, -1.0, 1.0)
     np.fill_diagonal(sims, -2.0)
     per_identity, identities = reference_identity_max_scores(sims, labels)
     own_col = np.searchsorted(identities, labels)
@@ -562,55 +570,51 @@ def test_roc_points_match_reference(seed, tied):
         assert roc_points(pos, neg) == reference_roc_points(pos, neg)
 
 
-@pytest.mark.parametrize("seed,tied", SCORE_CASES)
-def test_identity_max_scores_match_reference(seed, tied):
-    rng = np.random.default_rng(150 + seed)
-    for n_probes in (0, 1, 5):
-        labels = rng.integers(0, 6, size=int(rng.integers(1, 20)))
-        scores = draw_scores(rng, (n_probes, labels.size), tied)
-        groups = LabelGroups(labels)
-        pooled, ids = identity_max_scores(scores, groups), groups.ids
-        ref_pooled, ref_ids = reference_identity_max_scores(scores, labels)
-        assert ids.tolist() == ref_ids.tolist()
-        assert pooled.tolist() == ref_pooled.tolist()
-
-
-# 1-row blocks; 2-row blocks over 7 gallery columns (17 probes leave a
-# ragged last block); one block for everything.
+# 1-row blocks; 2-row blocks over 7 rows (a ragged last block); one block
+# for everything.
 @pytest.mark.parametrize("block_cells", [1, 15, 10**6])
 @pytest.mark.parametrize("tied", [True, False])
-def test_identity_max_scores_blocks_match_reference(monkeypatch, block_cells, tied):
+def test_verification_scores_blocks_match_reference(monkeypatch, block_cells, tied):
     monkeypatch.setattr(mfid.evaluation, "_POOL_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(200 + block_cells)
-    for n_probes in (0, 1, 2, 17):
-        labels = rng.integers(0, 4, size=7)
-        scores = draw_scores(rng, (n_probes, labels.size), tied)
-        groups = LabelGroups(labels)
-        pooled, ids = identity_max_scores(scores, groups), groups.ids
-        ref_pooled, ref_ids = reference_identity_max_scores(scores, labels)
-        assert pooled.shape == (n_probes, ref_ids.size)
-        assert ids.tolist() == ref_ids.tolist()
-        assert pooled.tolist() == ref_pooled.tolist()
-    for _ in range(5):
-        emb, labels = draw_labelled_embeddings(rng, tied)
+    cases = [draw_labelled_embeddings(rng, tied) for _ in range(5)]
+    # sparse unsorted ids over 7 rows; one identity, so no negatives; an odd width
+    cases += [(draw_scores(rng, (7, 4), tied) + 0.05, np.array([3, 0, 3, 0, 8, 8, 0])),
+              (draw_scores(rng, (3, 4), tied) + 0.05, np.array([5, 5, 5])),
+              (rng.normal(size=(40, 33)), rng.permutation(np.arange(40) % 8))]
+    for emb, labels in cases:
+        block_rows = max(1, block_cells // labels.size)
         positives, negatives = verification_scores(emb, labels)
-        ref_pos, ref_neg = reference_verification_scores(emb, labels)
+        ref_pos, ref_neg = reference_verification_scores(emb, labels, block_rows)
         assert positives.tolist() == ref_pos.tolist()
         assert negatives.tolist() == ref_neg.tolist()
+        # against the dense product: a block's dot products of unit rows may
+        # round differently, by a few ulps per term
+        dense_pos, dense_neg = reference_verification_scores(emb, labels)
+        tolerance = 4 * emb.shape[1] * np.finfo(np.float64).eps
+        np.testing.assert_allclose(positives, dense_pos, rtol=0, atol=tolerance)
+        np.testing.assert_allclose(negatives, dense_neg, rtol=0, atol=tolerance)
+    positives, negatives = verification_scores(np.empty((0, 4)), np.empty(0, dtype=np.int64))
+    assert positives.shape == negatives.shape == (0,)
+    assert positives.dtype == negatives.dtype == np.float64
 
 
 def test_verification_scores_hold_one_square_matrix():
+    """Verification holds one row block of the product and its label-ordered
+    copy, never the whole n x n matrix (72 MB here)."""
     rng = np.random.default_rng(205)
-    n = 3000
+    n, n_ids = 3000, 100
     emb = rng.normal(size=(n, 16))
-    labels = np.repeat(np.arange(100), n // 100)
+    labels = np.repeat(np.arange(n_ids), n // n_ids)
     tracemalloc.start()
     try:
         verification_scores(emb, labels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8
+    block_bytes = 2 * 8 * mfid.evaluation._POOL_BLOCK_CELLS
+    output_bytes = 8 * n * n_ids
+    assert peak < 2 * (block_bytes + output_bytes)
 
 
 @pytest.mark.parametrize("seed,tied", SCORE_CASES)
@@ -724,9 +728,9 @@ def pooled_gallery_cases(draw):
 
 
 def closed_set_ranks(scores, probe_labels, gallery_labels):
-    groups = LabelGroups(gallery_labels)
-    ranks = probe_ranks(identity_max_scores(scores, groups), groups.ids, probe_labels)
-    return ranks, np.bincount(ranks, minlength=groups.ids.size + 1)[1:]
+    pooled, ids = reference_pool(scores, gallery_labels)
+    ranks = probe_ranks(pooled, ids, probe_labels)
+    return ranks, np.bincount(ranks, minlength=ids.size + 1)[1:]
 
 
 @PROPERTY_SETTINGS
@@ -923,26 +927,3 @@ def test_trials_reject_small_identity_as_before():
             theirs(emb, labels, cfg)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             ours(emb, labels, cfg)
-
-
-@st.composite
-def distinct_gallery_cases(draw):
-    """Scores against a gallery with one column per (sparse, unsorted) identity:
-    pooling is then a column permutation."""
-    n_probes = draw(st.integers(0, 4))
-    labels = 7 * np.asarray(draw(st.permutations(range(draw(st.integers(1, 6))))))
-    scores = np.asarray(draw(st.lists(SCORE_VALUES, min_size=n_probes * labels.size,
-                                      max_size=n_probes * labels.size)))
-    return scores.reshape(n_probes, labels.size), labels
-
-
-@PROPERTY_SETTINGS
-@given(distinct_gallery_cases())
-def test_identity_max_scores_permutation_path_matches_reduceat(case):
-    scores, labels = case
-    groups = LabelGroups(labels)
-    pooled = identity_max_scores(scores, groups)
-    ref_pooled, ref_ids = reference_pool(scores, labels)
-    assert groups.ids.tolist() == ref_ids.tolist()
-    assert pooled.shape == ref_pooled.shape
-    assert pooled.tolist() == ref_pooled.tolist()

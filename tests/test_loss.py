@@ -364,3 +364,10 @@ def test_config_validation():
         LossConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         LossConfig(sim_weight=-0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["margin", "sim_weight", "dissim_weight"])
+def test_config_rejects_non_finite_value(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        LossConfig(**{name: value})

@@ -281,6 +281,12 @@ def test_train_epoch_count_and_history():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_train_config_rejects_non_finite_lr(lr):
+    with pytest.raises(ValueError, match=f"^initial_lr must be finite, got {lr}$"):
+        TrainConfig(initial_lr=lr)
+
+
 def test_train_deterministic_bit_identical():
     ds = synth_gaussian(5, 6, 4, 1.0, 0.2, seed=2)
     (split,) = stratified_splits(ds, 1, 0.2, seed=1)
@@ -549,6 +555,17 @@ def test_checkpoint_round_trip(tmp_path, architecture):
     assert back.embed_dim == head.embed_dim
     for name in head.params:
         np.testing.assert_array_equal(back.params[name], head.params[name])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, value):
+    head = init_head("mlp1", 4, 3, 2, seed=0)
+    head.params["w2"][1, 2] = value
+    path = tmp_path / "head.mfhd"
+    save_head(head, path)
+    with pytest.raises(ValueError) as raised:
+        load_head(path)
+    assert str(raised.value) == f"{path}: non-finite value in parameter 'w2'"
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -24,6 +24,7 @@ from .dataset import (
     Dataset,
     Split,
     STRATIFIED,
+    _map_indexed,
     identity_disjoint_split,
     load_dataset,
     load_split,
@@ -162,33 +163,6 @@ def _metric_line(protocol: str, key, value: float, std: float, threshold) -> str
     """One ``protocol,<key>,mean,std,threshold`` row; no threshold prints empty."""
     tau = "" if threshold is None else repr(threshold)
     return f"{protocol},{key},{value!r},{std!r},{tau}"
-
-
-# The work of the running _map_indexed call.  Forked workers inherit it with
-# the data its closure holds, so only indices and results are pickled.
-_FORKED_WORK = None
-
-
-def _run_forked(i: int):
-    return _FORKED_WORK(i)
-
-
-def _map_indexed(work, count: int, jobs: int) -> list:
-    """``[work(i) for i in range(count)]``, in up to ``jobs`` forked processes."""
-    if jobs <= 1 or count <= 1:
-        return [work(i) for i in range(count)]
-    # Imported here, not at module top, where it adds RSS to every command.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _FORKED_WORK
-    _FORKED_WORK = work
-    try:
-        with ProcessPoolExecutor(min(jobs, count),
-                                 multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_forked, range(count)))
-    finally:
-        _FORKED_WORK = None
 
 
 def _child_seed(root: np.random.SeedSequence) -> int:
@@ -417,7 +391,7 @@ def cmd_ablate(options: dict) -> None:
             metrics.append((values["verification"], values["closed_set"]))
         return metrics
 
-    results = _map_indexed(run_seed, options["seeds"], options["jobs"])
+    results = list(_map_indexed(run_seed, options["seeds"], options["jobs"]))
     wins = {arms[0]: 0, arms[1]: 0, "tie": 0}
     rows = []
     for i, ((tar_a, rank1_a), (tar_b, rank1_b)) in enumerate(results):

@@ -8,7 +8,11 @@ are kept in ``identity_names``.
 Two file formats are supported; the file suffix chooses one:
 
 * CSV with header ``id,label,f0,...,f{d-1}``; feature values are written
-  with full round-trip precision.
+  with full round-trip precision.  A file of more than about 1 MiB of text
+  is written and read in chunks of rows, converted in forked workers, one
+  per CPU the process may use (:func:`_map_indexed`); the bytes written and
+  the dataset read do not depend on how many.  A name that holds a comma or
+  a line break, or that two identities share, is rejected before writing.
 * A binary container (``.bin`` or ``.mfid``): magic ``MFID``, version u32,
   ``n`` u64, ``d`` u64, row-major little-endian float64 features, then u32
   label ids.
@@ -21,8 +25,12 @@ protocols all share.  Its ``draw`` makes one ``rng.choice`` per group.
 
 from __future__ import annotations
 
+import io
 import math
+import mmap
+import os
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +42,12 @@ BINARY_SUFFIXES = (".bin", ".mfid")
 
 STRATIFIED = "stratified-by-sample"
 DISJOINT = "disjoint-by-identity"
+
+# CSV text is converted in chunks of about this many bytes, across the CPUs
+# the process may use.  A file of one chunk is converted in the process.
+_CSV_CHUNK_BYTES = 1 << 20
+# The longest repr of a float64, e.g. -2.2250738585072014e-308.
+_REPR_WIDTH = 24
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,49 @@ def _labels_from_names(names: list[str]) -> tuple[np.ndarray, dict[int, str]]:
 
 
 # ---------------------------------------------------------------------------
+# forked workers
+
+
+# The work of the running _map_indexed call.  Forked workers inherit it with
+# the data its closure holds, so only indices and results are pickled.
+_FORKED_WORK = None
+
+
+def _run_forked(i: int):
+    return _FORKED_WORK(i)
+
+
+def _map_indexed(work, count: int, jobs: int):
+    """Yield ``work(i)`` for i in range(count), in order, computed in up to
+    ``jobs`` forked processes (in this one when ``jobs`` or ``count`` is 1).
+
+    Close the generator when leaving it early: that cancels the work not yet
+    started and waits for the workers to exit.
+    """
+    if jobs <= 1 or count <= 1:
+        yield from map(work, range(count))
+        return
+    # Imported here, not at module top, where it adds RSS and start-up time
+    # to every command.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _FORKED_WORK
+    previous, _FORKED_WORK = _FORKED_WORK, work
+    try:
+        with ProcessPoolExecutor(min(jobs, count),
+                                 multiprocessing.get_context("fork")) as pool:
+            yield from pool.map(_run_forked, range(count))
+    finally:
+        _FORKED_WORK = previous
+
+
+def _csv_workers() -> int:
+    """The number of CPUs this process may run on, the CSV worker count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# ---------------------------------------------------------------------------
 # file formats
 
 
@@ -132,58 +189,147 @@ def save_dataset(ds: Dataset, path, header_comment: str | None = None) -> None:
         _save_csv(ds, path, header_comment)
 
 
-def _identity_name(ds: Dataset, label: int, width: int) -> str:
-    if ds.identity_names is not None and label in ds.identity_names:
-        return ds.identity_names[label]
-    return str(label).zfill(width)
+def _csv_names(ds: Dataset) -> list[str]:
+    """Each label's name as its CSV rows spell it: the identity name, else the
+    zero-padded id.  A name that the loader would not read back as that one
+    identity is rejected."""
+    width = len(str(ds.n_identities - 1))
+    named = ds.identity_names or {}
+    names = [named.get(label, str(label).zfill(width)) for label in range(ds.n_identities)]
+    first = {}
+    for label, name in enumerate(names):
+        for mark in (",", "\n", "\r"):
+            if mark in name:
+                raise ValueError(f"identity {label}: name {name!r} contains {mark!r}, "
+                                 "which a CSV row cannot hold")
+        if name in first:
+            raise ValueError(f"identities {first[name]} and {label} share the name "
+                             f"{name!r}, so a CSV file would merge them")
+        first[name] = label
+    return names
 
 
 def _save_csv(ds: Dataset, path: Path, header_comment: str | None) -> None:
-    width = len(str(ds.n_identities - 1))
+    names = _csv_names(ds)
+    # Rows per chunk, sized so that a chunk of the widest values fills it.
+    rows = max(1, _CSV_CHUNK_BYTES // (ds.dim * (_REPR_WIDTH + 1)))
+
+    def chunk_text(c: int) -> str:
+        lo = c * rows
+        block = ds.features[lo:lo + rows].tolist()
+        labels = ds.labels[lo:lo + rows].tolist()
+        return "".join(f"{i},{names[label]},{','.join(map(repr, row))}\n"
+                       for i, label, row in zip(range(lo, lo + len(block)), labels, block))
+
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("id,label," + ",".join(f"f{j}" for j in range(ds.dim)) + "\n")
-        # Row by row, so neither every value as a Python float nor the whole
-        # text is held at once.
-        for i, (label, row) in enumerate(zip(ds.labels.tolist(), ds.features)):
-            feats = ",".join(map(repr, row.tolist()))
-            fh.write(f"{i},{_identity_name(ds, label, width)},{feats}\n")
+        # In order as they arrive, so only a few chunks are held at once.
+        with closing(_map_indexed(chunk_text, -(-ds.n_samples // rows),
+                                  _csv_workers())) as chunks:
+            for text in chunks:
+                fh.write(text)
+
+
+def _csv_header(path: Path) -> tuple[int, int, int]:
+    """(width, lines up to the header, byte offset after the header): the
+    comment and blank lines before the header, then the header itself."""
+    offset = 0
+    for lineno, raw in enumerate(_range_lines(path, 0, path.stat().st_size), start=1):
+        offset += len(raw.encode("utf-8"))
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if fields[:2] != ["id", "label"] or len(fields) < 3:
+            raise ValueError(f"{path}: line {lineno}: expected header 'id,label,f0,...'")
+        return len(fields) - 2, lineno, offset
+    raise ValueError(f"{path}: empty file")
+
+
+def _csv_ranges(path: Path, start: int) -> list[tuple[int, int]]:
+    """Byte ranges of at least ``_CSV_CHUNK_BYTES`` (the last one may be
+    shorter) that cover ``path`` from ``start``; each ends just after a
+    newline byte or at the end of the file, so no line, UTF-8 sequence or
+    CRLF pair straddles two."""
+    size = path.stat().st_size
+    bounds = [start]
+    if size - start > _CSV_CHUNK_BYTES:
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            while size - bounds[-1] > _CSV_CHUNK_BYTES:
+                newline = mm.find(b"\n", bounds[-1] + _CSV_CHUNK_BYTES - 1)
+                if newline < 0:
+                    break
+                bounds.append(newline + 1)
+    if bounds[-1] < size:
+        bounds.append(size)
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _range_lines(path: Path, lo: int, hi: int):
+    """The lines in bytes ``lo:hi`` of ``path``, which begin and end on line
+    boundaries, read with universal newlines (LF, CRLF or a lone CR) and
+    their line ends kept."""
+    with open(path, "rb") as raw:
+        raw.seek(lo)
+        # newline="" ends lines as newline=None does but keeps their bytes,
+        # so the lines' encoded lengths add up to the range.
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+            left = hi - lo
+            for line in fh:
+                yield line
+                left -= len(line.encode("utf-8"))
+                if left <= 0:
+                    return
+
+
+def _parse_csv_range(path: Path, lo: int, hi: int, width: int):
+    """Parse the data lines in bytes ``lo:hi`` of ``path``.
+
+    Returns (packed ``<f8`` rows, names, lines read, error): error is None,
+    or the message for the first bad line, which is then the last line read.
+    """
+    # One flat buffer of packed float64 rows, not a Python float per value,
+    # and one str per distinct name, which pickling sends once.
+    values = io.BytesIO()
+    names: list[str] = []
+    distinct: dict[str, str] = {}
+    pack_row = struct.Struct(f"<{width}d").pack
+    for lineno, raw in enumerate(_range_lines(path, lo, hi), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) != width + 2:
+            return b"", [], lineno, f"expected {width + 2} fields, got {len(fields)}"
+        try:
+            feats = list(map(float, fields[2:]))
+        except ValueError:
+            return b"", [], lineno, "malformed feature value"
+        # A finite sum means finite values; a sum that overflows does not,
+        # so only then is each value checked.
+        if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
+            return b"", [], lineno, "non-finite feature value"
+        names.append(distinct.setdefault(fields[1], fields[1]))
+        values.write(pack_row(*feats))
+    # getvalue hands over the buffer itself, without a copy.
+    return values.getvalue(), names, lineno, None
 
 
 def _load_csv(path: Path) -> Dataset:
-    # One flat buffer of packed float64 rows, not a Python float per value.
-    values = bytearray()
-    names: list[str] = []
-    width: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if width is None:
-                if fields[:2] != ["id", "label"] or len(fields) < 3:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header 'id,label,f0,...'")
-                width = len(fields) - 2
-                pack_row = struct.Struct(f"<{width}d").pack
-                continue
-            if len(fields) != width + 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width + 2} fields, got {len(fields)}")
-            try:
-                feats = list(map(float, fields[2:]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-            # A finite sum means finite values; a sum that overflows does not,
-            # so only then is each value checked.
-            if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            names.append(fields[1])
-            values += pack_row(*feats)
-    if width is None:
-        raise ValueError(f"{path}: empty file")
+    width, lineno, start = _csv_header(path)
+    ranges = _csv_ranges(path, start)
+    values, names = bytearray(), []
+    with closing(_map_indexed(lambda c: _parse_csv_range(path, *ranges[c], width),
+                              len(ranges), _csv_workers())) as chunks:
+        for chunk_values, chunk_names, n_lines, error in chunks:
+            lineno += n_lines
+            if error is not None:
+                raise ValueError(f"{path}: line {lineno}: {error}")
+            values += chunk_values
+            names += chunk_names
+            del chunk_values  # not held while the next chunk arrives
     if not names:
         raise ValueError(f"{path}: no data rows")
     labels, identity_names = _labels_from_names(names)
@@ -198,8 +344,10 @@ def _save_binary(ds: Dataset, path: Path) -> None:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<I", BINARY_VERSION))
         fh.write(struct.pack("<QQ", ds.n_samples, ds.dim))
-        fh.write(ds.features.astype("<f8").tobytes(order="C"))
-        fh.write(ds.labels.astype("<u4").tobytes())
+        # The features' own buffer: a float64 Dataset is already <f8 on a
+        # little-endian machine, so nothing is copied.
+        fh.write(np.ascontiguousarray(ds.features, dtype="<f8"))
+        fh.write(ds.labels.astype("<u4"))
 
 
 def _load_binary(path: Path) -> Dataset:

@@ -139,10 +139,18 @@ def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
 # thresholds
 
 
+def _ascending(scores) -> np.ndarray:
+    """``scores`` as float64 in ascending order: the array itself when it
+    already is, else a sorted copy."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return scores if bool(np.all(scores[:-1] <= scores[1:])) else np.sort(scores)
+
+
 def far_thresholds(nonmated_scores, far_targets) -> np.ndarray:
-    """:func:`far_threshold` for each target, from one sort of the scores."""
-    scores = np.asarray(nonmated_scores, dtype=np.float64)
-    if scores.size == 0:
+    """:func:`far_threshold` for each target, from one sort of the scores
+    (none when they are already in ascending order)."""
+    ordered = _ascending(nonmated_scores)
+    if ordered.size == 0:
         raise ValueError("no non-mated scores to calibrate a threshold")
     targets = np.asarray(far_targets, dtype=np.float64)
     bad = targets[~((targets > 0.0) & (targets <= 1.0))]
@@ -150,7 +158,6 @@ def far_thresholds(nonmated_scores, far_targets) -> np.ndarray:
         raise ValueError(f"far_target must be in (0, 1], got {float(bad[0])}")
     # A value v qualifies when at most ``allowed`` scores are >= v, i.e. when
     # v lies above the score at ascending rank n - allowed - 1.
-    ordered = np.sort(scores)
     rank = ordered.size - 1 - np.floor(targets * ordered.size + 1e-9).astype(np.int64)
     above = np.searchsorted(ordered, ordered[np.maximum(rank, 0)], side="right")
     thresholds = np.where(above < ordered.size,
@@ -174,7 +181,7 @@ def far_threshold(nonmated_scores, far_target: float) -> float:
 
 def _accept_rates(scores, thresholds) -> np.ndarray:
     """Fraction of ``scores`` at or above each threshold: one sort, one search."""
-    ordered = np.sort(np.asarray(scores, dtype=np.float64))
+    ordered = _ascending(scores)
     return (ordered.size - np.searchsorted(ordered, thresholds, side="left")) / ordered.size
 
 
@@ -384,8 +391,8 @@ def _score_split(head, ds: Dataset, split, protocols, cfg: TrialConfig):
     Returns:
         (protocol, value, std, threshold) rows in that protocol order, the
         threshold None for the closed set; the closed set's trial-averaged
-        CMC rates, or None; and the verification (positives, negatives), or
-        None.
+        CMC rates, or None; and the verification (positives, negatives), the
+        negatives in ascending order, or None.
     """
     index = _TestIndex(embed(head, ds.features[split.test_indices]),
                        ds.labels[split.test_indices])
@@ -400,6 +407,9 @@ def _score_split(head, ds: Dataset, split, protocols, cfg: TrialConfig):
                      float(np.mean(report.thresholds))))
     if "verification" in protocols:
         verification = _verification_scores(index)
+        # Sorted in place once, so the threshold searches below and the
+        # caller's find them in order and copy nothing.
+        verification[1].sort()
         tar, tau = tar_at_far(*verification, cfg.far_target)
         rows.append(("verification", tar, 0.0, tau))
     return rows, cmc, verification

@@ -1,6 +1,7 @@
 """Dataset loading, splits, pair constraints, and the synthetic generator."""
 
 import math
+import multiprocessing
 import re
 import tracemalloc
 
@@ -223,6 +224,246 @@ def test_empty_csv_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_dataset(path)
+
+
+def test_binary_save_writes_the_features_without_a_copy(tmp_path):
+    rng = np.random.default_rng(16)
+    ds = Dataset(rng.normal(size=(2000, 64)), np.repeat(np.arange(100), 20))
+    tracemalloc.start()
+    try:
+        save_dataset(ds, tmp_path / "d.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes / 2
+    assert load_dataset(tmp_path / "d.bin").features.tobytes() == ds.features.tobytes()
+
+
+@pytest.mark.parametrize("names,message", [
+    ({0: "a,b", 1: "c"}, "identity 0: name 'a,b' contains ','"),
+    ({0: "a", 1: "c\nd"}, "identity 1: name 'c\\nd' contains '\\n'"),
+    ({0: "a\rb", 1: "c"}, "identity 0: name 'a\\rb' contains '\\r'"),
+    ({0: "x", 1: "x"}, "identities 0 and 1 share the name 'x'"),
+    # label 1 is unnamed, and its fallback name is "1" too
+    ({0: "1"}, "identities 0 and 1 share the name '1'"),
+])
+def test_csv_save_rejects_names_it_cannot_read_back(tmp_path, names, message):
+    ds = Dataset(np.zeros((4, 2)), [0, 0, 1, 1], names)
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_dataset(ds, path)
+    assert not path.exists()
+    save_dataset(ds, tmp_path / "d.bin")  # the binary format holds no names
+
+
+# ---------------------------------------------------------------------------
+# CSV conversion in chunks
+
+
+def reference_save_csv(ds, path, header_comment=None):
+    """The row-by-row writer the chunked one replaced."""
+    width = len(str(ds.n_identities - 1))
+    names = ds.identity_names or {}
+    with open(path, "w", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write("id,label," + ",".join(f"f{j}" for j in range(ds.dim)) + "\n")
+        for i, (label, row) in enumerate(zip(ds.labels.tolist(), ds.features)):
+            name = names.get(label, str(label).zfill(width))
+            fh.write(f"{i},{name},{','.join(map(repr, row.tolist()))}\n")
+
+
+def reference_load_csv(path):
+    """The line-by-line reader the chunked one replaced: (features, names),
+    or the ValueError it raised."""
+    rows, names, width = [], [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(",")
+            if width is None:
+                if fields[:2] != ["id", "label"] or len(fields) < 3:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected header 'id,label,f0,...'")
+                width = len(fields) - 2
+                continue
+            if len(fields) != width + 2:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {width + 2} fields, got {len(fields)}")
+            try:
+                feats = [float(v) for v in fields[2:]]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+            rows.append(feats)
+            names.append(fields[1])
+    if width is None:
+        raise ValueError(f"{path}: empty file")
+    if not names:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64).reshape(len(names), width), names
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}workers")
+def chunked(request, monkeypatch):
+    """CSV chunks of 256 bytes, converted by 1, 2 or 3 workers."""
+    monkeypatch.setattr(mfid.dataset, "_CSV_CHUNK_BYTES", 256)
+    monkeypatch.setattr(mfid.dataset, "_csv_workers", lambda: request.param)
+    return request.param
+
+
+def extreme_dataset():
+    values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-05, -1e-05,
+              1e16, -1e16, 1.7e308, -1.7e308, 0.1, 1.0 / 3.0,
+              -2.2250738585072014e-308, -1.2345678901234567e-300]
+    features = np.tile(values, 4).reshape(-1, 1) * np.ones((1, 3))
+    return Dataset(features, np.arange(features.shape[0]) % 4, {0: "b", 1: "a", 3: "zz"})
+
+
+def random_scale_dataset():
+    rng = np.random.default_rng(11)
+    return Dataset(rng.normal(size=(50, 16)) * 10.0 ** rng.integers(-8, 8, size=(50, 1)),
+                   rng.permutation(np.repeat(np.arange(10), 5)))
+
+
+def assert_loads_like_reference(path):
+    features, names = reference_load_csv(path)
+    back = load_dataset(path)
+    assert back.features.tobytes() == features.tobytes()
+    assert [back.identity_names[label] for label in back.labels.tolist()] == names
+    assert sorted(back.identity_names.values()) == sorted(set(names))
+
+
+@pytest.mark.parametrize("make", [extreme_dataset, random_scale_dataset])
+def test_chunked_csv_writes_the_row_by_row_bytes(tmp_path, chunked, make):
+    ds = make()
+    reference_save_csv(ds, tmp_path / "want.csv", header_comment="mfid test")
+    save_dataset(ds, tmp_path / "got.csv", header_comment="mfid test")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    # the rows span many chunks
+    assert len(got) > 8 * mfid.dataset._CSV_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("make", [extreme_dataset, random_scale_dataset])
+def test_chunked_csv_reads_the_dataset_back(tmp_path, chunked, make):
+    ds = make()
+    path = tmp_path / "d.csv"
+    save_dataset(ds, path, header_comment="mfid test")
+    back = load_dataset(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+    width = len(str(ds.n_identities - 1))
+    names = ds.identity_names or {}
+    assert ([back.identity_names[label] for label in back.labels.tolist()]
+            == [names.get(label, str(label).zfill(width)) for label in ds.labels.tolist()])
+    assert_loads_like_reference(path)
+
+
+def messy_csv_lines(n_rows=60, dim=4):
+    """Header, then data rows with comment, blank and padded lines among them;
+    line i of the file is lines[i - 1]."""
+    rng = np.random.default_rng(21)
+    lines = ["# made by hand", "", "id,label," + ",".join(f"f{j}" for j in range(dim))]
+    for i in range(n_rows):
+        if i % 7 == 3:
+            lines.append("# a comment among the rows")
+        if i % 5 == 1:
+            lines.append("   ")
+        values = ",".join(repr(v) for v in rng.normal(size=dim).tolist())
+        lines.append(f"{i},id{i % 6},{values}" + ("  " if i % 9 == 0 else ""))
+    return lines
+
+
+def data_line(lines, after):
+    """The number of the first data row line at or after line ``after``."""
+    return next(number for number, line in enumerate(lines, start=1)
+                if number >= after and line[:1].isdigit())
+
+
+def load_error(path):
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    return str(info.value)
+
+
+def reference_error(path):
+    with pytest.raises(ValueError) as info:
+        reference_load_csv(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda line: line.rsplit(",", 1)[0], "expected 6 fields, got 5"),
+    (lambda line: line.rsplit(",", 1)[0] + ",oops", "malformed feature value"),
+    (lambda line: line.rsplit(",", 1)[0] + ",inf", "non-finite feature value"),
+    (lambda line: line.rsplit(",", 1)[0] + ",1e309", "non-finite feature value"),
+])
+def test_chunked_csv_error_names_the_line_in_a_late_chunk(tmp_path, chunked, damage,
+                                                          message):
+    lines = messy_csv_lines()
+    bad = data_line(lines, len(lines) - 6)
+    lines[bad - 1] = damage(lines[bad - 1])
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 8 * mfid.dataset._CSV_CHUNK_BYTES
+    error = load_error(path)
+    assert error == reference_error(path) == f"{path}: line {bad}: {message}"
+
+
+def test_chunked_csv_reports_the_earlier_of_two_bad_chunks(tmp_path, chunked):
+    lines = messy_csv_lines()
+    early = data_line(lines, 30)
+    late = data_line(lines, len(lines) - 3)
+    lines[early - 1] = lines[early - 1] + ",nan"
+    lines[late - 1] = lines[late - 1].rsplit(",", 1)[0] + ",oops"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    error = load_error(path)
+    assert error == reference_error(path) == f"{path}: line {early}: expected 6 fields, got 7"
+
+
+def join_lines(lines, newline):
+    """The file text of ``lines``, each ended by ``newline``, or in turn by LF,
+    a lone CR and CRLF when ``newline`` is "mixed"."""
+    ends = ("\n", "\r", "\r\n") if newline == "mixed" else (newline,)
+    return "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "mixed"])
+def test_chunked_csv_reads_universal_newlines(tmp_path, chunked, newline):
+    lines = messy_csv_lines()
+    path = tmp_path / "d.csv"
+    path.write_bytes(join_lines(lines, newline).encode("utf-8"))
+    assert_loads_like_reference(path)
+    # a bad line late in the file keeps its number
+    bad = data_line(lines, len(lines) - 4)
+    lines[bad - 1] = lines[bad - 1] + ",1.0"
+    path.write_bytes(join_lines(lines, newline).encode("utf-8"))
+    assert load_error(path) == reference_error(path) == (
+        f"{path}: line {bad}: expected 6 fields, got 7")
+
+
+def test_chunked_csv_reads_names_beyond_ascii(tmp_path, chunked):
+    lines = messy_csv_lines()
+    lines = [line.replace(",id3,", ",\u00e9t\u00e9\u4e2d,") for line in lines]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")  # no final newline
+    assert_loads_like_reference(path)
+    assert "\u00e9t\u00e9\u4e2d" in load_dataset(path).identity_names.values()
+
+
+def test_chunked_csv_error_leaves_no_worker_running(tmp_path, chunked):
+    lines = messy_csv_lines(n_rows=200)
+    bad = data_line(lines, 40)
+    lines[bad - 1] = lines[bad - 1] + ",oops"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {bad}: expected"):
+        load_dataset(path)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from mfid import (
     verification_scores,
 )
 import mfid.evaluation
-from mfid.evaluation import _closed_set, _open_set, _TestIndex
+from mfid.dataset import STRATIFIED, Dataset, Split
+from mfid.evaluation import _closed_set, _open_set, _score_split, _TestIndex
 from mfid.model import init_head
 
 
@@ -629,6 +630,46 @@ def test_far_thresholds_match_one_target_at_a_time(seed, tied):
         thresholds = far_thresholds(scores, targets).tolist()
         assert thresholds == [far_threshold(scores, t) for t in targets]
         assert thresholds == [reference_far_threshold(scores, t) for t in targets]
+
+
+def test_ascending_scores_are_thresholded_without_a_copy():
+    # eval sorts each split's negatives once, in place; tar_at_far and the
+    # ROC grid's far_thresholds then search them as they are.
+    rng = np.random.default_rng(230)
+    scores = rng.uniform(-1.0, 1.0, size=1 << 20)
+    positives = rng.uniform(-1.0, 1.0, size=1000)
+    grid = np.round(np.linspace(0.01, 1.0, 100), 10)
+    want = far_thresholds(scores, grid)
+    want_tar = tar_at_far(positives, scores, 0.01)
+    scores.sort()
+    tracemalloc.start()
+    try:
+        got = far_thresholds(scores, grid)
+        got_tar = tar_at_far(positives, scores, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert got_tar == want_tar
+    # the order check's boolean temporary is an eighth of the scores
+    assert peak < scores.nbytes / 4
+
+
+def test_score_split_hands_over_the_negatives_sorted():
+    # One in-place sort per split serves tar_at_far and the caller's ROC grid.
+    rng = np.random.default_rng(231)
+    ds = Dataset(rng.normal(size=(60, 5)), np.repeat(np.arange(6), 10))
+    head = init_head("linear", 5, 0, 6, seed=0)
+    split = Split(np.arange(0, 60, 2), np.arange(1, 60, 2), STRATIFIED, 0)
+    rows, _, (positives, negatives) = _score_split(head, ds, split, ("verification",),
+                                                   TrialConfig())
+    want_positives, want_negatives = verification_scores(
+        mfid.evaluation.embed(head, ds.features[split.test_indices]),
+        ds.labels[split.test_indices])
+    assert positives.tobytes() == want_positives.tobytes()
+    assert negatives.tobytes() == np.sort(want_negatives).tobytes()
+    tar, tau = tar_at_far(want_positives, want_negatives, 0.01)
+    assert rows == [("verification", tar, 0.0, tau)]
 
 
 def test_far_thresholds_reject_bad_input():

@@ -1,5 +1,6 @@
 """Checks over the package source: every export has a caller, every module-level
-function and class is used, and no import is unused."""
+function and class is used, no import is unused, and one function starts
+worker processes."""
 
 import ast
 import re
@@ -80,3 +81,27 @@ def test_module_level_definitions_are_used():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name not in read and node.name not in exports]
     assert orphans == []
+
+
+# Calls that start processes or threads, or choose how processes start.
+PARALLEL_CALLS = {"get_context", "set_start_method", "ProcessPoolExecutor",
+                  "ThreadPoolExecutor", "Pool", "Process", "Thread", "fork"}
+
+
+def call_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_one_parallel_mechanism():
+    # Everything that runs in parallel goes through one forked-worker map
+    # (ROADMAP aim 2); a second pool or start method is a second mechanism.
+    sites = [(path.name, node.lineno, call_name(node)) for path in MODULES
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call) and call_name(node) in PARALLEL_CALLS]
+    assert sorted(name for _, _, name in sites) == ["ProcessPoolExecutor", "get_context"]
+    (map_indexed,) = [node for node in parse(PACKAGE / "dataset.py").body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_map_indexed"]
+    assert all(module == "dataset.py"
+               and map_indexed.lineno <= line <= map_indexed.end_lineno
+               for module, line, _ in sites)

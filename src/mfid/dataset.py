@@ -8,14 +8,19 @@ are kept in ``identity_names``.
 Two file formats are supported; the file suffix chooses one:
 
 * CSV with header ``id,label,f0,...,f{d-1}``; feature values are written
-  with full round-trip precision.  A file of more than about 1 MiB of text
-  is written and read in chunks of rows, converted in forked workers, one
-  per CPU the process may use (:func:`_map_indexed`); the bytes written and
-  the dataset read do not depend on how many.  A name that holds a comma or
-  a line break, or that two identities share, is rejected before writing.
+  with full round-trip precision.  Text is written in chunks of about 1 MiB,
+  and read in ranges of at least 1 MiB (a file under 2 MiB is one), each
+  converted in a forked worker, one per CPU the process may use
+  (:func:`_map_indexed`); the bytes written and the dataset read do not
+  depend on how many.  A name that holds a comma or a line break, or that
+  two identities share, is rejected before writing.
 * A binary container (``.bin`` or ``.mfid``): magic ``MFID``, version u32,
   ``n`` u64, ``d`` u64, row-major little-endian float64 features, then u32
   label ids.
+
+Every text input is split into lines (at LF, CRLF or a lone CR) by
+:func:`_range_lines`, and dataset CSVs and box files (:mod:`mfid.detection`)
+are parsed by :func:`_parse_csv_range`, which names the first bad line.
 
 Rows are grouped by identity in one place, :class:`LabelGroups` (the stable
 label order, and each group's label, start and count in it), which the
@@ -30,6 +35,7 @@ import math
 import mmap
 import os
 import struct
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +50,7 @@ STRATIFIED = "stratified-by-sample"
 DISJOINT = "disjoint-by-identity"
 
 # CSV text is converted in chunks of about this many bytes, across the CPUs
-# the process may use.  A file of one chunk is converted in the process.
+# the process may use.  A file of less than two is read in the process.
 _CSV_CHUNK_BYTES = 1 << 20
 # The longest repr of a float64, e.g. -2.2250738585072014e-308.
 _REPR_WIDTH = 24
@@ -232,27 +238,11 @@ def _save_csv(ds: Dataset, path: Path, header_comment: str | None) -> None:
                 fh.write(text)
 
 
-def _csv_header(path: Path) -> tuple[int, int, int]:
-    """(width, lines up to the header, byte offset after the header): the
-    comment and blank lines before the header, then the header itself."""
-    offset = 0
-    for lineno, raw in enumerate(_range_lines(path, 0, path.stat().st_size), start=1):
-        offset += len(raw.encode("utf-8"))
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if fields[:2] != ["id", "label"] or len(fields) < 3:
-            raise ValueError(f"{path}: line {lineno}: expected header 'id,label,f0,...'")
-        return len(fields) - 2, lineno, offset
-    raise ValueError(f"{path}: empty file")
-
-
 def _csv_ranges(path: Path, start: int) -> list[tuple[int, int]]:
-    """Byte ranges of at least ``_CSV_CHUNK_BYTES`` (the last one may be
-    shorter) that cover ``path`` from ``start``; each ends just after a
-    newline byte or at the end of the file, so no line, UTF-8 sequence or
-    CRLF pair straddles two."""
+    """Byte ranges that cover ``path`` from ``start``, each of at least
+    ``_CSV_CHUNK_BYTES`` unless it is the only one: a tail shorter than that
+    joins the range before it.  Each ends just after a newline byte or at the
+    end of the file, so no line, UTF-8 sequence or CRLF pair straddles two."""
     size = path.stat().st_size
     bounds = [start]
     if size - start > _CSV_CHUNK_BYTES:
@@ -262,66 +252,74 @@ def _csv_ranges(path: Path, start: int) -> list[tuple[int, int]]:
                 if newline < 0:
                     break
                 bounds.append(newline + 1)
-    if bounds[-1] < size:
-        bounds.append(size)
-    return list(zip(bounds[:-1], bounds[1:]))
+    if len(bounds) > 1 and size - bounds[-1] < _CSV_CHUNK_BYTES:
+        bounds.pop()
+    return list(zip(bounds, bounds[1:] + [size])) if start < size else []
 
 
 def _range_lines(path: Path, lo: int, hi: int):
     """The lines in bytes ``lo:hi`` of ``path``, which begin and end on line
     boundaries, read with universal newlines (LF, CRLF or a lone CR) and
-    their line ends kept."""
+    their line ends kept.  Every text file is split into lines here."""
     with open(path, "rb") as raw:
         raw.seek(lo)
-        # newline="" ends lines as newline=None does but keeps their bytes,
-        # so the lines' encoded lengths add up to the range.
+        # newline="" ends lines as newline=None does but keeps their bytes, so
+        # the lines' lengths in UTF-8 (O(1) for ASCII) add up to the range.
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+            if hi >= os.fstat(raw.fileno()).st_size:
+                yield from fh
+                return
             left = hi - lo
             for line in fh:
                 yield line
-                left -= len(line.encode("utf-8"))
+                left -= len(line) if line.isascii() else len(line.encode("utf-8"))
                 if left <= 0:
                     return
 
 
-def _parse_csv_range(path: Path, lo: int, hi: int, width: int):
-    """Parse the data lines in bytes ``lo:hi`` of ``path``.
+def _parse_csv_range(path: Path, lo: int, hi: int, n_fields: int, name_at: int,
+                     values_at: int, malformed: str, check, header: str | None = None):
+    """Parse the rows in bytes ``lo:hi`` of ``path``: stripped lines of
+    ``n_fields`` comma-separated fields, named by field ``name_at``, with
+    float values from field ``values_at`` on (else the error ``malformed``)
+    that ``check(name, values)`` finds no error in.  Blank and ``#`` lines
+    and a line whose first field is ``header`` are skipped.
 
-    Returns (packed ``<f8`` rows, names, lines read, error): error is None,
-    or the message for the first bad line, which is then the last line read.
+    Returns (float64 values as bytes, names, lines read, error): error is
+    None, or the message for the first bad line, the last line read.
     """
-    # One flat buffer of packed float64 rows, not a Python float per value,
-    # and one str per distinct name, which pickling sends once.
-    values = io.BytesIO()
-    names: list[str] = []
-    distinct: dict[str, str] = {}
-    pack_row = struct.Struct(f"<{width}d").pack
+    # One flat array of float64 values, not a Python float per value, and
+    # one str per distinct name, which pickling sends once.
+    values, names, distinct = array("d"), [], {}
     for lineno, raw in enumerate(_range_lines(path, lo, hi), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split(",")
-        if len(fields) != width + 2:
-            return b"", [], lineno, f"expected {width + 2} fields, got {len(fields)}"
+        if fields[0] == header:
+            continue
+        if len(fields) != n_fields:
+            return None, None, lineno, f"expected {n_fields} fields, got {len(fields)}"
         try:
-            feats = list(map(float, fields[2:]))
+            row = list(map(float, fields[values_at:]))
         except ValueError:
-            return b"", [], lineno, "malformed feature value"
-        # A finite sum means finite values; a sum that overflows does not,
-        # so only then is each value checked.
-        if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
-            return b"", [], lineno, "non-finite feature value"
-        names.append(distinct.setdefault(fields[1], fields[1]))
-        values.write(pack_row(*feats))
-    # getvalue hands over the buffer itself, without a copy.
-    return values.getvalue(), names, lineno, None
+            return None, None, lineno, malformed
+        name = fields[name_at]
+        problem = check(name, row)
+        if problem is not None:
+            return None, None, lineno, problem
+        names.append(distinct.setdefault(name, name))
+        values.fromlist(row)
+    # As bytes, which unpickle without the copy an array makes.
+    return values.tobytes(), names, lineno, None
 
 
-def _load_csv(path: Path) -> Dataset:
-    width, lineno, start = _csv_header(path)
-    ranges = _csv_ranges(path, start)
+def _read_rows(path: Path, offset: int, lineno: int, **layout) -> tuple[list, np.ndarray]:
+    """The names and the ``(rows, values)`` array of the rows of ``path`` after
+    byte ``offset`` (line ``lineno``), parsed by :func:`_parse_csv_range` with ``layout``."""
+    ranges = _csv_ranges(path, offset)
     values, names = bytearray(), []
-    with closing(_map_indexed(lambda c: _parse_csv_range(path, *ranges[c], width),
+    with closing(_map_indexed(lambda c: _parse_csv_range(path, *ranges[c], **layout),
                               len(ranges), _csv_workers())) as chunks:
         for chunk_values, chunk_names, n_lines, error in chunks:
             lineno += n_lines
@@ -330,11 +328,35 @@ def _load_csv(path: Path) -> Dataset:
             values += chunk_values
             names += chunk_names
             del chunk_values  # not held while the next chunk arrives
+    width = layout["n_fields"] - layout["values_at"]
+    return names, np.frombuffer(values, dtype=np.float64).reshape(len(names), width)
+
+
+def _nonfinite_problem(name: str, values: list) -> str | None:
+    # A finite sum means finite values; only a sum that is not is checked value by value.
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        return "non-finite feature value"
+
+
+def _load_csv(path: Path) -> Dataset:
+    # The header is the first line that is neither blank nor a comment.
+    offset = 0
+    for lineno, raw in enumerate(_range_lines(path, 0, path.stat().st_size), start=1):
+        offset += len(raw.encode("utf-8"))
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise ValueError(f"{path}: empty file")
+    fields = line.split(",")
+    if fields[:2] != ["id", "label"] or len(fields) < 3:
+        raise ValueError(f"{path}: line {lineno}: expected header 'id,label,f0,...'")
+    names, features = _read_rows(path, offset, lineno, n_fields=len(fields), name_at=1,
+                                 values_at=2, malformed="malformed feature value",
+                                 check=_nonfinite_problem)
     if not names:
         raise ValueError(f"{path}: no data rows")
-    labels, identity_names = _labels_from_names(names)
-    features = np.frombuffer(values, dtype="<f8").reshape(len(names), width)
-    return Dataset(features, labels, identity_names)
+    return Dataset(features, *_labels_from_names(names))
 
 
 def _save_binary(ds: Dataset, path: Path) -> None:
@@ -505,36 +527,39 @@ def save_split(split: Split, stem) -> tuple[Path, Path]:
 
 
 def load_split(stem, n_samples: int | None = None) -> Split:
-    """Load a split written by :func:`save_split` from its two side files.
+    """Load a split written by :func:`save_split` from its two side files,
+    whose ``# mode=... seed=...`` first lines must agree.
 
-    With ``n_samples``, an index that does not address one of that many
-    rows is rejected.  Every error names ``stem``.
+    With ``n_samples``, an index that does not address one of that many rows
+    is rejected.  Every error names the file or ``stem``.
     """
     stem = Path(stem)
-    sides = {}
-    mode = None
-    seed = None
+    sides, headers = {}, {}
     for side in ("train", "test"):
         path = stem.with_name(stem.name + f".{side}.txt")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError(f"{path}: missing split header")
-        header = dict(item.split("=", 1) for item in lines[0][1:].split() if "=" in item)
-        if "mode" not in header or "seed" not in header:
-            raise ValueError(f"{path}: header must name mode and seed")
-        mode, seed = header["mode"], int(header["seed"])
-        indices = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            line = line.strip()
-            if not line:
-                continue
+        with closing(_range_lines(path, 0, path.stat().st_size)) as lines:
+            if not (first := next(lines, "")).startswith("#"):
+                raise ValueError(f"{path}: missing split header")
+            header = dict(item.split("=", 1) for item in first[1:].split() if "=" in item)
+            if "mode" not in header or "seed" not in header:
+                raise ValueError(f"{path}: header must name mode and seed")
             try:
-                indices.append(int(line))
+                headers[side] = header["mode"], int(header["seed"])
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed index") from None
+                raise ValueError(f"{path}: malformed seed {header['seed']!r}") from None
+            indices = []
+            for lineno, line in enumerate(lines, start=2):
+                if line.strip():
+                    try:
+                        indices.append(int(line))
+                    except ValueError:
+                        raise ValueError(f"{path}: line {lineno}: malformed index") from None
         sides[side] = np.array(indices, dtype=np.int64)
+    if headers["train"] != headers["test"]:
+        raise ValueError(f"{stem}: " + ", ".join(f"{side} file says mode={m} seed={s}"
+                                                 for side, (m, s) in headers.items()))
     try:
-        split = Split(sides["train"], sides["test"], mode, seed)
+        split = Split(sides["train"], sides["test"], *headers["train"])
     except ValueError as exc:
         raise ValueError(f"{stem}: {exc}") from None
     last = max(int(split.train_indices[-1]), int(split.test_indices.max(initial=-1)))

@@ -6,15 +6,37 @@ threshold.  Confidence ties are broken by the box corner coordinates
 (lexicographic), IoU ties by the lower ground-truth index, so results do not
 depend on input order.  Average precision uses all-point interpolation (the
 area under the precision envelope as a function of recall).
+
+Box files hold ``image_id,x_min,y_min,x_max,y_max[,confidence]`` rows and are
+read by the range parser of dataset CSVs, with their rules; a line whose first
+field is ``image_id`` is a header and is skipped.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
+
+from .dataset import _read_rows
+
+
+def _box_problem(image_id: str, values) -> str | None:
+    """What is wrong with a box of ``values``, its corners and then its
+    confidence if it has one, in image ``image_id``; None if nothing."""
+    ordered = values[2] > values[0] and values[3] > values[1]
+    scored = len(values) == 4 or 0.0 <= values[4] <= 1.0
+    # The fast path: a finite sum means finite values.
+    if ordered and scored and isfinite(sum(values)):
+        return None
+    corners = tuple(values[:4])
+    if not ordered:
+        return f"degenerate box {corners} in image {image_id!r}"
+    if not all(map(isfinite, corners)):
+        return f"infinite corner in box {corners} in image {image_id!r}"
+    return None if scored else f"confidence must be in [0, 1], got {values[4]}"
 
 
 @dataclass(frozen=True)
@@ -29,14 +51,10 @@ class BoundingBox:
     confidence: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError(f"degenerate box {self.corners()} in image "
-                             f"{self.image_id!r}")
-        if not all(map(math.isfinite, self.corners())):
-            raise ValueError(f"infinite corner in box {self.corners()} in image "
-                             f"{self.image_id!r}")
-        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        confidence = () if self.confidence is None else (self.confidence,)
+        problem = _box_problem(self.image_id, (*self.corners(), *confidence))
+        if problem is not None:
+            raise ValueError(problem)
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -186,55 +204,10 @@ def detection_report(detections: list[BoundingBox], ground_truths: list[Bounding
                            iou_threshold=iou_threshold, per_image=per_image)
 
 
-def _checked_rows(ids: list, rows: list, linenos: list, path, width: int) -> np.ndarray:
-    """The parsed rows as one ``(n, width)`` array; raises for the first row
-    that :class:`BoundingBox` would reject, naming its line."""
-    values = np.array(rows, dtype=np.float64).reshape(-1, width)
-    degenerate = ~((values[:, 2] > values[:, 0]) & (values[:, 3] > values[:, 1]))
-    infinite = np.isinf(values[:, :4]).any(axis=1)
-    bad = degenerate | infinite
-    if width == 5:
-        bad = bad | ~((values[:, 4] >= 0.0) & (values[:, 4] <= 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        row = values[k].tolist()
-        if degenerate[k]:
-            problem = f"degenerate box {tuple(row[:4])} in image {ids[k]!r}"
-        elif infinite[k]:
-            problem = f"infinite corner in box {tuple(row[:4])} in image {ids[k]!r}"
-        else:
-            problem = f"confidence must be in [0, 1], got {row[4]}"
-        raise ValueError(f"{path}: line {linenos[k]}: {problem}")
-    return values
-
-
 def _read_boxes(path, with_confidence: bool) -> tuple[list[str], np.ndarray]:
-    """Image ids and one float64 array of the rows of a CSV file of
-    ``image_id,x_min,y_min,x_max,y_max[,confidence]`` lines: ``(n, 5)``
-    corners and confidence, or ``(n, 4)`` corners.  ``#`` comments and an
-    ``image_id`` header row are skipped; a bad row is reported by line."""
-    path = Path(path)
-    expected = 6 if with_confidence else 5
-    ids, rows, linenos = [], [], []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "image_id")):
-            continue
-        fields = line.split(",")
-        problem = None
-        if len(fields) != expected:
-            problem = f"expected {expected} fields, got {len(fields)}"
-        else:
-            try:
-                rows.append(tuple(map(float, fields[1:])))
-            except ValueError:
-                problem = "malformed number"
-        if problem:
-            # A bad box on an earlier line is reported first.
-            _checked_rows(ids, rows, linenos, path, expected - 1)
-            raise ValueError(f"{path}: line {lineno}: {problem}")
-        ids.append(fields[0])
-        linenos.append(lineno)
-    return ids, _checked_rows(ids, rows, linenos, path, expected - 1)
-
+    """Image ids and one float64 array of the rows of a box file: ``(n, 5)``
+    corners and confidence, or ``(n, 4)`` corners.  The first bad line is
+    reported by number, a box that :class:`BoundingBox` would reject too."""
+    return _read_rows(Path(path), 0, 0, n_fields=6 if with_confidence else 5, name_at=0,
+                      values_at=1, malformed="malformed number", check=_box_problem,
+                      header="image_id")

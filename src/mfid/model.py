@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -332,7 +333,7 @@ def save_head(head: EmbeddingHead, path) -> None:
 
 
 def load_head(path) -> EmbeddingHead:
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     header = struct.calcsize("<4sIIIII")
     if len(blob) < header:
         raise ValueError(f"{path}: truncated checkpoint")

@@ -455,6 +455,23 @@ def test_chunked_csv_reads_names_beyond_ascii(tmp_path, chunked):
     assert "\u00e9t\u00e9\u4e2d" in load_dataset(path).identity_names.values()
 
 
+@pytest.mark.parametrize("n_bytes", [1, 255, 256, 511, 512, 700, 4000])
+def test_csv_ranges_fold_a_short_tail(tmp_path, monkeypatch, n_bytes):
+    monkeypatch.setattr(mfid.dataset, "_CSV_CHUNK_BYTES", 256)
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"".join(b"x" * 20 + b"\n" for _ in range(n_bytes // 21))
+                     + b"y" * (n_bytes % 21))
+    ranges = mfid.dataset._csv_ranges(path, 0)
+    # contiguous, each ending after a newline or at the end of the file
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == n_bytes
+    assert all(path.read_bytes()[hi - 1:hi] == b"\n" for _, hi in ranges[:-1])
+    # every range is a chunk or more, so a file under two chunks is one range
+    assert len(ranges) == 1 or min(hi - lo for lo, hi in ranges) >= 256
+    assert len(ranges) == 1 or n_bytes >= 512
+    assert len(ranges) > 1 or n_bytes < 1000
+
+
 def test_chunked_csv_error_leaves_no_worker_running(tmp_path, chunked):
     lines = messy_csv_lines(n_rows=200)
     bad = data_line(lines, 40)
@@ -582,6 +599,58 @@ def test_split_round_trip(tmp_path):
     np.testing.assert_array_equal(back.train_indices, split.train_indices)
     np.testing.assert_array_equal(back.test_indices, split.test_indices)
     assert back.mode == split.mode and back.seed == split.seed
+
+
+SPLIT_HEADER = f"# mode={DISJOINT} seed=5 side=train\n"
+
+# (case, train file text, test file text, what the message names: the train
+# file, the test file or the stem, the message after that name)
+BAD_SPLIT_FILES = [
+    ("empty file", "", SPLIT_HEADER, "train", "missing split header"),
+    ("no header", "0\n1\n", SPLIT_HEADER, "train", "missing split header"),
+    ("header on line 2", "\n" + SPLIT_HEADER + "0\n", SPLIT_HEADER, "train",
+     "missing split header"),
+    ("header without seed", f"# mode={DISJOINT} side=train\n0\n", SPLIT_HEADER, "train",
+     "header must name mode and seed"),
+    ("header without mode", "# seed=5\n0\n", SPLIT_HEADER, "train",
+     "header must name mode and seed"),
+    ("malformed seed", f"# mode={DISJOINT} seed=x1\n0\n", SPLIT_HEADER, "train",
+     "malformed seed 'x1'"),
+    ("malformed index", SPLIT_HEADER + "0\n\n1.5\n", SPLIT_HEADER, "train",
+     "line 4: malformed index"),
+    ("comment after the header", SPLIT_HEADER + "0\n# more\n", SPLIT_HEADER, "train",
+     "line 3: malformed index"),
+    ("bad test side", SPLIT_HEADER + "0\n", SPLIT_HEADER + "1\r\nx\r\n", "test",
+     "line 3: malformed index"),
+    ("sides name different splits", SPLIT_HEADER + "0\n",
+     f"# mode={STRATIFIED} seed=3 side=test\n1\n", "stem",
+     f"train file says mode={DISJOINT} seed=5, test file says mode={STRATIFIED} seed=3"),
+]
+
+
+@pytest.mark.parametrize("train,test,named,message", [case[1:] for case in BAD_SPLIT_FILES],
+                         ids=[case[0] for case in BAD_SPLIT_FILES])
+def test_bad_split_file_names_the_file_and_line(tmp_path, train, test, named, message):
+    stem = tmp_path / "fold"
+    files = {side: tmp_path / f"fold.{side}.txt" for side in ("train", "test")}
+    files["train"].write_bytes(train.encode("utf-8"))
+    files["test"].write_bytes(test.encode("utf-8"))
+    with pytest.raises(ValueError) as info:
+        load_split(stem)
+    assert str(info.value) == f"{files.get(named, stem)}: {message}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_split_file_reads_any_line_end_and_skips_blank_lines(tmp_path, newline):
+    header = f"# mode={STRATIFIED} seed=3 side="
+    lines = {"train": [header + "train", "4", "", "  0 ", " ", "2"],
+             "test": [header + "test", "", "3", "1", ""]}
+    for side, side_lines in lines.items():
+        (tmp_path / f"fold.{side}.txt").write_bytes(newline.join(side_lines).encode())
+    split = load_split(tmp_path / "fold", n_samples=5)
+    assert split.train_indices.tolist() == [0, 2, 4]
+    assert split.test_indices.tolist() == [1, 3]
+    assert (split.mode, split.seed) == (STRATIFIED, 3)
 
 
 @pytest.mark.parametrize("train,message", [

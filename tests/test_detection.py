@@ -2,17 +2,20 @@
 
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfid.dataset
 from mfid import (
     BoundingBox,
     average_precision,
     detection_report,
     iou,
+    load_dataset,
     match_detections,
 )
 from mfid.detection import _read_boxes
@@ -347,6 +350,28 @@ def test_load_boxes_empty_file(tmp_path):
     assert ids == [] and boxes.shape == (0, 5)
 
 
+def test_load_boxes_skips_only_an_exact_image_id_header(tmp_path):
+    path = tmp_path / "gt.csv"
+    path.write_text("image_id,x_min,y_min,x_max,y_max\nimage_id7,0,0,4,4\nimg8,0,0,4,4\n"
+                    " image_id ,1,1,2,2\n")
+    ids, boxes = _read_boxes(path, with_confidence=False)
+    # the line is stripped, so the last id is "image_id " and is not a header
+    assert ids == ["image_id7", "img8", "image_id "]
+    assert boxes.tolist() == [[0.0, 0.0, 4.0, 4.0], [0.0, 0.0, 4.0, 4.0],
+                              [1.0, 1.0, 2.0, 2.0]]
+
+
+def test_box_id_and_dataset_label_keep_a_form_feed(tmp_path):
+    # Only LF, CRLF and a lone CR end a line, in box files as in datasets.
+    boxes = tmp_path / "gt.csv"
+    boxes.write_text("a\x0cb,0,0,4,4\nc,1,1,2,2\n")
+    ids, rows = _read_boxes(boxes, with_confidence=False)
+    assert ids == ["a\x0cb", "c"] and rows.shape == (2, 4)
+    data = tmp_path / "d.csv"
+    data.write_text("id,label,f0\n0,a\x0cb,1.5\n1,c,2.5\n")
+    assert load_dataset(data).identity_names == {0: "a\x0cb", 1: "c"}
+
+
 # ---------------------------------------------------------------------------
 # array matcher and loader against the loops they replaced
 
@@ -491,6 +516,37 @@ def test_load_boxes_errors_match_earlier_loader(tmp_path, with_confidence, text,
     with pytest.raises(ValueError) as ours:
         _read_boxes(path, with_confidence)
     assert str(ours.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_box_file_in_chunks_matches_earlier_loader(tmp_path, monkeypatch, workers):
+    # 256-byte ranges, so the file spans many of them
+    monkeypatch.setattr(mfid.dataset, "_CSV_CHUNK_BYTES", 256)
+    monkeypatch.setattr(mfid.dataset, "_csv_workers", lambda: workers)
+    rng = np.random.default_rng(5)
+    lines = ["image_id,x_min,y_min,x_max,y_max,confidence"]
+    for i in range(150):
+        x, y, conf = rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform()
+        lines.append(f"img{i % 7},{x!r},{y!r},{x + 5!r},{y + 3!r},{conf!r}")
+        if i % 13 == 0:
+            lines.append("# a comment among the rows")
+    path = tmp_path / "dets.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    assert path.stat().st_size > 8 * 256
+    ids, rows = _read_boxes(path, with_confidence=True)
+    theirs = reference_load_boxes(path, with_confidence=True)
+    assert ids == [b.image_id for b in theirs]
+    assert rows.tolist() == [[*b.corners(), b.confidence] for b in theirs]
+    # a bad box late in the file is named by its line, as the earlier loader named it
+    lines[-3] = "img1,5,5,5,9,0.5"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(ValueError) as expected:
+        reference_load_boxes(path, with_confidence=True)
+    with pytest.raises(ValueError) as ours:
+        _read_boxes(path, with_confidence=True)
+    assert str(ours.value) == str(expected.value)
+    assert f"line {len(lines) - 2}: degenerate box" in str(ours.value)
+    assert multiprocessing.active_children() == []
 
 
 def test_load_boxes_matches_earlier_loader(tmp_path):

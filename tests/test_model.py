@@ -1,7 +1,11 @@
 """Embedding heads: init, forward, backprop vs finite differences, SGD, training."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +559,20 @@ def test_checkpoint_round_trip(tmp_path, architecture):
     assert back.embed_dim == head.embed_dim
     for name in head.params:
         np.testing.assert_array_equal(back.params[name], head.params[name])
+
+
+def test_checkpoint_load_closes_its_file(tmp_path):
+    path = tmp_path / "head.mfhd"
+    save_head(init_head("linear", 6, 4, 3, seed=8), path)
+    package_root = str(Path(mfid.model.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         f"from mfid import load_head; load_head({str(path)!r})"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

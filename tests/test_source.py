@@ -1,6 +1,6 @@
 """Checks over the package source: every export has a caller, every module-level
-function and class is used, no import is unused, and one function starts
-worker processes."""
+function and class is used, no import is unused, one function starts worker
+processes, and text files are split into lines in one place."""
 
 import ast
 import re
@@ -105,3 +105,14 @@ def test_one_parallel_mechanism():
     assert all(module == "dataset.py"
                and map_indexed.lineno <= line <= map_indexed.end_lineno
                for module, line, _ in sites)
+
+
+def test_one_line_reader():
+    # Text inputs are split into lines by dataset._range_lines alone (ROADMAP
+    # aim 2), so every format ends lines at LF, CRLF or a lone CR and nowhere
+    # else; str.splitlines also ends them at \x0c, \x1c and others.
+    calls = [f"{path.name}:{node.lineno}: {call_name(node)}"
+             for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call)
+             and call_name(node) in ("splitlines", "readlines", "read_text")]
+    assert calls == []

@@ -102,7 +102,7 @@ class Dataset:
 
     @property
     def n_identities(self) -> int:
-        return int(self.labels[-1] if self.labels.size == 1 else self.labels.max()) + 1
+        return int(self.labels.max()) + 1
 
 
 def dense_relabel(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +385,8 @@ def _load_binary(path: Path) -> Dataset:
     expected = header + n * d * 8 + n * 4
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    features = np.frombuffer(blob, dtype="<f8", count=n * d, offset=header)
-    features = features.reshape(n, d).astype(np.float64)
+    # A read-only view of the file's bytes, which Dataset keeps as it is.
+    features = np.frombuffer(blob, dtype="<f8", count=n * d, offset=header).reshape(n, d)
     raw = np.frombuffer(blob, dtype="<u4", count=n, offset=header + n * d * 8)
     labels, originals = dense_relabel(raw.astype(np.int64))
     return Dataset(features, labels, _zero_padded_names(originals))
@@ -528,13 +528,14 @@ def save_split(split: Split, stem) -> tuple[Path, Path]:
 
 def load_split(stem, n_samples: int | None = None) -> Split:
     """Load a split written by :func:`save_split` from its two side files,
-    whose ``# mode=... seed=...`` first lines must agree.
+    whose ``# mode=... seed=...`` first lines must agree.  A ``side=`` in a
+    header must name the file's own side.
 
     With ``n_samples``, an index that does not address one of that many rows
     is rejected.  Every error names the file or ``stem``.
     """
     stem = Path(stem)
-    sides, headers = {}, {}
+    sides, headers, named = {}, {}, {}
     for side in ("train", "test"):
         path = stem.with_name(stem.name + f".{side}.txt")
         with closing(_range_lines(path, 0, path.stat().st_size)) as lines:
@@ -547,6 +548,7 @@ def load_split(stem, n_samples: int | None = None) -> Split:
                 headers[side] = header["mode"], int(header["seed"])
             except ValueError:
                 raise ValueError(f"{path}: malformed seed {header['seed']!r}") from None
+            named[side] = path, header.get("side", side)
             indices = []
             for lineno, line in enumerate(lines, start=2):
                 if line.strip():
@@ -558,6 +560,9 @@ def load_split(stem, n_samples: int | None = None) -> Split:
     if headers["train"] != headers["test"]:
         raise ValueError(f"{stem}: " + ", ".join(f"{side} file says mode={m} seed={s}"
                                                  for side, (m, s) in headers.items()))
+    for side, (path, says) in named.items():
+        if says != side:
+            raise ValueError(f"{path}: header says side={says}")
     try:
         split = Split(sides["train"], sides["test"], *headers["train"])
     except ValueError as exc:

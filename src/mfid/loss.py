@@ -8,8 +8,9 @@ demand at least ``margin`` nats of divergence in each direction:
                + dissim_weight * mean_dissimilar[ max(0, margin - KL(p||q))
                                                 + max(0, margin - KL(q||p)) ]
 
-All logarithms are natural; probabilities inside logs are clamped at
-``epsilon``, and zero-probability terms of KL contribute exactly zero.
+All logarithms are natural; probabilities inside logs are clamped at a
+fixed ``EPSILON`` of 1e-12, and zero-probability terms of KL contribute
+exactly zero.
 Gradients are analytic, with hinge and clamp kinks assigned subgradient 0.
 
 Pair batches have one layout: the similar pairs first, then the dissimilar
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_EPS = 1e-12
+EPSILON = 1e-12
 
 LOSS_CSV_HEADER = "epoch,total,ce,sim,dissim,n_similar,n_dissimilar"
 
@@ -37,7 +38,6 @@ class LossConfig:
     """Objective hyperparameters (margin in nats, weights on the pair terms)."""
 
     margin: float = 1.0
-    epsilon: float = DEFAULT_EPS
     sim_weight: float = 1.0
     dissim_weight: float = 1.0
 
@@ -47,8 +47,6 @@ class LossConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")
-        if not 0.0 < self.epsilon <= 1e-6:
-            raise ValueError(f"epsilon must be in (0, 1e-6], got {self.epsilon}")
         if self.sim_weight < 0 or self.dissim_weight < 0:
             raise ValueError("pair-term weights must be non-negative")
 
@@ -73,26 +71,26 @@ class LossReport:
 # elementary operations (single vectors)
 
 
-def kl_div(p, q, epsilon: float = DEFAULT_EPS) -> float:
+def kl_div(p, q) -> float:
     """KL(p || q) in nats; zero-probability terms of p contribute exactly 0."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(_kl_rows(p[None, :], q[None, :], epsilon)[0])
+    log_ratio = np.log(np.maximum(p, EPSILON)) - np.log(np.maximum(q, EPSILON))
+    return float(np.where(p > 0.0, p * log_ratio, 0.0).sum())
 
 
-def sim_pair_loss(p, q, epsilon: float = DEFAULT_EPS) -> float:
+def sim_pair_loss(p, q) -> float:
     """Symmetrized divergence KL(p||q) + KL(q||p)."""
-    return kl_div(p, q, epsilon) + kl_div(q, p, epsilon)
+    return kl_div(p, q) + kl_div(q, p)
 
 
-def dissim_pair_loss(p, q, margin: float = 1.0, epsilon: float = DEFAULT_EPS) -> float:
+def dissim_pair_loss(p, q, margin: float = 1.0) -> float:
     """Two-sided hinge: max(0, margin - KL(p||q)) + max(0, margin - KL(q||p))."""
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
-    return (max(0.0, margin - kl_div(p, q, epsilon))
-            + max(0.0, margin - kl_div(q, p, epsilon)))
+    return max(0.0, margin - kl_div(p, q)) + max(0.0, margin - kl_div(q, p))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def total_loss(logits, labels, pairs, cfg: LossConfig) -> LossReport:
     The cross-entropy term averages over all B rows; each pair term averages
     over its own pair count and is zero when that count is zero.
     """
-    report, _ = _loss_and_grad(logits, labels, pairs, cfg, want_grad=False)
+    report, _ = _loss_and_grad(logits, labels, pairs, cfg)
     return report
 
 
@@ -120,11 +118,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=1, keepdims=True))
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def _kl_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
-    log_ratio = np.log(np.maximum(p, epsilon)) - np.log(np.maximum(q, epsilon))
-    return np.where(p > 0.0, p * log_ratio, 0.0).sum(axis=1)
 
 
 def _pair_arrays(pairs) -> tuple[np.ndarray, int]:
@@ -136,10 +129,9 @@ def _pair_arrays(pairs) -> tuple[np.ndarray, int]:
     return rows[np.argsort(~similar, kind="stable")], int(similar.sum())
 
 
-def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
-                   want_grad: bool) -> tuple[LossReport, np.ndarray | None]:
-    """Loss report and, with ``want_grad``, d(total)/d(logits), for the batch
-    layout of :func:`total_loss`."""
+def _loss_and_grad(logits, labels, pairs, cfg: LossConfig) -> tuple[LossReport, np.ndarray]:
+    """Loss report and d(total)/d(logits) for the batch layout of
+    :func:`total_loss`."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError("logits must be a (B, K) array with K >= 2")
@@ -153,21 +145,17 @@ def _loss_and_grad(logits, labels, pairs, cfg: LossConfig,
     if rows.size and (rows.min() < 0 or rows.max() >= batch):
         raise ValueError("pair index out of range for batch")
 
-    probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad)
+    probs, ce_term, grad = _ce_terms(z, y)
     layout = _pair_layout(n_similar, len(rows) - n_similar, cfg)
     sim_term = dissim_term = 0.0
     if rows.size:
-        pair_probs = probs[rows]
-        sim_term, dissim_term, pair_grad = _pair_terms(
-            pair_probs, np.log(np.maximum(pair_probs, cfg.epsilon)), layout, cfg,
-            want_grad)
-        if want_grad:
-            # Indices may repeat, so contributions are accumulated unbuffered,
-            # similar pairs before dissimilar ones.
-            for kind in (slice(None, n_similar), slice(n_similar, None)):
-                np.add.at(grad, rows[kind, 0], pair_grad[kind, 0])
-                np.add.at(grad, rows[kind, 1], pair_grad[kind, 1])
-    return _report(cfg, ce_term, sim_term, dissim_term, layout), grad
+        sim_term, dissim_term, pair_grad = _pair_terms(probs[rows], layout, cfg)
+        # Indices may repeat, so contributions are accumulated unbuffered,
+        # similar pairs before dissimilar ones.
+        for kind in (slice(None, n_similar), slice(n_similar, None)):
+            np.add.at(grad, rows[kind, 0], pair_grad[kind, 0])
+            np.add.at(grad, rows[kind, 1], pair_grad[kind, 1])
+    return _report(cfg, ce_term, sim_term, dissim_term, *layout[:2]), grad
 
 
 def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, layout: _PairLayout,
@@ -181,30 +169,27 @@ def _adjacent_loss_and_grad(z: np.ndarray, y: np.ndarray, layout: _PairLayout,
     bits as :func:`_loss_and_grad` on the triples ``(2k, 2k + 1, k <
     n_similar)``.  Inputs are not validated.
     """
-    probs, ce_term, grad = _ce_terms(z, y, cfg, want_grad=True)
+    probs, ce_term, grad = _ce_terms(z, y)
     n_pairs = layout.n_similar + layout.n_dissimilar
     sim_term = dissim_term = 0.0
     if n_pairs:
-        pairs = probs.reshape(n_pairs, 2, -1)
         sim_term, dissim_term, pair_grad = _pair_terms(
-            pairs, np.log(np.maximum(pairs, cfg.epsilon)), layout, cfg, want_grad=True)
+            probs.reshape(n_pairs, 2, -1), layout, cfg)
         grad += pair_grad.reshape(grad.shape)
-    return _report(cfg, ce_term, sim_term, dissim_term, layout), grad
+    return _report(cfg, ce_term, sim_term, dissim_term, *layout[:2]), grad
 
 
-def _ce_terms(z: np.ndarray, y: np.ndarray, cfg: LossConfig, want_grad: bool):
-    """(softmax rows, mean cross-entropy, its logit gradient or None)."""
+def _ce_terms(z: np.ndarray, y: np.ndarray):
+    """(softmax rows, mean cross-entropy, its logit gradient)."""
     batch = z.shape[0]
     probs = _softmax_rows(z)
     rows = np.arange(batch)
     # np.mean of -log is its reduction and division; the sum of the negated
     # logs is exactly the negated sum.
-    ce_term = -float(np.log(np.maximum(probs[rows, y], cfg.epsilon)).sum()) / batch
-    grad = None
-    if want_grad:
-        grad = probs.copy()
-        grad[rows, y] -= 1.0
-        grad /= batch
+    ce_term = -float(np.log(np.maximum(probs[rows, y], EPSILON)).sum()) / batch
+    grad = probs.copy()
+    grad[rows, y] -= 1.0
+    grad /= batch
     return probs, ce_term, grad
 
 
@@ -224,19 +209,18 @@ def _pair_layout(n_similar: int, n_dissimilar: int, cfg: LossConfig) -> _PairLay
                        cfg.dissim_weight / max(n_dissimilar, 1))
 
 
-def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
-                cfg: LossConfig, want_grad: bool):
+def _pair_terms(probs: np.ndarray, layout: _PairLayout, cfg: LossConfig):
     """Both pair terms in one pass over the pairs.
 
-    ``probs[k]`` holds pair k's two softmax rows (pa, pb), and ``log_probs``
-    their logs clamped at epsilon, both of shape (P, 2, K), the similar
-    pairs first as ``layout`` counts them.  Similar pairs are scored by the
-    symmetric KL, the others by the two-sided hinge.  Returns the mean
-    similar term, the mean dissimilar term, and the weighted gradient of
-    those terms with respect to every row's logits, shaped like ``probs``
-    (None without ``want_grad``).
+    ``probs[k]`` holds pair k's two softmax rows (pa, pb), shape (P, 2, K),
+    the similar pairs first as ``layout`` counts them.  Similar pairs are
+    scored by the symmetric KL, the others by the two-sided hinge.  Returns
+    the mean similar term, the mean dissimilar term, and the weighted
+    gradient of those terms with respect to every row's logits, shaped like
+    ``probs``.
     """
     similar, dissimilar = slice(None, layout.n_similar), slice(layout.n_similar, None)
+    log_probs = np.log(np.maximum(probs, EPSILON))
     # ratio[k] holds log(pa / pb) and then log(pb / pa), so one masked pass
     # gives kl[k] = (KL(pa || pb), KL(pb || pa)), each row summed on its own.
     ratio = np.empty_like(log_probs)
@@ -250,8 +234,6 @@ def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
     hinges = np.maximum(0.0, cfg.margin - kl[dissimilar])
     dissim_term = (float((hinges[:, 0] + hinges[:, 1]).sum()) / layout.n_dissimilar
                    if layout.n_dissimilar else 0.0)
-    if not want_grad:
-        return sim_term, dissim_term, None
     # Similar pairs pull both divergences down.  A dissimilar hinge pushes its
     # divergence up only below the margin; exactly at the margin the
     # subgradient is taken as zero.  The factors +1, -1 and -0.0 give exactly
@@ -275,8 +257,7 @@ def _pair_terms(probs: np.ndarray, log_probs: np.ndarray, layout: _PairLayout,
 
 
 def _report(cfg: LossConfig, ce_term: float, sim_term: float, dissim_term: float,
-            layout: _PairLayout) -> LossReport:
+            n_similar: int, n_dissimilar: int) -> LossReport:
+    """The terms and pair counts of a batch or an epoch, with their weighted total."""
     total = ce_term + cfg.sim_weight * sim_term + cfg.dissim_weight * dissim_term
-    return LossReport(total=total, ce_term=ce_term, sim_term=sim_term,
-                      dissim_term=dissim_term, n_similar=layout.n_similar,
-                      n_dissimilar=layout.n_dissimilar)
+    return LossReport(total, ce_term, sim_term, dissim_term, n_similar, n_dissimilar)

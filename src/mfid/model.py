@@ -29,14 +29,12 @@ from .dataset import (
     pair_batch_counts,
 )
 from .loss import (LossConfig, LossReport, _PairLayout, _adjacent_loss_and_grad,
-                   _loss_and_grad, _pair_layout)
+                   _loss_and_grad, _pair_layout, _report)
 
 CHECKPOINT_MAGIC = b"MFHD"
 CHECKPOINT_VERSION = 1
 
 ARCHITECTURES = ("linear", "mlp1")
-_ARCH_TAGS = {"linear": 1, "mlp1": 2}
-_PARAM_ORDER = {"linear": ("w", "b"), "mlp1": ("w1", "b1", "w2", "b2")}
 
 OBJECTIVES = ("mfid", "cross_entropy")
 
@@ -56,29 +54,31 @@ class EmbeddingHead:
         return sum(p.size for p in self.params.values())
 
 
-def init_head(architecture: str, input_dim: int, embed_dim: int, n_classes: int,
-              seed) -> EmbeddingHead:
-    """Deterministically initialize a head (fan-in scaled weights, zero biases)."""
+def _param_shapes(architecture: str, input_dim: int, embed_dim: int,
+                  n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in init and checkpoint order: linear (w, b),
+    mlp1 (w1, b1, w2, b2).  A matrix is (fan_out, fan_in)."""
     if architecture not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {architecture!r}")
     if input_dim < 1 or n_classes < 2:
         raise ValueError("need input_dim >= 1 and n_classes >= 2")
-    rng = np.random.default_rng(seed)
     if architecture == "linear":
-        params = {
-            "w": rng.normal(0.0, 1.0 / math.sqrt(input_dim), size=(n_classes, input_dim)),
-            "b": np.zeros(n_classes),
-        }
+        return {"w": (n_classes, input_dim), "b": (n_classes,)}
+    if embed_dim < 1:
+        raise ValueError("mlp1 needs embed_dim >= 1")
+    return {"w1": (embed_dim, input_dim), "b1": (embed_dim,),
+            "w2": (n_classes, embed_dim), "b2": (n_classes,)}
+
+
+def init_head(architecture: str, input_dim: int, embed_dim: int, n_classes: int,
+              seed) -> EmbeddingHead:
+    """Deterministically initialize a head (fan-in scaled weights, zero biases)."""
+    shapes = _param_shapes(architecture, input_dim, embed_dim, n_classes)
+    rng = np.random.default_rng(seed)
+    params = {name: rng.normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
+              if len(shape) == 2 else np.zeros(shape) for name, shape in shapes.items()}
+    if architecture == "linear":
         embed_dim = input_dim  # the linear head passes features through untouched
-    else:
-        if embed_dim < 1:
-            raise ValueError("mlp1 needs embed_dim >= 1")
-        params = {
-            "w1": rng.normal(0.0, 1.0 / math.sqrt(input_dim), size=(embed_dim, input_dim)),
-            "b1": np.zeros(embed_dim),
-            "w2": rng.normal(0.0, 1.0 / math.sqrt(embed_dim), size=(n_classes, embed_dim)),
-            "b2": np.zeros(n_classes),
-        }
     return EmbeddingHead(architecture, input_dim, embed_dim, n_classes, params)
 
 
@@ -125,7 +125,7 @@ def backprop(head: EmbeddingHead, x, labels, pairs,
     """
     x = np.asarray(x, dtype=np.float64)
     hidden, pre, z = _forward_batch(head, x)
-    report, g = _loss_and_grad(z, labels, pairs, loss_cfg, want_grad=True)
+    report, g = _loss_and_grad(z, labels, pairs, loss_cfg)
     return report, _param_grads(head, x, hidden, pre, g)
 
 
@@ -160,26 +160,18 @@ def _param_grads(head: EmbeddingHead, x: np.ndarray, hidden: np.ndarray,
     }
 
 
-def _check_step_gradients(params: dict[str, np.ndarray],
-                          grads: dict[str, np.ndarray]) -> None:
-    """:func:`_check_gradients` for the gradients of a training step.
+def _check_step_gradients(grads: dict[str, np.ndarray]) -> None:
+    """Reject a training step's gradients if one is not finite, naming the
+    first such parameter.
 
     A finite sum means finite gradients; only a sum that is not finite (a
-    non-finite entry, or finite entries that overflow when added) runs the
-    full check, so the error is the same.
+    non-finite entry, or finite entries that overflow when added) checks
+    each array.
     """
     if not math.isfinite(sum(g.sum() for g in grads.values())):
-        _check_gradients(params, grads)
-
-
-def _check_gradients(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        g = grads[name]
-        if g.shape != value.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{value.shape} for {name!r}")
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for {name!r}")
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for {name!r}")
 
 
 @dataclass(frozen=True)
@@ -299,17 +291,14 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
                     v *= cfg.momentum
                     v += grads[name]
                 grads = velocity
-            _check_step_gradients(params, grads)
+            _check_step_gradients(grads)
             for name, value in params.items():
                 value -= lr * grads[name]
             ce_sum += report.ce_term
             sim_sum += report.sim_term
             dissim_sum += report.dissim_term
-        ce, sim, dissim = ce_sum / steps, sim_sum / steps, dissim_sum / steps
-        history.append(LossReport(
-            total=ce + cfg.loss.sim_weight * sim + cfg.loss.dissim_weight * dissim,
-            ce_term=ce, sim_term=sim, dissim_term=dissim,
-            n_similar=steps * report.n_similar, n_dissimilar=steps * report.n_dissimilar))
+        history.append(_report(cfg.loss, ce_sum / steps, sim_sum / steps, dissim_sum / steps,
+                               steps * n_similar, steps * n_dissimilar))
     return TrainedModel(head, cfg, tuple(history))
 
 
@@ -320,15 +309,16 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
 def save_head(head: EmbeddingHead, path) -> None:
     """Binary checkpoint: magic, version, architecture tag, dims, parameters.
 
-    Parameters are written as little-endian float64 in a fixed order:
-    linear (w, b); mlp1 (w1, b1, w2, b2); matrices row-major.
+    The tag is the architecture's position in :data:`ARCHITECTURES` plus one.
+    Parameters are written as little-endian float64 in
+    :func:`_param_shapes`' order, matrices row-major.
     """
+    dims = head.input_dim, head.embed_dim, head.n_classes
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<IIII", _ARCH_TAGS[head.architecture],
-                             head.input_dim, head.embed_dim, head.n_classes))
-        for name in _PARAM_ORDER[head.architecture]:
+        fh.write(struct.pack("<IIII", ARCHITECTURES.index(head.architecture) + 1, *dims))
+        for name in _param_shapes(head.architecture, *dims):
             fh.write(np.ascontiguousarray(head.params[name], dtype="<f8").tobytes())
 
 
@@ -343,26 +333,23 @@ def load_head(path) -> EmbeddingHead:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    by_tag = {v: k for k, v in _ARCH_TAGS.items()}
-    if tag not in by_tag:
+    if not 1 <= tag <= len(ARCHITECTURES):
         raise ValueError(f"{path}: unknown architecture tag {tag}")
-    architecture = by_tag[tag]
-    if architecture == "linear":
-        if embed_dim != input_dim:
-            raise ValueError(f"{path}: linear head with embed_dim {embed_dim} "
-                             f"!= input_dim {input_dim}")
-        shapes = {"w": (n_classes, input_dim), "b": (n_classes,)}
-    else:
-        shapes = {"w1": (embed_dim, input_dim), "b1": (embed_dim,),
-                  "w2": (n_classes, embed_dim), "b2": (n_classes,)}
-    expected = header + sum(int(np.prod(s)) for s in shapes.values()) * 8
+    architecture = ARCHITECTURES[tag - 1]
+    try:
+        shapes = _param_shapes(architecture, input_dim, embed_dim, n_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if architecture == "linear" and embed_dim != input_dim:
+        raise ValueError(f"{path}: linear head with embed_dim {embed_dim} "
+                         f"!= input_dim {input_dim}")
+    expected = header + sum(math.prod(s) for s in shapes.values()) * 8
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
     params = {}
     offset = header
-    for name in _PARAM_ORDER[architecture]:
-        shape = shapes[name]
-        count = int(np.prod(shape))
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         params[name] = np.frombuffer(blob, dtype="<f8", count=count,
                                      offset=offset).reshape(shape).astype(np.float64)
         if not np.isfinite(params[name]).all():

@@ -239,6 +239,22 @@ def test_binary_save_writes_the_features_without_a_copy(tmp_path):
     assert load_dataset(tmp_path / "d.bin").features.tobytes() == ds.features.tobytes()
 
 
+def test_binary_load_holds_the_features_once(tmp_path):
+    # The features stay a read-only view of the file's bytes; a copy would
+    # hold them twice.
+    rng = np.random.default_rng(17)
+    ds = Dataset(rng.normal(size=(2000, 64)), np.repeat(np.arange(100), 20))
+    save_dataset(ds, tmp_path / "d.bin")
+    tracemalloc.start()
+    try:
+        back = load_dataset(tmp_path / "d.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert peak < 1.5 * ds.features.nbytes
+
+
 @pytest.mark.parametrize("names,message", [
     ({0: "a,b", 1: "c"}, "identity 0: name 'a,b' contains ','"),
     ({0: "a", 1: "c\nd"}, "identity 1: name 'c\\nd' contains '\\n'"),
@@ -622,6 +638,10 @@ BAD_SPLIT_FILES = [
      "line 3: malformed index"),
     ("bad test side", SPLIT_HEADER + "0\n", SPLIT_HEADER + "1\r\nx\r\n", "test",
      "line 3: malformed index"),
+    ("swapped sides", SPLIT_HEADER.replace("train", "test") + "1\n", SPLIT_HEADER + "0\n",
+     "train", "header says side=test"),
+    ("test file says side=train", SPLIT_HEADER + "0\n", SPLIT_HEADER + "1\n", "test",
+     "header says side=train"),
     ("sides name different splits", SPLIT_HEADER + "0\n",
      f"# mode={STRATIFIED} seed=3 side=test\n1\n", "stem",
      f"train file says mode={DISJOINT} seed=5, test file says mode={STRATIFIED} seed=3"),
@@ -638,6 +658,13 @@ def test_bad_split_file_names_the_file_and_line(tmp_path, train, test, named, me
     with pytest.raises(ValueError) as info:
         load_split(stem)
     assert str(info.value) == f"{files.get(named, stem)}: {message}"
+
+
+def test_split_header_without_side_loads(tmp_path):
+    for side, index in (("train", "0"), ("test", "1")):
+        (tmp_path / f"fold.{side}.txt").write_text(f"# mode={STRATIFIED} seed=3\n{index}\n")
+    split = load_split(tmp_path / "fold")
+    assert split.train_indices.tolist() == [0] and split.test_indices.tolist() == [1]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

@@ -37,8 +37,7 @@ from mfid.dataset import (
 )
 from mfid.evaluation import classification_accuracy
 from mfid.loss import LossReport
-from mfid.model import (EmbeddingHead, TrainedModel, _check_gradients,
-                        _check_step_gradients)
+from mfid.model import EmbeddingHead, TrainedModel, _check_step_gradients
 from mfid.model import logits as head_logits
 
 
@@ -170,7 +169,7 @@ def sgd_step(head: EmbeddingHead, grads: dict[str, np.ndarray], lr: float) -> Em
     """One plain gradient step; returns a new head, inputs untouched."""
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
-    _check_gradients(head.params, grads)
+    _check_step_gradients(grads)
     new_params = {name: value - lr * grads[name] for name, value in head.params.items()}
     return EmbeddingHead(head.architecture, head.input_dim, head.embed_dim,
                          head.n_classes, new_params)
@@ -265,8 +264,7 @@ def test_backprop_linear_weight_grad_is_outer_product():
     head = init_head("linear", 6, 0, 3, seed=5)
     from mfid.loss import _loss_and_grad
 
-    _, g_logits = _loss_and_grad(head_logits(head, x), labels, pairs, LossConfig(),
-                                 want_grad=True)
+    _, g_logits = _loss_and_grad(head_logits(head, x), labels, pairs, LossConfig())
     _, grads = backprop(head, x, labels, pairs, LossConfig())
     np.testing.assert_allclose(grads["w"], g_logits.T @ x, atol=1e-12)
     np.testing.assert_allclose(grads["b"], g_logits.sum(axis=0), atol=1e-12)
@@ -524,7 +522,7 @@ def test_step_gradient_check_passes_finite_gradients_whose_sum_overflows():
     head = init_head("mlp1", 3, 2, 2, seed=0)
     grads = {name: np.full_like(p, 1e308) for name, p in head.params.items()}
     with np.errstate(over="ignore"):
-        _check_step_gradients(head.params, grads)
+        _check_step_gradients(grads)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -534,7 +532,7 @@ def test_step_gradient_check_names_a_non_finite_array(name, bad):
     grads = {n: np.ones_like(p) for n, p in head.params.items()}
     grads[name].flat[-1] = bad
     with pytest.raises(ValueError, match=f"^non-finite gradient for '{name}'$"):
-        _check_step_gradients(head.params, grads)
+        _check_step_gradients(grads)
 
 
 def test_step_gradient_check_names_the_first_of_opposite_infinities():
@@ -542,7 +540,7 @@ def test_step_gradient_check_names_the_first_of_opposite_infinities():
     grads = {"w": np.full((2, 3), np.inf), "b": np.full(2, -np.inf)}
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="^non-finite gradient for 'w'$"):
-            _check_step_gradients(head.params, grads)
+            _check_step_gradients(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +557,41 @@ def test_checkpoint_round_trip(tmp_path, architecture):
     assert back.embed_dim == head.embed_dim
     for name in head.params:
         np.testing.assert_array_equal(back.params[name], head.params[name])
+
+
+@pytest.mark.parametrize("architecture,tag", [("linear", 1), ("mlp1", 2)])
+def test_checkpoint_architecture_tags(tmp_path, architecture, tag):
+    path = tmp_path / "head.mfhd"
+    save_head(init_head(architecture, 4, 3, 2, seed=0), path)
+    assert path.read_bytes()[8:12] == tag.to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("architecture,input_dim,embed_dim,n_classes", [
+    ("linear", 0, 0, 3),
+    ("linear", 4, 4, 1),
+    ("linear", 4, 4, 0),
+    ("mlp1", 0, 3, 3),
+    ("mlp1", 4, 0, 3),
+    ("mlp1", 4, 3, 1),
+    ("mlp1", 4, 3, 0),
+])
+def test_load_head_rejects_each_dimension_init_head_rejects(tmp_path, architecture,
+                                                            input_dim, embed_dim, n_classes):
+    with pytest.raises(ValueError) as rejected:
+        init_head(architecture, input_dim, embed_dim, n_classes, seed=0)
+    # A self-consistent checkpoint of those dimensions, zero parameters.
+    if architecture == "linear":
+        n_params = n_classes * input_dim + n_classes
+    else:
+        n_params = embed_dim * input_dim + embed_dim + n_classes * embed_dim + n_classes
+    tag = 1 if architecture == "linear" else 2
+    fields = (1, tag, input_dim, embed_dim, n_classes)  # version, tag, dims
+    path = tmp_path / "head.mfhd"
+    path.write_bytes(b"MFHD" + b"".join(v.to_bytes(4, "little") for v in fields)
+                     + bytes(8 * n_params))
+    with pytest.raises(ValueError) as raised:
+        load_head(path)
+    assert str(raised.value) == f"{path}: {rejected.value}"
 
 
 def test_checkpoint_load_closes_its_file(tmp_path):

@@ -37,7 +37,6 @@ class PCAModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-    energy_threshold: float
     total_variance: float
 
     @property
@@ -93,8 +92,7 @@ def pca_fit(x, energy_threshold: float) -> PCAModel:
     r = int(np.argmax(ratios >= energy_threshold - 1e-12)) + 1
     r = min(max(r, 1), nonzero)
     return PCAModel(mean=mean, components=vt[:r].T.copy(),
-                    explained_variance=variances[:r].copy(),
-                    energy_threshold=energy_threshold, total_variance=total)
+                    explained_variance=variances[:r].copy(), total_variance=total)
 
 
 def pca_transform(model: PCAModel, x) -> np.ndarray:

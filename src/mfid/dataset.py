@@ -372,16 +372,25 @@ def _save_binary(ds: Dataset, path: Path) -> None:
         fh.write(ds.labels.astype("<u4"))
 
 
+def _container_header(path, blob: bytes, magic: bytes, version: int,
+                      fields: str) -> tuple[int, tuple]:
+    """(size, fields) of a header of ``magic``, u32 ``version`` and little-endian
+    struct codes ``fields``; a short blob, another magic or version is an error."""
+    layout = f"<4sI{fields}"
+    size = struct.calcsize(layout)
+    if len(blob) < size:
+        raise ValueError(f"{path}: truncated header")
+    found_magic, found_version, *values = struct.unpack_from(layout, blob)
+    if found_magic != magic:
+        raise ValueError(f"{path}: bad magic {found_magic!r}")
+    if found_version != version:
+        raise ValueError(f"{path}: unsupported version {found_version}")
+    return size, tuple(values)
+
+
 def _load_binary(path: Path) -> Dataset:
     blob = Path(path).read_bytes()
-    header = struct.calcsize("<4sIQQ")
-    if len(blob) < header:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, n, d = struct.unpack_from("<4sIQQ", blob)
-    if magic != BINARY_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != BINARY_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+    header, (n, d) = _container_header(path, blob, BINARY_MAGIC, BINARY_VERSION, "QQ")
     expected = header + n * d * 8 + n * 4
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
@@ -601,7 +610,6 @@ class PairConstraints:
         same_after = np.empty(n, dtype=np.int64)
         same_after[order] = groups.counts[group] - 1 - member
         other_after = (n - 1 - np.arange(n)) - same_after
-        self.n_labels = n
         self._order = order
         self._slot = slot
         # Rank offsets: row i's pairs of a kind start at rank offsets[i].

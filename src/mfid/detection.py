@@ -59,10 +59,6 @@ class BoundingBox:
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass(frozen=True)
 class DetectionReport:
@@ -71,22 +67,17 @@ class DetectionReport:
     mean_ap: float
     tpr: float
     fpr_per_image: float
-    iou_threshold: float
     per_image: dict
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    corners = np.array([a.corners(), b.corners()], dtype=np.float64)
+    return float(_pair_iou(corners[:1], corners[1:])[0])
 
 
 def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`iou` of each row pair of two corner arrays, with its float operations."""
+    """IoU of each row pair of two corner arrays; 0 where they do not overlap."""
     ix = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
     iy = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
     inter = ix * iy
@@ -200,8 +191,7 @@ def detection_report(detections: list[BoundingBox], ground_truths: list[Bounding
     per_image: dict[str, list] = {image_id: [] for image_id in sorted(images)}
     for det, flag in zip(detections, flags.tolist()):
         per_image[det.image_id].append((det, flag))
-    return DetectionReport(mean_ap=mean_ap, tpr=tpr, fpr_per_image=fpr,
-                           iou_threshold=iou_threshold, per_image=per_image)
+    return DetectionReport(mean_ap=mean_ap, tpr=tpr, fpr_per_image=fpr, per_image=per_image)
 
 
 def _read_boxes(path, with_confidence: bool) -> tuple[list[str], np.ndarray]:

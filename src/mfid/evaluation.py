@@ -72,7 +72,6 @@ class TrialConfig:
 class EvalReport:
     """Per-trial metric values with their mean/std and any curve points."""
 
-    protocol: str
     values: tuple[float, ...]
     mean: float
     std: float
@@ -80,11 +79,11 @@ class EvalReport:
     thresholds: tuple[float, ...] = ()
 
     @classmethod
-    def from_values(cls, protocol: str, values, curve=(), thresholds=()) -> "EvalReport":
+    def from_values(cls, values, curve=(), thresholds=()) -> "EvalReport":
         v = np.asarray(list(values), dtype=np.float64)
         if v.size == 0:
             raise ValueError("report needs at least one metric value")
-        return cls(protocol, tuple(float(x) for x in v), float(v.mean()),
+        return cls(tuple(float(x) for x in v), float(v.mean()),
                    float(v.std()), tuple((float(a), float(b)) for a, b in curve),
                    tuple(float(t) for t in thresholds))
 
@@ -283,7 +282,7 @@ def _closed_set(index: _TestIndex, cfg: TrialConfig) -> EvalReport:
         rank1.append(cmc[0])
         cmc_sum += cmc
     curve = tuple((r + 1, cmc_sum[r] / cfg.trials) for r in range(index.ids.size))
-    return EvalReport.from_values("closed_set", rank1, curve=curve)
+    return EvalReport.from_values(rank1, curve=curve)
 
 
 def closed_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
@@ -327,7 +326,7 @@ def _open_set(index: _TestIndex, cfg: TrialConfig) -> EvalReport:
         rate, tau = dir_at_far(mated_max, ranks == 1, nonmated_max, cfg.far_target)
         rates.append(rate)
         thresholds.append(tau)
-    return EvalReport.from_values("open_set", rates, thresholds=thresholds)
+    return EvalReport.from_values(rates, thresholds=thresholds)
 
 
 def open_set_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
@@ -354,10 +353,11 @@ def _verification_scores(index: _TestIndex) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n, block):
         # With every row in one block, this is the one SYRK call of unit @ unit.T.
         sims = index.unit[lo:lo + block] @ index.unit.T
-        np.clip(sims, -1.0, 1.0, out=sims)
         rows = np.arange(sims.shape[0])
-        sims[rows, lo + rows] = -2.0  # below any cosine, so self never wins
+        sims[rows, lo + rows] = -2.0  # below any product of unit rows, so self never wins
         pooled = np.maximum.reduceat(sims[:, index.order], index.starts, axis=1)
+        # Clipped after pooling: clip is monotone and no identity pools only the -2.
+        np.clip(pooled, -1.0, 1.0, out=pooled)
         own = own_col[lo:lo + block]
         positives[lo:lo + block] = pooled[rows, own]
         negatives[lo:lo + block] = pooled[np.arange(n_ids) != own[:, None]].reshape(
@@ -380,8 +380,7 @@ def verification_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
     positives, negatives = verification_scores(embeddings, labels)
     tar, tau = tar_at_far(positives, negatives, cfg.far_target)
     curve = roc_points(positives, negatives)
-    return EvalReport.from_values("verification", [tar], curve=curve,
-                                  thresholds=[tau])
+    return EvalReport.from_values([tar], curve=curve, thresholds=[tau])
 
 
 def _score_split(head, ds: Dataset, split, protocols, cfg: TrialConfig):

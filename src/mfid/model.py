@@ -23,6 +23,7 @@ import numpy as np
 from .dataset import (
     Dataset,
     Split,
+    _container_header,
     build_pair_constraints,
     dense_relabel,
     draw_pairs,
@@ -48,10 +49,6 @@ class EmbeddingHead:
     embed_dim: int
     n_classes: int
     params: dict[str, np.ndarray]
-
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
 
 
 def _param_shapes(architecture: str, input_dim: int, embed_dim: int,
@@ -217,7 +214,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainedModel:
     head: EmbeddingHead
-    config: TrainConfig
     loss_history: tuple[LossReport, ...]
 
 
@@ -299,7 +295,7 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
             dissim_sum += report.dissim_term
         history.append(_report(cfg.loss, ce_sum / steps, sim_sum / steps, dissim_sum / steps,
                                steps * n_similar, steps * n_dissimilar))
-    return TrainedModel(head, cfg, tuple(history))
+    return TrainedModel(head, tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +320,8 @@ def save_head(head: EmbeddingHead, path) -> None:
 
 def load_head(path) -> EmbeddingHead:
     blob = Path(path).read_bytes()
-    header = struct.calcsize("<4sIIIII")
-    if len(blob) < header:
-        raise ValueError(f"{path}: truncated checkpoint")
-    magic, version, tag, input_dim, embed_dim, n_classes = struct.unpack_from(
-        "<4sIIIII", blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+    header, (tag, input_dim, embed_dim, n_classes) = _container_header(
+        path, blob, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "IIII")
     if not 1 <= tag <= len(ARCHITECTURES):
         raise ValueError(f"{path}: unknown architecture tag {tag}")
     architecture = ARCHITECTURES[tag - 1]

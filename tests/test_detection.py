@@ -3,6 +3,7 @@
 import itertools
 import math
 import multiprocessing
+import struct
 
 import numpy as np
 import pytest
@@ -56,7 +57,41 @@ def test_iou_symmetric_and_bounded():
         b = box(u0, v0, u0 + rng.uniform(0.1, 4), v0 + rng.uniform(0.1, 4))
         ab = iou(a, b)
         assert ab == iou(b, a)
-        assert 0.0 <= ab <= min(a.area, b.area) / max(a.area, b.area) + 1e-12
+        areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in (a.corners(), b.corners())]
+        assert 0.0 <= ab <= min(areas) / max(areas) + 1e-12
+
+
+def reference_iou(a, b):
+    """The earlier scalar IoU, from the two boxes' fields."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return inter / (area_a + area_b - inter)
+
+
+def test_iou_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    pairs = [(box(0, 0, 1, 1), box(1, 0, 2, 1)),        # touching edges
+             (box(0, 0, 1, 1), box(1, 1, 2, 2)),        # touching corners
+             (box(0, 0, 4, 4), box(1, 1, 2, 3)),        # nested
+             (box(-0.0, 0, 0.3, 0.7), box(0.0, 0, 0.3, 0.7)),  # identical
+             (box(0.1, 0.2, 0.7, 0.9), box(0.1, 0.2, 0.7, 0.9))]
+    for _ in range(500):
+        corners = rng.uniform(-5, 5, size=(2, 2))
+        sizes = rng.uniform(0.01, 4, size=(2, 2))
+        pairs.append(tuple(box(*c, *(c + s)) for c, s in zip(corners, sizes)))
+    pairs += [(a, a) for a, _ in pairs[-100:]]
+    pairs += [(box(a.x_min, a.y_min, a.x_max + 1.0, a.y_max + 0.5), a)
+              for a, _ in pairs[-100:]]
+    for a, b in pairs:
+        for first, second in ((a, b), (b, a)):
+            got, want = iou(first, second), reference_iou(first, second)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_box_rejects_degenerate():

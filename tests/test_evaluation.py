@@ -410,14 +410,14 @@ def test_verification_rejects_singleton_identity():
 
 
 def test_eval_report_mean_std():
-    r = EvalReport.from_values("closed_set", [0.5, 0.7])
+    r = EvalReport.from_values([0.5, 0.7])
     assert r.mean == pytest.approx(0.6)
     assert r.std == pytest.approx(0.1)  # population std
 
 
 def test_eval_report_rejects_empty():
     with pytest.raises(ValueError):
-        EvalReport.from_values("closed_set", [])
+        EvalReport.from_values([])
 
 
 def test_trial_config_validation():
@@ -879,7 +879,7 @@ def reference_closed_set_eval(embeddings, labels, cfg):
         rank1.append(cmc[0])
         cmc_sum += cmc
     curve = tuple((r + 1, cmc_sum[r] / cfg.trials) for r in range(n_ids))
-    return EvalReport.from_values("closed_set", rank1, curve=curve)
+    return EvalReport.from_values(rank1, curve=curve)
 
 
 def reference_open_set_eval(embeddings, labels, cfg):
@@ -908,7 +908,7 @@ def reference_open_set_eval(embeddings, labels, cfg):
                                pooled[n_mated:].max(axis=1), cfg.far_target)
         rates.append(rate)
         thresholds.append(tau)
-    return EvalReport.from_values("open_set", rates, thresholds=thresholds)
+    return EvalReport.from_values(rates, thresholds=thresholds)
 
 
 def shuffled_uneven_embeddings(rng, k=9, low=4, high=9, dim=5, tied=False):

@@ -1,9 +1,11 @@
 """Checks over the package source: every export has a caller, every defaulted
-parameter of an export is passed somewhere, every module-level function and
-class is used, no import is unused, one function starts worker processes, and
-text files are split into lines in one place."""
+parameter of an export is passed somewhere, every member of an exported class
+is read somewhere, every module-level function and class is used, no import
+is unused, one function starts worker processes, and text files are split
+into lines in one place."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from collections import defaultdict
@@ -102,6 +104,58 @@ def test_defaulted_parameters_have_a_caller():
                     and not by_position):
                 unpassed.add(f"{name}.{param.name}")
     assert unpassed == set(UNPASSED_DEFAULTS)
+
+
+# Members of exported classes that no package module or acceptance check reads,
+# and why they stay: each is a computed result the caller asked for.
+UNREAD_MEMBERS = {
+    "LogRegModel.c_value": "the chosen C",
+    "LogRegModel.validation_accuracy": "the C-selection record",
+    "LogRegModel.objective_history": "the solver trace that tests check",
+    "PCAModel.explained_variance": "PCA's kept variance",
+    "PCAModel.total_variance": "PCA's total variance",
+    "DetectionReport.mean_ap": "the report's result",
+    "DetectionReport.per_image": "the report's result",
+}
+
+
+def class_members(cls, node):
+    """Dataclass fields, non-dunder methods and properties, and the public
+    attributes ``__init__`` assigns on ``self``, of class ``cls`` defined by
+    ``node``."""
+    members = ({f.name for f in dataclasses.fields(cls)}
+               if dataclasses.is_dataclass(cls) else set())
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+            members.add(item.name)
+        elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            members.update(target.attr for target in ast.walk(item)
+                           if isinstance(target, ast.Attribute)
+                           and isinstance(target.ctx, ast.Store)
+                           and isinstance(target.value, ast.Name)
+                           and target.value.id == "self"
+                           and not target.attr.startswith("_"))
+    return members
+
+
+def test_class_members_have_a_reader():
+    # A member that nothing reads only echoes an argument or re-derives other
+    # fields; a computed result stays only if listed above.  Reads match by
+    # name, so a member is seen as read when any attribute of its name is:
+    # args.config in cli.py would have hidden an unread TrainedModel.config.
+    trees = [parse(path) for path in MODULES]
+    classes = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    read = {node.attr for tree in trees + [parse(ROOT / "tests" / "test_acceptance.py")]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for name, _ in module_imports(parse(PACKAGE / "__init__.py")):
+        cls = getattr(mfid, name)
+        if inspect.isclass(cls):
+            unread.update(f"{name}.{member}" for member in class_members(cls, classes[name])
+                          if member not in read)
+    assert unread == set(UNREAD_MEMBERS)
 
 
 def test_no_unused_module_imports():

@@ -293,7 +293,7 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     sizes = np.minimum(np.floor(groups.counts * validation_fraction + 0.5).astype(np.int64),
                        groups.counts - 1)
     holdout = np.sort(groups.order[groups.draw(sizes, np.random.default_rng(seed))])
-    fit_idx = np.setdiff1d(np.arange(x.shape[0]), holdout)
+    fit_idx = np.setdiff1d(np.arange(x.shape[0]), holdout, assume_unique=True)
 
     record: dict[float, float] = {}
     best_c, best_acc, best_fit = None, -1.0, None

@@ -25,7 +25,9 @@ are parsed by :func:`_parse_csv_range`, which names the first bad line.
 Rows are grouped by identity in one place, :class:`LabelGroups` (the stable
 label order, and each group's label, start and count in it), which the
 splits, the baseline's holdout, the pair constraints and the evaluation
-protocols all share.  Its ``draw`` makes one ``rng.choice`` per group.
+protocols all share.  Its ``draw`` makes the draws of one ``rng.choice``
+per group: one ``rng.integers`` call when each group gives one row, else one
+``rng.choice`` call per group.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class Dataset:
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
         if bad.size:
             raise ValueError(f"non-finite feature value in sample {int(bad[0])}")
-        ids = np.unique(labels)
-        if ids[0] < 0 or not np.array_equal(ids, np.arange(ids.size)):
+        # A label of n or more cannot be dense, and would size the bincount.
+        if labels.min() < 0 or labels.max() >= n or not np.bincount(labels).all():
             raise ValueError("identity ids must be dense integers in [0, K)")
         features.flags.writeable = False
         labels.flags.writeable = False
@@ -112,9 +114,8 @@ def dense_relabel(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (dense_labels, original_ids) where original_ids[k] is the source id
         that became dense id k.
     """
-    labels = np.asarray(labels)
-    originals = np.unique(labels)
-    return np.searchsorted(originals, labels), originals
+    originals, dense = np.unique(labels, return_inverse=True)
+    return dense, originals
 
 
 def _zero_padded_names(values) -> dict[int, str]:
@@ -423,7 +424,18 @@ class LabelGroups:
         """Positions in ``order`` of ``sizes[g]`` distinct rows of each group g,
         from one ``rng.choice(counts[g], size=sizes[g], replace=False)`` per
         group with a positive size, in group order: the stream and rows of one
-        ``rng.choice(rows, ...)`` over each group's rows in row order."""
+        ``rng.choice(rows, ...)`` over each group's rows in row order.
+
+        When every drawn group takes one row, one ``rng.integers(0, counts)``
+        call over the drawn groups gives the same rows and leaves the
+        generator in the same state: a one-row ``choice`` without replacement
+        is one bounded draw in ``[0, count)`` (the shuffle of one element
+        draws nothing), and ``integers`` makes the same bounded draws, group
+        by group.  Larger sizes shuffle with rejection sampling, so they keep
+        the loop."""
+        picked = np.flatnonzero(sizes)
+        if np.all(sizes[picked] == 1):
+            return self.starts[picked] + rng.integers(0, self.counts[picked])
         parts = [start + rng.choice(count, size=k, replace=False)
                  for start, count, k in zip(self.starts.tolist(), self.counts.tolist(),
                                             sizes.tolist()) if k > 0]
@@ -467,7 +479,7 @@ class Split:
             repeated = indices[1:][indices[1:] == indices[:-1]]
             if repeated.size:
                 raise ValueError(f"{side} index {int(repeated[0])} appears more than once")
-        if np.intersect1d(train, test).size:
+        if np.intersect1d(train, test, assume_unique=True).size:
             raise ValueError("train and test indices overlap")
         object.__setattr__(self, "train_indices", train)
         object.__setattr__(self, "test_indices", test)
@@ -497,7 +509,7 @@ def stratified_splits(ds: Dataset, folds: int, test_fraction: float,
     splits = []
     for stream in np.random.SeedSequence(seed).spawn(folds):
         test = groups.order[groups.draw(sizes, np.random.default_rng(stream))]
-        train = np.setdiff1d(np.arange(ds.n_samples), test)
+        train = np.setdiff1d(np.arange(ds.n_samples), test, assume_unique=True)
         splits.append(Split(train, test, STRATIFIED, seed))
     return splits
 

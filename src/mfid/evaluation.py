@@ -118,7 +118,8 @@ def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
     """1-based rank of each probe's true identity (score ties -> lowest id).
 
     The rank counts identities scoring strictly higher, plus equal-scoring
-    identities with a lower id, plus one.
+    identities with a lower id, plus one.  Ties with another identity are
+    rare, so the ties are counted only on the rows that hold one.
     """
     id_scores = np.asarray(id_scores, dtype=np.float64)
     gallery_ids = np.asarray(gallery_ids)
@@ -126,12 +127,14 @@ def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
     cols = np.searchsorted(gallery_ids, probe_labels)
     if np.any(cols >= gallery_ids.size) or np.any(gallery_ids[cols] != probe_labels):
         raise ValueError("probe identity missing from the gallery")
-    rows = np.arange(id_scores.shape[0])
-    true_scores = id_scores[rows, cols]
-    higher = (id_scores > true_scores[:, None]).sum(axis=1)
-    tied_lower = ((id_scores == true_scores[:, None])
-                  & (gallery_ids[None, :] < probe_labels[:, None])).sum(axis=1)
-    return (1 + higher + tied_lower).astype(np.int64)
+    true_scores = id_scores[np.arange(id_scores.shape[0]), cols][:, None]
+    ranks = 1 + (id_scores > true_scores).sum(axis=1, dtype=np.int64)
+    # The ">=" count holds the true identity too, so it passes the rank
+    # only on a row where another identity ties the true score.
+    tied = np.flatnonzero((id_scores >= true_scores).sum(axis=1) > ranks)
+    ranks[tied] += ((id_scores[tied] == true_scores[tied])
+                    & (gallery_ids < probe_labels[tied, None])).sum(axis=1)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +246,11 @@ class _TestIndex(LabelGroups):
 
     def identity_scores(self, probe_rows, gallery_rows, per_identity: int) -> np.ndarray:
         """Each probe's best score per gallery identity, for a gallery that
-        :func:`_draw_gallery` laid out as ``per_identity`` rows per group."""
+        :func:`_draw_gallery` laid out as ``per_identity`` rows per group.
+        With one row per group the scores are the identity scores already."""
         scores = self.scores(probe_rows, gallery_rows)
+        if per_identity == 1:
+            return scores
         return scores.reshape(scores.shape[0], -1, per_identity).max(axis=2)
 
 

@@ -668,19 +668,33 @@ def test_jobs_only_on_commands_that_fan_out(command):
 
 
 def test_single_process_commands_import_no_pool(tmp_path):
+    # Nor numpy.ma: in numpy >= 2.3 a plain np.unique imports it (a few ms
+    # and over 1 MB per process).  transfer is left out: its ROC still runs
+    # one plain np.unique, and transfer is to become eval on another dataset.
+    out = str(tmp_path)
+    data, model = str(tmp_path / "dataset.csv"), str(tmp_path / "model.mfhd")
     script = (
         "import sys\n"
         "from mfid.cli import main\n"
-        f"assert main(['synth', '--identities', '3', '--per-id', '4', '--dim', '2',"
-        f" '--out', {str(tmp_path)!r}]) == 0\n"
-        f"assert main(['train', '--data', {str(tmp_path / 'dataset.csv')!r},"
-        f" '--epochs', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['synth', '--identities', '8', '--per-id', '6', '--dim', '3',"
+        f" '--out', {out!r}]) == 0\n"
+        f"assert main(['train', '--data', {data!r}, '--epochs', '1', '--out', {out!r}]) == 0\n"
+        f"assert main(['eval', '--data', {data!r}, '--model', {model!r},"
+        f" '--protocols', 'classification,closed,open,verif', '--splits', '1',"
+        f" '--trials', '2', '--distractors', '2', '--test-fraction', '0.5',"
+        f" '--out', {out!r}]) == 0\n"
+        f"assert main(['baseline', '--data', {data!r}, '--splits', '1',"
+        f" '--c-grid', '1.0', '--out', {out!r}]) == 0\n"
+        f"assert main(['ablate', '--jobs', '1', '--seeds', '1', '--identities', '6',"
+        f" '--per-id', '6', '--dim', '3', '--epochs', '1', '--test-fraction', '0.5',"
+        f" '--trials', '2', '--out', {out!r}]) == 0\n"
         "print(sorted(m for m in sys.modules"
-        " if m.startswith(('multiprocessing', 'concurrent'))))\n")
+        " if m.startswith(('multiprocessing', 'concurrent'))))\n"
+        "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 # ---------------------------------------------------------------------------

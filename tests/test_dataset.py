@@ -23,7 +23,8 @@ from mfid import (
     synth_gaussian,
     train,
 )
-from mfid.dataset import DISJOINT, STRATIFIED, Split, dense_relabel, pair_batch_counts
+from mfid.dataset import (DISJOINT, STRATIFIED, LabelGroups, Split, dense_relabel,
+                          pair_batch_counts)
 
 
 def random_dataset(rng, n_identities=8, per_identity=6, dim=5):
@@ -177,7 +178,8 @@ def test_binary_round_trip_exact(tmp_path):
 def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + bytes(20))
-    with pytest.raises(ValueError, match="magic"):
+    # The message text, not "magic": this test's tmp_path names it too.
+    with pytest.raises(ValueError, match=re.escape("bad magic b'NOPE'")):
         load_dataset(path)
 
 
@@ -572,6 +574,26 @@ def test_stratified_rejects_singleton_identity():
     ds = Dataset(np.zeros((3, 2)), [0, 0, 1])
     with pytest.raises(ValueError, match="identity 1"):
         stratified_splits(ds, 1, 0.5, seed=0)
+
+
+def test_draw_of_one_row_per_group_matches_per_group_choice():
+    # Counts past 2**32 take numpy's 64-bit bounded draw, so the groups are
+    # set directly rather than grouped from that many labels.
+    meta = np.random.default_rng(23)
+    for trial in range(40):
+        counts = meta.choice([1, 2, 40, 10_001, 2**32 + 3, 2**33 + 7],
+                             size=int(meta.integers(0, 12))).astype(np.int64)
+        sizes = meta.integers(0, 2, size=counts.size) * (trial % 4 != 0)
+        groups = LabelGroups.__new__(LabelGroups)
+        groups.counts = counts
+        groups.starts = np.cumsum(counts) - counts
+        ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+        want = [start + theirs.choice(count, size=k, replace=False)
+                for start, count, k in zip(groups.starts, counts, sizes) if k]
+        got = groups.draw(sizes, ours)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.concatenate([np.empty(0, np.int64), *want]))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

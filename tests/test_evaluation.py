@@ -79,6 +79,43 @@ def test_score_matrix_single_pair():
     assert scores[0, 0] == pytest.approx(1 / math.sqrt(2))
 
 
+def duplicated_rows_over_one(copies, k=24, dim=32):
+    """``k`` identities of ``copies`` equal rows each, picked among rows whose
+    unit vector times itself rounds above 1.0 (about one in four at d = 32)."""
+    x = np.random.default_rng(44).normal(size=(400, dim))
+    unit = mfid.evaluation._unit_rows(x)
+    picked = x[np.diag(unit @ unit.T) > 1.0][:k]
+    return np.repeat(picked, copies, axis=0), np.repeat(np.arange(k), copies)
+
+
+@pytest.mark.parametrize("per_identity", [1, 2])
+def test_scores_of_equal_rows_are_clipped_to_one(monkeypatch, per_identity):
+    emb, labels = duplicated_rows_over_one(per_identity + 1)
+    raw, pooled = [], []
+    identity_scores = _TestIndex.identity_scores
+
+    def recorded(index, probe_rows, gallery_rows, per_identity):
+        raw.append((index.unit[probe_rows] @ index.unit[gallery_rows].T).max())
+        scores = identity_scores(index, probe_rows, gallery_rows, per_identity)
+        pooled.append(scores.max())
+        return scores
+
+    monkeypatch.setattr(_TestIndex, "identity_scores", recorded)
+    cfg = TrialConfig(trials=4, gallery_images_per_identity=per_identity,
+                      distractor_identities=3)
+    closed_set_eval(emb, labels, cfg)
+    open_set_eval(emb, labels, cfg)
+    assert max(raw) > 1.0  # a trial's product rounds past the clip
+    assert max(pooled) <= 1.0
+
+    unit = mfid.evaluation._unit_rows(emb)
+    products = unit @ unit.T
+    np.fill_diagonal(products, -2.0)
+    assert products.max() > 1.0  # so does verification's, self excluded
+    positives, negatives = verification_scores(emb, labels)
+    assert max(positives.max(), negatives.max()) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # classification
 

@@ -1,6 +1,6 @@
 """Command-line front end: seeded, reproducible experiment runs.
 
-Commands: synth, train, eval, transfer, detmetrics, ablate, baseline.
+Commands: synth, train, eval, detmetrics, ablate, baseline.
 Options resolve in three layers: built-in defaults, then the ``--config``
 INI file (section name = command name, keys = option names), then explicit
 flags.  Every output file starts with a comment line carrying the toolkit
@@ -40,7 +40,6 @@ from .evaluation import (
     _score_split,
     classification_accuracy,
     far_thresholds,
-    roc_points,
 )
 from .loss import LOSS_CSV_HEADER, LossConfig
 from .model import TrainConfig, load_head, save_head, train
@@ -55,16 +54,14 @@ _TRAIN = {
     "momentum": 0.0,
 }
 _TRIAL = {"test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1, "far": 0.01}
-_OPEN_SET = {"distractors": 6, "distractor_mode": "fixed"}
 _RUN = {"seed": 0, "out": "out"}
 
 _DEFAULTS = {
     "synth": {**_SYNTH, **_RUN},
     "train": {"data": None, "split": None, "objective": "mfid", **_TRAIN, **_RUN},
     "eval": {"data": None, "model": None, "protocols": "closed,open,verif",
-             "splits": 5, **_TRIAL, **_OPEN_SET, "split_file": None, **_RUN},
-    "transfer": {"model": None, "data": None, "source_name": None, **_TRIAL,
-                 **_OPEN_SET, **_RUN},
+             "splits": 5, **_TRIAL, "distractors": 6, "distractor_mode": "fixed",
+             "split_file": None, **_RUN},
     "detmetrics": {"detections": None, "ground_truth": None, "iou_threshold": 0.5,
                    **_RUN},
     "ablate": {"data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
@@ -230,16 +227,6 @@ def _trial_config(options: dict, seed: int) -> TrialConfig:
                        distractor_mode=options["distractor_mode"])
 
 
-def _head_and_data(options: dict):
-    """The model and the dataset a scoring command reads, checked to fit."""
-    ds = load_dataset(options["data"])
-    head = load_head(options["model"])
-    if ds.dim != head.input_dim:
-        raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
-                         f"{head.input_dim}")
-    return head, ds
-
-
 _ROC_GRID = tuple(np.round(np.linspace(0.01, 1.0, 100), 10))
 
 
@@ -261,7 +248,11 @@ def cmd_eval(options: dict) -> None:
         n_splits = len(stems)
     if n_splits < 1:
         raise ValueError("splits must be at least 1")
-    head, ds = _head_and_data(options)
+    ds = load_dataset(options["data"])
+    head = load_head(options["model"])
+    if ds.dim != head.input_dim:
+        raise ValueError(f"dataset dim {ds.dim} does not match model input dim "
+                         f"{head.input_dim}")
     disjoint_wanted = [p for p in protocols if p != "classification"]
     provided = (None if stems is None
                 else [load_split(stem, ds.n_samples) for stem in stems])
@@ -317,25 +308,6 @@ def cmd_eval(options: dict) -> None:
         _write_report(out / "roc.csv", header, "far,tar",
                       [f"{float(far)!r},{float(tar)!r}"
                        for far, tar in zip(_ROC_GRID, averaged)])
-
-
-def cmd_transfer(options: dict) -> None:
-    _require(options, "model", "data")
-    head, ds = _head_and_data(options)
-    source = options["source_name"] or Path(options["model"]).stem
-    pair = f"{source}->{Path(options['data']).stem}"
-    cfg = _trial_config(options, options["seed"])
-    split = identity_disjoint_split(ds, options["test_fraction"], cfg.seed)
-    scored, cmc, (positives, negatives) = _score_split(
-        head, ds, split, ("closed_set", "open_set", "verification"), cfg)
-    out = _out_dir(options)
-    header = _header("transfer", options)
-    _write_report(out / "transfer_metrics.csv", header, "protocol,pair,mean,std,threshold",
-                  [_metric_line(protocol, pair, *values) for protocol, *values in scored])
-    _write_report(out / "transfer_cmc.csv", header, "rank,rate",
-                  [f"{rank + 1},{rate!r}" for rank, rate in enumerate(cmc)])
-    _write_report(out / "transfer_roc.csv", header, "far,tar",
-                  [f"{far!r},{tar!r}" for far, tar in roc_points(positives, negatives)])
 
 
 def cmd_detmetrics(options: dict) -> None:
@@ -438,8 +410,7 @@ def cmd_baseline(options: dict) -> None:
 
 _COMMANDS = {
     "synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
-    "transfer": cmd_transfer, "detmetrics": cmd_detmetrics,
-    "ablate": cmd_ablate, "baseline": cmd_baseline,
+    "detmetrics": cmd_detmetrics, "ablate": cmd_ablate, "baseline": cmd_baseline,
 }
 
 

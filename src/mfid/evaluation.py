@@ -141,6 +141,16 @@ def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
 # thresholds
 
 
+def _finite(scores, name: str) -> np.ndarray:
+    """``scores`` as float64; a NaN or infinity is an error that names the
+    argument they came in as, ``name``, and the first bad index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise ValueError(f"non-finite {name} at index {int(np.argmin(finite))}")
+    return scores
+
+
 def _ascending(scores) -> np.ndarray:
     """``scores`` as float64 in ascending order: the array itself when it
     already is, else a sorted copy."""
@@ -151,7 +161,7 @@ def _ascending(scores) -> np.ndarray:
 def far_thresholds(nonmated_scores, far_targets) -> np.ndarray:
     """:func:`far_threshold` for each target, from one sort of the scores
     (none when they are already in ascending order)."""
-    ordered = _ascending(nonmated_scores)
+    ordered = _ascending(_finite(nonmated_scores, "nonmated_scores"))
     if ordered.size == 0:
         raise ValueError("no non-mated scores to calibrate a threshold")
     targets = np.asarray(far_targets, dtype=np.float64)
@@ -189,10 +199,10 @@ def _accept_rates(scores, thresholds) -> np.ndarray:
 
 def tar_at_far(positive_scores, negative_scores, far_target: float) -> tuple[float, float]:
     """(true accept rate, threshold) with the threshold set on the negatives."""
-    pos = np.asarray(positive_scores, dtype=np.float64)
+    pos = _finite(positive_scores, "positive_scores")
     if pos.size == 0:
         raise ValueError("no positive scores")
-    tau = far_threshold(negative_scores, far_target)
+    tau = far_threshold(_finite(negative_scores, "negative_scores"), far_target)
     return float(_accept_rates(pos, tau)), tau
 
 
@@ -205,7 +215,7 @@ def dir_at_far(mated_scores, mated_rank1_correct, nonmated_scores,
     identification rate.  A mated probe counts only if its top identity
     score passes the threshold AND its rank-1 identity is correct.
     """
-    mated = np.asarray(mated_scores, dtype=np.float64)
+    mated = _finite(mated_scores, "mated_scores")
     correct = np.asarray(mated_rank1_correct, dtype=bool)
     if mated.shape != correct.shape:
         raise ValueError("mated scores and correctness flags must align")
@@ -217,11 +227,14 @@ def dir_at_far(mated_scores, mated_rank1_correct, nonmated_scores,
 
 def roc_points(positive_scores, negative_scores) -> tuple[tuple[float, float], ...]:
     """(FAR, TAR) at every distinct pooled score, plus the accept-nothing point."""
-    pos = np.asarray(positive_scores, dtype=np.float64)
-    neg = np.asarray(negative_scores, dtype=np.float64)
+    pos = _finite(positive_scores, "positive_scores")
+    neg = _finite(negative_scores, "negative_scores")
     if pos.size == 0 or neg.size == 0:
         raise ValueError("ROC needs both positive and negative scores")
-    pooled = np.unique(np.concatenate([pos, neg]))
+    # The distinct pooled scores, as np.unique finds them, without the
+    # numpy.ma import that its hash path makes on numpy >= 2.3.
+    pooled = _ascending(np.concatenate([pos, neg]))
+    pooled = pooled[np.append(True, pooled[1:] != pooled[:-1])]
     thresholds = np.append(np.nextafter(pooled[-1], np.inf), pooled[::-1])
     return tuple(zip(_accept_rates(neg, thresholds).tolist(),
                      _accept_rates(pos, thresholds).tolist()))

@@ -28,7 +28,7 @@ from mfid import (
     verification_eval,
     verification_scores,
 )
-from mfid.cli import _DEFAULTS, _config_hash, _resolve_options, build_parser, main
+from mfid.cli import _COMMANDS, _DEFAULTS, _config_hash, _resolve_options, build_parser, main
 
 
 def run_cli(*argv):
@@ -395,70 +395,76 @@ def test_split_file_bad_index_names_the_stem(synth_dir, trained_dir, tmp_path, c
     assert err == [f"error: {stem}: {message}"]
 
 
-# ---------------------------------------------------------------------------
-# transfer
+def eval_seeds(seed, splits):
+    """(split seed, trial seed) of each split that ``eval --seed seed`` draws."""
+    def child_seed(stream):
+        return int(stream.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
+    return [tuple(child_seed(stream) for stream in split.spawn(2))
+            for split in np.random.SeedSequence(seed).spawn(splits)]
 
 
-def test_transfer_pair_labels_and_values(synth_dir, trained_dir, tmp_path):
-    assert run_cli("transfer", "--model", str(trained_dir / "model.mfhd"),
-                   "--data", str(synth_dir / "dataset.csv"),
-                   "--source-name", "A", "--test-fraction", "0.5",
-                   "--trials", "20", "--distractors", "1", "--far", "0.1",
-                   "--seed", "6", "--out", str(tmp_path)) == 0
-    rows = read_rows(tmp_path / "transfer_metrics.csv")
-    assert [r.split(",")[0] for r in rows] == ["closed_set", "open_set",
-                                               "verification"]
-    assert all(r.split(",")[1] == "A->dataset" for r in rows)
+def test_eval_on_another_dataset_matches_library(trained_dir, tmp_path):
+    # a head trained on one dataset, scored on another from the same dim
+    data = tmp_path / "other" / "dataset.bin"
+    assert run_cli("synth", "--identities", "10", "--per-id", "8", "--dim", "8",
+                   "--sigma", "0.3", "--seed", "8", "--out", str(data.parent)) == 0
+    assert run_cli("eval", "--data", str(data), "--model", str(trained_dir / "model.mfhd"),
+                   "--protocols", "closed,open,verif", "--splits", "1",
+                   "--test-fraction", "0.5", "--trials", "20", "--distractors", "1",
+                   "--far", "0.1", "--seed", "6", "--out", str(tmp_path / "out")) == 0
+    rows = [row.split(",") for row in read_rows(tmp_path / "out" / "metrics.csv")]
+    assert [row[:2] for row in rows[:3]] == [["closed_set", "0"], ["open_set", "0"],
+                                             ["verification", "0"]]
 
-    # the CSV values must equal a direct library-call derivation (same path)
-    ds = load_dataset(synth_dir / "dataset.csv")
-    head = load_head(trained_dir / "model.mfhd")
-    split = identity_disjoint_split(ds, 0.5, seed=6)
-    z = embed(head, ds.features[split.test_indices])
+    # the CSV values must equal a direct library-call derivation
+    ds = load_dataset(data)
+    (split_seed, trial_seed), = eval_seeds(6, 1)
+    split = identity_disjoint_split(ds, 0.5, seed=split_seed)
+    z = embed(load_head(trained_dir / "model.mfhd"), ds.features[split.test_indices])
     labels = ds.labels[split.test_indices]
-    cfg = TrialConfig(trials=20, gallery_images_per_identity=1,
-                      distractor_identities=1, far_target=0.1, seed=6)
+    cfg = TrialConfig(trials=20, distractor_identities=1, far_target=0.1, seed=trial_seed)
     expected = {"closed_set": closed_set_eval(z, labels, cfg).mean,
                 "open_set": open_set_eval(z, labels, cfg).mean,
                 "verification": verification_eval(z, labels, cfg).mean}
-    for row in rows:
-        protocol, _, mean, _, _ = row.split(",")
-        assert float(mean) == expected[protocol]
+    means = {protocol: float(mean) for protocol, split_id, mean, _, _ in rows
+             if split_id == "mean"}
+    assert means == expected
 
 
-def test_transfer_fresh_draw_same_generator(tmp_path):
+def test_eval_fresh_draw_same_generator(tmp_path):
     # same generative parameters, new sample: closed-set Rank-1 within 5 points
     gen = ("--identities", "16", "--per-id", "12", "--dim", "24", "--sigma", "0.15")
     for seed in ("31", "32"):
         assert run_cli("synth", *gen, "--seed", seed, "--out", str(tmp_path / seed)) == 0
     own = tmp_path / "31" / "dataset.bin"
     stem = tmp_path / "split"
-    save_split(identity_disjoint_split(load_dataset(own), 0.25, seed=0), stem)
+    # the split eval --seed 0 draws, so eval on 31 scores identities unseen in training
+    (split_seed, _), = eval_seeds(0, 1)
+    save_split(identity_disjoint_split(load_dataset(own), 0.25, seed=split_seed), stem)
     assert run_cli("train", "--data", str(own), "--split", str(stem), "--epochs", "30",
                    "--lr", "0.5", "--seed", "0", "--out", str(tmp_path / "model")) == 0
     rank1 = []
     for seed in ("31", "32"):
-        # the same seed holds out the training split's test identities of 31
-        assert run_cli("transfer", "--model", str(tmp_path / "model" / "model.mfhd"),
-                       "--data", str(tmp_path / seed / "dataset.bin"),
-                       "--test-fraction", "0.25", "--trials", "10", "--distractors", "2",
-                       "--seed", "0", "--out", str(tmp_path / f"to{seed}")) == 0
-        rows = [row.split(",") for row in
-                read_rows(tmp_path / f"to{seed}" / "transfer_metrics.csv")]
+        assert run_cli("eval", "--model", str(tmp_path / "model" / "model.mfhd"),
+                       "--data", str(tmp_path / seed / "dataset.bin"), "--splits", "1",
+                       "--protocols", "closed", "--test-fraction", "0.25",
+                       "--trials", "10", "--seed", "0", "--out", str(tmp_path / f"to{seed}")) == 0
+        rows = [row.split(",") for row in read_rows(tmp_path / f"to{seed}" / "metrics.csv")]
+        assert rows[0][:2] == ["closed_set", "0"]
         rank1.append(float(rows[0][2]))
-        assert rows[0][0] == "closed_set"
     assert abs(rank1[1] - rank1[0]) <= 0.05
 
 
-def test_transfer_dim_mismatch(trained_dir, tmp_path, capsys):
+def test_eval_rejects_a_model_of_another_dim(trained_dir, tmp_path, capsys):
     out = tmp_path / "wide"
     assert run_cli("synth", "--identities", "4", "--per-id", "6", "--dim", "12",
                    "--sigma", "0.1", "--out", str(out)) == 0
-    assert run_cli("transfer", "--model", str(trained_dir / "model.mfhd"),
-                   "--data", str(out / "dataset.csv"),
-                   "--out", str(tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert "12" in err and "8" in err
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(trained_dir / "model.mfhd"),
+                   "--data", str(out / "dataset.csv"), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dataset dim 12 does not match model input dim 8"]
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +665,8 @@ def test_baseline_survives_a_non_converging_c(tmp_path, monkeypatch):
     assert solves == [(1.0, False), (1e7, True), (1.0, False)] * 2
 
 
-@pytest.mark.parametrize("command", ["synth", "train", "eval", "transfer",
-                                     "detmetrics", "baseline"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "detmetrics",
+                                     "baseline"])
 def test_jobs_only_on_commands_that_fan_out(command):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(command, "--jobs", "2")
@@ -669,8 +675,7 @@ def test_jobs_only_on_commands_that_fan_out(command):
 
 def test_single_process_commands_import_no_pool(tmp_path):
     # Nor numpy.ma: in numpy >= 2.3 a plain np.unique imports it (a few ms
-    # and over 1 MB per process).  transfer is left out: its ROC still runs
-    # one plain np.unique, and transfer is to become eval on another dataset.
+    # and over 1 MB per process).  verification_eval also runs roc_points.
     out = str(tmp_path)
     data, model = str(tmp_path / "dataset.csv"), str(tmp_path / "model.mfhd")
     script = (
@@ -688,6 +693,8 @@ def test_single_process_commands_import_no_pool(tmp_path):
         f"assert main(['ablate', '--jobs', '1', '--seeds', '1', '--identities', '6',"
         f" '--per-id', '6', '--dim', '3', '--epochs', '1', '--test-fraction', '0.5',"
         f" '--trials', '2', '--out', {out!r}]) == 0\n"
+        "import numpy as np, mfid\n"
+        "assert mfid.verification_eval(np.eye(4), [0, 0, 1, 1], mfid.TrialConfig()).curve\n"
         "print(sorted(m for m in sys.modules"
         " if m.startswith(('multiprocessing', 'concurrent'))))\n"
         "print('numpy.ma' in sys.modules)\n")
@@ -717,10 +724,6 @@ PINNED_OPTIONS = {
         "test_fraction": 0.2, "trials": 100, "gallery_per_identity": 1,
         "far": 0.01, "distractors": 6, "distractor_mode": "fixed",
         "split_file": None, "seed": 0, "out": "out"}),
-    "transfer": ("248c2b7ac6ae8485", {
-        "model": None, "data": None, "source_name": None, "test_fraction": 0.2,
-        "trials": 100, "gallery_per_identity": 1, "far": 0.01, "distractors": 6,
-        "distractor_mode": "fixed", "seed": 0, "out": "out"}),
     "detmetrics": ("13a05c2c3349c307", {
         "detections": None, "ground_truth": None, "iou_threshold": 0.5,
         "seed": 0, "out": "out"}),
@@ -761,6 +764,14 @@ def test_option_schema_is_pinned(command, tmp_path):
     for argv in ([command, "--config", str(ini)], [command, *flags]):
         options = _resolve_options(build_parser().parse_args(argv))
         assert typed_items(options) == typed_items(pinned)
+
+
+def test_subcommand_set_is_pinned():
+    assert sorted(PINNED_OPTIONS) == sorted(_DEFAULTS) == sorted(_COMMANDS) == [
+        "ablate", "baseline", "detmetrics", "eval", "synth", "train"]
+    with pytest.raises(SystemExit) as exit_info:  # an invalid choice
+        run_cli("transfer", "--data", "d.bin", "--model", "m.mfhd")
+    assert exit_info.value.code == 2
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -979,42 +990,6 @@ def test_scoring_outputs_are_pinned(tmp_path):
     assert digests == SCORING_DIGESTS
 
 
-# sha256 of the three files transfer writes, on write_scoring_inputs' data,
-# recorded before the ScoreMatrix wrapper was deleted from the scoring code
-# (same platform as above).  The second run draws two gallery images per
-# identity and its distractors per trial.
-TRANSFER_DIGESTS = {
-    "g1/transfer_cmc.csv":
-        "2bf46ff18c34bea94196c98a9d9e61fbb172ecaabb443b81b5d9957e2d8519d4",
-    "g1/transfer_metrics.csv":
-        "9cb1df80fc39353a5c50db66f4a3c46b5ec69e492e888177f14ae55a92e8606f",
-    "g1/transfer_roc.csv":
-        "71d796a3db1353e5a094908255899c37c0e3aa62f31482edfd0d754b8a56c791",
-    "g2/transfer_cmc.csv":
-        "384a8a24b1422ed41bf5509efdbc2b52c32c095972ba71c35ad09d2d317098f1",
-    "g2/transfer_metrics.csv":
-        "080d1cd62912b1c955d1d8e34e6c832b1b54c225371f4e056473055f81cab195",
-    "g2/transfer_roc.csv":
-        "f8071e9d90b67f5526746a0d84c5a16586d552b084186db8ecbf34278c9773a0",
-}
-
-
-def test_transfer_outputs_are_pinned(tmp_path):
-    inputs = tmp_path / "in"
-    inputs.mkdir()
-    write_scoring_inputs(inputs)
-    data = ("--data", str(inputs / "scoring.bin"), "--model", str(inputs / "scoring.mfhd"),
-            "--trials", "15", "--test-fraction", "0.5", "--seed", "31")
-    assert run_cli("transfer", *data, "--out", str(tmp_path / "g1")) == 0
-    assert run_cli("transfer", *data, "--gallery-per-identity", "2", "--distractors", "4",
-                   "--distractor-mode", "per_trial", "--far", "0.1",
-                   "--out", str(tmp_path / "g2")) == 0
-    digests = {path.relative_to(tmp_path).as_posix():
-               hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(tmp_path.glob("g*/*.csv"))}
-    assert digests == TRANSFER_DIGESTS
-
-
 def test_scoring_outputs_do_not_depend_on_blas_threads(tmp_path):
     # The determinism contract holds whatever thread count OpenBLAS uses for
     # the score products, the verification SYRK and the logistic-regression
@@ -1030,7 +1005,6 @@ def test_scoring_outputs_do_not_depend_on_blas_threads(tmp_path):
             "--trials", "5", "--seed", "3")
     runs = {"eval": ("eval", *data, "--splits", "1",
                      "--protocols", "closed,open,verif,classification"),
-            "transfer": ("transfer", *data),
             "baseline": ("baseline", "--data", str(tmp_path / "noisy" / "dataset.bin"),
                          "--splits", "2"),
             "ablate": (*_SMALL_ABLATE, "--jobs", "2")}
@@ -1045,7 +1019,7 @@ def test_scoring_outputs_do_not_depend_on_blas_threads(tmp_path):
             outputs[name, threads] = {path.name: path.read_bytes()
                                       for path in sorted(out.iterdir())}
     for name in runs:
-        assert len(outputs[name, "1"]) == (3 if name in ("eval", "transfer") else 1)
+        assert len(outputs[name, "1"]) == (3 if name == "eval" else 1)
         assert outputs[name, "2"] == outputs[name, "1"]
 
 

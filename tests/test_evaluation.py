@@ -294,6 +294,30 @@ def test_roc_points_cover_extremes():
     assert fars == sorted(fars)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+# Unchecked, a NaN score gives a NaN threshold or counts as a rejected
+# score, and the result looks valid.
+@pytest.mark.parametrize("call, message", [
+    (lambda: far_thresholds([0.1, NAN, 0.3], [0.5]), "nonmated_scores at index 1"),
+    (lambda: far_threshold([0.1, 0.2, -INF], 0.5), "nonmated_scores at index 2"),
+    (lambda: tar_at_far([0.5, 0.9], [0.1, NAN, 0.3], 0.5), "negative_scores at index 1"),
+    (lambda: tar_at_far([INF, 0.9], [0.1, 0.3], 0.5), "positive_scores at index 0"),
+    (lambda: dir_at_far([0.5, NAN], [True, True], [0.1, 0.3], 0.5),
+     "mated_scores at index 1"),
+    (lambda: dir_at_far([0.5, 0.9], [True, True], [NAN, NAN], 0.5),
+     "nonmated_scores at index 0"),
+    (lambda: roc_points([0.5, 0.9], [0.1, NAN, 0.3]), "negative_scores at index 1"),
+    (lambda: roc_points([0.5, 0.9, NAN], [0.1, 0.3]), "positive_scores at index 2"),
+], ids=["far_thresholds", "far_threshold", "tar negatives", "tar positives",
+        "dir mated", "dir nonmated", "roc negatives", "roc positives"])
+def test_threshold_and_roc_entry_points_reject_non_finite_scores(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == f"non-finite {message}"
+
+
 # ---------------------------------------------------------------------------
 # closed set
 

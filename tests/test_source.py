@@ -1,13 +1,15 @@
 """Checks over the package source: every export has a caller, every defaulted
 parameter of an export is passed somewhere, every member of an exported class
 is read somewhere, every module-level function and class is used, no import
-is unused, one function starts worker processes, and text files are split
-into lines in one place."""
+is unused, one function starts worker processes, text files are split into
+lines in one place, and each mutation row of ``tests/mutants.py`` still
+finds its line."""
 
 import ast
 import dataclasses
 import inspect
 import re
+import runpy
 from collections import defaultdict
 from pathlib import Path
 
@@ -215,3 +217,16 @@ def test_one_line_reader():
              if isinstance(node, ast.Call)
              and call_name(node) in ("splitlines", "readlines", "read_text")]
     assert calls == []
+
+
+def test_mutant_rows_find_their_lines():
+    # tests/mutants.py breaks each row's snippet in a copy of the package; a
+    # refactor that moves, duplicates or deletes the line must update the row.
+    mutants = runpy.run_path(str(ROOT / "tests" / "mutants.py"))["MUTANTS"]
+    counts = {row.name: (PACKAGE / row.path).read_text(encoding="utf-8").count(row.snippet)
+              for row in mutants}
+    assert counts == {row.name: 1 for row in mutants}
+    missing = [test for row in mutants for test in row.tests
+               if f"\ndef {test.split('::')[1]}(" not in
+               (ROOT / test.split("::")[0]).read_text(encoding="utf-8")]
+    assert missing == []

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabelGroups
+from .dataset import LabelGroups, _finite
 
 DEFAULT_C_GRID = tuple(10.0 ** k for k in range(-5, 6))
 
@@ -97,7 +97,7 @@ def pca_fit(x, energy_threshold: float) -> PCAModel:
 
 def pca_transform(model: PCAModel, x) -> np.ndarray:
     """Project rows onto the kept components (centering first)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "x")
     if x.ndim != 2 or x.shape[1] != model.mean.size:
         raise ValueError(f"expected rows of dim {model.mean.size}, "
                          f"got shape {x.shape}")
@@ -252,7 +252,7 @@ def _logreg_solve(x, y, n_classes, c_value, max_iter, tol, start=None):
 
 def logreg_predict(model: LogRegModel, x) -> np.ndarray:
     """Argmax class per row (ties resolve to the lowest class id)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "x")
     return _predict(x, model.weights, model.bias)
 
 

@@ -20,7 +20,8 @@ Two file formats are supported; the file suffix chooses one:
 
 Every text input is split into lines (at LF, CRLF or a lone CR) by
 :func:`_range_lines`, and dataset CSVs and box files (:mod:`mfid.detection`)
-are parsed by :func:`_parse_csv_range`, which names the first bad line.
+are parsed by :func:`_parse_csv_range`, which checks the rows of a range as
+one array and names the first bad line.
 
 Rows are grouped by identity in one place, :class:`LabelGroups` (the stable
 label order, and each group's label, start and count in it), which the
@@ -105,6 +106,19 @@ class Dataset:
     @property
     def n_identities(self) -> int:
         return int(self.labels.max()) + 1
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as float64; a NaN or infinity is an error that names the
+    argument they came in as, ``name``, and the first bad index (of a row,
+    in a 2-D array)."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if finite.ndim == 2:
+        finite = finite.all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite {name} at index {int(np.argmin(finite))}")
+    return values
 
 
 def dense_relabel(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,16 +296,17 @@ def _parse_csv_range(path: Path, lo: int, hi: int, n_fields: int, name_at: int,
                      values_at: int, malformed: str, check, header: str | None = None):
     """Parse the rows in bytes ``lo:hi`` of ``path``: stripped lines of
     ``n_fields`` comma-separated fields, named by field ``name_at``, with
-    float values from field ``values_at`` on (else the error ``malformed``)
-    that ``check(name, values)`` finds no error in.  Blank and ``#`` lines
-    and a line whose first field is ``header`` are skipped.
+    float values from field ``values_at`` on (else the error ``malformed``).
+    Blank and ``#`` lines and a line whose first field is ``header`` are
+    skipped.  ``check(names, values)`` gets the rows as one array and gives
+    None or the first bad row and its error, which precedes a parse error.
 
     Returns (float64 values as bytes, names, lines read, error): error is
     None, or the message for the first bad line, the last line read.
     """
     # One flat array of float64 values, not a Python float per value, and
     # one str per distinct name, which pickling sends once.
-    values, names, distinct = array("d"), [], {}
+    values, names, distinct, lines, error = array("d"), [], {}, [], None
     for lineno, raw in enumerate(_range_lines(path, lo, hi), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -300,17 +315,20 @@ def _parse_csv_range(path: Path, lo: int, hi: int, n_fields: int, name_at: int,
         if fields[0] == header:
             continue
         if len(fields) != n_fields:
-            return None, None, lineno, f"expected {n_fields} fields, got {len(fields)}"
+            error = f"expected {n_fields} fields, got {len(fields)}"
+            break
         try:
-            row = list(map(float, fields[values_at:]))
+            values.fromlist(list(map(float, fields[values_at:])))
         except ValueError:
-            return None, None, lineno, malformed
-        name = fields[name_at]
-        problem = check(name, row)
-        if problem is not None:
-            return None, None, lineno, problem
-        names.append(distinct.setdefault(name, name))
-        values.fromlist(row)
+            error = malformed
+            break
+        names.append(distinct.setdefault(fields[name_at], fields[name_at]))
+        lines.append(lineno)
+    bad = check(names, np.frombuffer(values).reshape(len(names), n_fields - values_at))
+    if bad is not None:
+        return None, None, lines[bad[0]], bad[1]
+    if error is not None:
+        return None, None, lineno, error
     # As bytes, which unpickle without the copy an array makes.
     return values.tobytes(), names, lineno, None
 
@@ -333,10 +351,9 @@ def _read_rows(path: Path, offset: int, lineno: int, **layout) -> tuple[list, np
     return names, np.frombuffer(values, dtype=np.float64).reshape(len(names), width)
 
 
-def _nonfinite_problem(name: str, values: list) -> str | None:
-    # A finite sum means finite values; only a sum that is not is checked value by value.
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-        return "non-finite feature value"
+def _nonfinite_problem(names: list, values: np.ndarray) -> tuple[int, str] | None:
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    return (int(bad[0]), "non-finite feature value") if bad.size else None
 
 
 def _load_csv(path: Path) -> Dataset:
@@ -746,8 +763,9 @@ def synth_gaussian(k_identities: int, samples_per_identity: int, dim: int,
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_scale, center_scale, size=(k_identities, dim))
     n = k_identities * samples_per_identity
-    noise = rng.normal(0.0, noise_sigma, size=(n, dim)) if noise_sigma > 0 else 0.0
-    features = np.repeat(centers, samples_per_identity, axis=0) + noise
+    features = np.repeat(centers, samples_per_identity, axis=0)
+    if noise_sigma > 0:
+        features += rng.normal(0.0, noise_sigma, size=(n, dim))
     labels = np.repeat(np.arange(k_identities), samples_per_identity)
     width = len(str(k_identities - 1))
     names = {i: f"id{str(i).zfill(width)}" for i in range(k_identities)}

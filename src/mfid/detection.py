@@ -9,34 +9,39 @@ area under the precision envelope as a function of recall).
 
 Box files hold ``image_id,x_min,y_min,x_max,y_max[,confidence]`` rows and are
 read by the range parser of dataset CSVs, with their rules; a line whose first
-field is ``image_id`` is a header and is skipped.
+field is ``image_id`` is a header and is skipped.  The parser checks the boxes
+of each range as one array, by the rule :class:`BoundingBox` applies to one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import _read_rows
+from .dataset import _finite, _read_rows
 
 
-def _box_problem(image_id: str, values) -> str | None:
-    """What is wrong with a box of ``values``, its corners and then its
-    confidence if it has one, in image ``image_id``; None if nothing."""
-    ordered = values[2] > values[0] and values[3] > values[1]
-    scored = len(values) == 4 or 0.0 <= values[4] <= 1.0
-    # The fast path: a finite sum means finite values.
-    if ordered and scored and isfinite(sum(values)):
+def _box_problem(image_ids: list, values: np.ndarray) -> tuple[int, str] | None:
+    """The first bad row of boxes ``values`` (corners, then any confidence) in
+    images ``image_ids`` and its error: degenerate, else an infinite corner,
+    else a confidence outside [0, 1]; None if every box is good."""
+    numbers = np.asarray(values, dtype=np.float64)
+    degenerate = ~((numbers[:, 2] > numbers[:, 0]) & (numbers[:, 3] > numbers[:, 1]))
+    infinite = ~np.isfinite(numbers[:, :4]).all(axis=1)
+    unscored = ~((0.0 <= numbers[:, 4:]) & (numbers[:, 4:] <= 1.0)).all(axis=1)
+    bad = np.flatnonzero(degenerate | infinite | unscored)
+    if not bad.size:
         return None
-    corners = tuple(values[:4])
-    if not ordered:
-        return f"degenerate box {corners} in image {image_id!r}"
-    if not all(map(isfinite, corners)):
-        return f"infinite corner in box {corners} in image {image_id!r}"
-    return None if scored else f"confidence must be in [0, 1], got {values[4]}"
+    row = int(bad[0])
+    shown = values[row].tolist()  # the caller's values from an object array
+    box = f"box {tuple(shown[:4])} in image {image_ids[row]!r}"
+    if degenerate[row]:
+        return row, f"degenerate {box}"
+    if infinite[row]:
+        return row, f"infinite corner in {box}"
+    return row, f"confidence must be in [0, 1], got {shown[4]}"
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,10 @@ class BoundingBox:
 
     def __post_init__(self) -> None:
         confidence = () if self.confidence is None else (self.confidence,)
-        problem = _box_problem(self.image_id, (*self.corners(), *confidence))
+        row = np.array([(*self.corners(), *confidence)], dtype=object)
+        problem = _box_problem([self.image_id], row)
         if problem is not None:
-            raise ValueError(problem)
+            raise ValueError(problem[1])
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -152,7 +158,7 @@ def average_precision(confidences, tp_flags, n_ground_truth: int) -> float:
     """All-point interpolated AP from per-detection confidences and TP flags."""
     if n_ground_truth < 1:
         raise ValueError("average precision needs at least one ground-truth box")
-    conf = np.asarray(confidences, dtype=np.float64)
+    conf = _finite(confidences, "confidences")
     flags = np.asarray(tp_flags, dtype=bool)
     if conf.shape != flags.shape:
         raise ValueError("confidences and flags must align")

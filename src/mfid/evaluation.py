@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabelGroups
+from .dataset import Dataset, LabelGroups, _finite
 from .model import embed, logits
 
 
@@ -89,10 +89,7 @@ class EvalReport:
 
 
 def _unit_rows(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite test embedding at index {int(bad[0])}")
+    x = _finite(x, "test embedding")
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -139,16 +136,6 @@ def probe_ranks(id_scores: np.ndarray, gallery_ids: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # thresholds
-
-
-def _finite(scores, name: str) -> np.ndarray:
-    """``scores`` as float64; a NaN or infinity is an error that names the
-    argument they came in as, ``name``, and the first bad index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    finite = np.isfinite(scores)
-    if not finite.all():
-        raise ValueError(f"non-finite {name} at index {int(np.argmin(finite))}")
-    return scores
 
 
 def _ascending(scores) -> np.ndarray:

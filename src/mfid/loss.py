@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import _finite
+
 EPSILON = 1e-12
 
 LOSS_CSV_HEADER = "epoch,total,ce,sim,dissim,n_similar,n_dissimilar"
@@ -73,8 +75,8 @@ class LossReport:
 
 def kl_div(p, q) -> float:
     """KL(p || q) in nats; zero-probability terms of p contribute exactly 0."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p = _finite(p, "p")
+    q = _finite(q, "q")
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     log_ratio = np.log(np.maximum(p, EPSILON)) - np.log(np.maximum(q, EPSILON))

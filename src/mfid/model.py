@@ -233,24 +233,21 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     steps; every step takes a full-size batch — pair batches for the "mfid"
     objective, plain uniform sample batches for "cross_entropy" — so batch
     composition and term normalization stay exact.  An epoch draws all its
-    batches before its first step, in the order its steps use them.
+    batches before its first step, in the order its steps use them.  Batches
+    are gathered from ``ds.features`` through the split: the train side, checked
+    when the Dataset was built, is neither copied nor checked again.
 
     Determinism: a fixed (dataset, split, config) always yields bit-identical
     parameters and loss history.
     """
-    x = ds.features[split.train_indices]
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value")
     y, class_ids = dense_relabel(ds.labels[split.train_indices])
     if class_ids.size < 2:
         raise ValueError("training requires at least two identities on the train side")
-    root = np.random.SeedSequence(cfg.seed)
-    init_stream, batch_stream = root.spawn(2)
-    head = init_head(cfg.architecture, x.shape[1], cfg.embed_dim, class_ids.size,
-                     init_stream)
+    init_stream, batch_stream = np.random.SeedSequence(cfg.seed).spawn(2)
+    head = init_head(cfg.architecture, ds.dim, cfg.embed_dim, class_ids.size, init_stream)
     rng = np.random.default_rng(batch_stream)
 
-    n_train = x.shape[0]
+    n_train = y.size
     batch_images = 2 * cfg.batch_pairs
     steps = max(1, math.ceil(n_train / batch_images))
     use_pairs = cfg.objective == "mfid"
@@ -278,8 +275,9 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
             batches = np.stack([rng.choice(n_train, size=min(batch_images, n_train),
                                            replace=False) for _ in range(steps)])
         ce_sum = sim_sum = dissim_sum = 0.0
-        for step, rows in enumerate(batches):
-            report, grads = _adjacent_backprop(head, x[rows], y[rows], layout, cfg.loss)
+        for step, (batch, rows) in enumerate(zip(batches, split.train_indices[batches])):
+            report, grads = _adjacent_backprop(head, ds.features[rows], y[batch], layout,
+                                               cfg.loss)
             if not math.isfinite(report.total):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, step {step}")
             if velocity is not None:

@@ -34,8 +34,11 @@ class Mutant(NamedTuple):
     reason: str
 
 
+NON_FINITE_INPUT = ("tests/test_evaluation.py::"
+                    "test_library_entry_points_reject_non_finite_input")
+
 MUTANTS = (
-    Mutant("finite-scores", "evaluation.py",
+    Mutant("finite-scores", "dataset.py",
            "    if not finite.all():", "    if False:",
            ("tests/test_evaluation.py::"
             "test_threshold_and_roc_entry_points_reject_non_finite_scores",),
@@ -56,6 +59,52 @@ MUTANTS = (
            "    if found_magic != magic:", "    if False:",
            ("tests/test_dataset.py::test_binary_rejects_bad_magic",),
            "a file of another format is read as a dataset or checkpoint"),
+    Mutant("dataset-finite", "dataset.py",
+           "~np.isfinite(features).all(axis=1)", "np.zeros(n, dtype=bool)",
+           ("tests/test_dataset.py::test_dataset_rejects_non_finite_naming_row",),
+           "a NaN feature reaches training, which no longer checks its rows"),
+    Mutant("csv-non-finite", "dataset.py",
+           "~np.isfinite(values).all(axis=1)", "np.zeros(len(values), dtype=bool)",
+           ("tests/test_dataset.py::test_csv_non_finite_names_its_line",),
+           "a NaN in a dataset CSV is reported without its line"),
+    Mutant("range-check-before-parse-error", "dataset.py",
+           "    bad = check(names, ", "    bad = None if error else check(names, ",
+           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",
+            "tests/test_dataset.py::test_csv_reports_non_finite_before_later_malformed_line"),
+           "a bad row before a line that fails to parse is not the one reported "
+           "(the 'bad box before a bad number' case)"),
+    Mutant("box-degenerate", "detection.py",
+           "degenerate = ~((numbers[:, 2] > numbers[:, 0]) & (numbers[:, 3] > numbers[:, 1]))",
+           "degenerate = np.zeros(len(numbers), dtype=bool)",
+           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",),
+           "a box of zero or negative extent or a NaN corner is read (the 'degenerate box', "
+           "'NaN corner' and 'bad box before a bad number' cases)"),
+    Mutant("box-infinite", "detection.py",
+           "infinite = ~np.isfinite(numbers[:, :4]).all(axis=1)",
+           "infinite = np.zeros(len(numbers), dtype=bool)",
+           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",),
+           "a box with an infinite corner is read (the two 'infinite corner' cases)"),
+    Mutant("box-confidence", "detection.py",
+           "unscored = ~((0.0 <= numbers[:, 4:]) & (numbers[:, 4:] <= 1.0)).all(axis=1)",
+           "unscored = np.zeros(len(numbers), dtype=bool)",
+           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",),
+           "a confidence outside [0, 1] or NaN is read (the three confidence cases)"),
+    Mutant("kl-div-finite", "loss.py",
+           '    p = _finite(p, "p")\n    q = _finite(q, "q")',
+           "    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)",
+           (NON_FINITE_INPUT,), "a NaN probability counts as zero"),
+    Mutant("pca-transform-finite", "baseline.py",
+           '(centering first)."""\n    x = _finite(x, "x")',
+           '(centering first)."""\n    x = np.asarray(x, dtype=float)',
+           (NON_FINITE_INPUT,), "a NaN feature row projects to NaN"),
+    Mutant("logreg-predict-finite", "baseline.py",
+           'lowest class id)."""\n    x = _finite(x, "x")',
+           'lowest class id)."""\n    x = np.asarray(x, dtype=float)',
+           (NON_FINITE_INPUT,), "a NaN feature row is predicted as class 0"),
+    Mutant("average-precision-finite", "detection.py",
+           'conf = _finite(confidences, "confidences")',
+           "conf = np.asarray(confidences, dtype=float)",
+           (NON_FINITE_INPUT,), "a NaN confidence sorts last and AP reads 1.0"),
 )
 
 

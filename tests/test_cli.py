@@ -432,27 +432,29 @@ def test_eval_on_another_dataset_matches_library(trained_dir, tmp_path):
 
 
 def test_eval_fresh_draw_same_generator(tmp_path):
-    # same generative parameters, new sample: closed-set Rank-1 within 5 points
-    gen = ("--identities", "16", "--per-id", "12", "--dim", "24", "--sigma", "0.15")
-    for seed in ("31", "32"):
+    # A head trained on one draw scores two fresh draws of the same generator
+    # alike: their closed-set Rank-1 means over five splits differ by at most
+    # twice the sum of eval's own across-split stds.  Rank-1 stays below 0.95,
+    # short of the saturation at which every draw reads 1.0.
+    gen = ("--identities", "32", "--per-id", "12", "--dim", "24", "--sigma", "0.4")
+    for seed in ("30", "31", "32"):
         assert run_cli("synth", *gen, "--seed", seed, "--out", str(tmp_path / seed)) == 0
-    own = tmp_path / "31" / "dataset.bin"
-    stem = tmp_path / "split"
-    # the split eval --seed 0 draws, so eval on 31 scores identities unseen in training
-    (split_seed, _), = eval_seeds(0, 1)
-    save_split(identity_disjoint_split(load_dataset(own), 0.25, seed=split_seed), stem)
-    assert run_cli("train", "--data", str(own), "--split", str(stem), "--epochs", "30",
+    assert run_cli("train", "--data", str(tmp_path / "30" / "dataset.bin"), "--epochs", "30",
                    "--lr", "0.5", "--seed", "0", "--out", str(tmp_path / "model")) == 0
     rank1 = []
     for seed in ("31", "32"):
         assert run_cli("eval", "--model", str(tmp_path / "model" / "model.mfhd"),
-                       "--data", str(tmp_path / seed / "dataset.bin"), "--splits", "1",
-                       "--protocols", "closed", "--test-fraction", "0.25",
+                       "--data", str(tmp_path / seed / "dataset.bin"), "--splits", "5",
+                       "--protocols", "closed", "--test-fraction", "0.5",
                        "--trials", "10", "--seed", "0", "--out", str(tmp_path / f"to{seed}")) == 0
         rows = [row.split(",") for row in read_rows(tmp_path / f"to{seed}" / "metrics.csv")]
-        assert rows[0][:2] == ["closed_set", "0"]
-        rank1.append(float(rows[0][2]))
-    assert abs(rank1[1] - rank1[0]) <= 0.05
+        assert [row[:2] for row in rows] == [["closed_set", split] for split in
+                                             ("0", "1", "2", "3", "4", "mean")]
+        mean, std = float(rows[-1][2]), float(rows[-1][3])
+        assert mean < 0.95
+        rank1.append((mean, std))
+    (mean31, std31), (mean32, std32) = rank1
+    assert abs(mean31 - mean32) <= 2 * (std31 + std32)
 
 
 def test_eval_rejects_a_model_of_another_dim(trained_dir, tmp_path, capsys):

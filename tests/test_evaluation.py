@@ -318,6 +318,33 @@ def test_threshold_and_roc_entry_points_reject_non_finite_scores(call, message):
     assert str(error.value) == f"non-finite {message}"
 
 
+ROWS = np.array([[1.0, 2.0, 0.5], [2.0, 0.0, 1.0], [0.0, 1.0, 3.0], [3.0, 3.0, 2.0]])
+BAD_ROWS = [[1.0, 1.0, 1.0], [NAN, 1.0, 1.0]]
+TWO_CLASSES = mfid.LogRegModel(weights=np.eye(2, 3), bias=np.zeros(2), c_value=1.0)
+
+
+# Unchecked, a NaN probability counts as zero, a NaN feature row is
+# predicted as class 0, and a NaN confidence sorts last: every result looks
+# valid.
+@pytest.mark.parametrize("call, message", [
+    (lambda: mfid.kl_div([0.5, NAN], [0.5, 0.5]), "p at index 1"),
+    (lambda: mfid.kl_div([0.5, 0.5], [INF, 0.5]), "q at index 0"),
+    (lambda: mfid.sim_pair_loss([0.5, 0.5], [0.5, NAN]), "q at index 1"),
+    (lambda: mfid.dissim_pair_loss([NAN, 1.0], [0.5, 0.5]), "p at index 0"),
+    (lambda: mfid.pca_transform(mfid.pca_fit(ROWS, 0.9), BAD_ROWS), "x at index 1"),
+    (lambda: mfid.logreg_predict(TWO_CLASSES, BAD_ROWS), "x at index 1"),
+    (lambda: mfid.baseline_pipeline(np.vstack([ROWS, ROWS + 0.1]), [0, 0, 1, 1] * 2,
+                                    BAD_ROWS, [0, 1]), "x at index 1"),
+    (lambda: mfid.average_precision([0.5, NAN], [True, False], 1),
+     "confidences at index 1"),
+], ids=["kl_div p", "kl_div q", "sim_pair_loss", "dissim_pair_loss", "pca_transform",
+        "logreg_predict", "baseline_pipeline", "average_precision"])
+def test_library_entry_points_reject_non_finite_input(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == f"non-finite {message}"
+
+
 # ---------------------------------------------------------------------------
 # closed set
 

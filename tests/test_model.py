@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +464,36 @@ def test_train_non_finite_loss_matches_reference_loop(architecture, objective):
         with pytest.raises(RuntimeError, match="non-finite loss at epoch") as theirs:
             reference_train(ds, split, cfg)
     assert str(ours.value) == str(theirs.value)
+
+
+def test_train_stops_on_a_nan_planted_after_construction():
+    # train does not check the features again, since the Dataset checked them
+    # when it was built; a NaN planted since then shows as a non-finite loss.
+    ds = synth_gaussian(6, 7, 5, 1.0, 0.6, seed=3)
+    (split,) = stratified_splits(ds, 1, 0.3, seed=2)
+    ds.features.flags.writeable = True
+    ds.features[:, 2] = np.nan
+    for objective in ("mfid", "cross_entropy"):
+        cfg = TrainConfig(epochs=2, batch_pairs=5, objective=objective, seed=1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="^non-finite loss at epoch 0, step 0$"):
+                train(ds, split, cfg)
+
+
+def test_train_holds_no_copy_of_its_side():
+    # Batches are gathered through the split, so an epoch's traced peak stays
+    # under half the features; a copy of the train side alone is 0.8 of them.
+    ds = synth_gaussian(50, 128, 128, 1.0, 0.5, seed=4)
+    (split,) = stratified_splits(ds, 1, 0.2, seed=5)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        train(ds, split, TrainConfig(epochs=1, seed=6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (6400, 128)
+    assert peak - before < 0.5 * ds.features.nbytes
 
 
 def test_train_rejects_too_few_pairs_like_sample_pair_batch():

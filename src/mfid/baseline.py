@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabelGroups, _finite
+from .dataset import LabelGroups, _finite, _unit_rows
 
 DEFAULT_C_GRID = tuple(10.0 ** k for k in range(-5, 6))
 
@@ -59,26 +59,19 @@ class LogRegModel:
         return self.weights.shape[0]
 
 
-def _check_finite(x) -> None:
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite feature value in row {int(bad[0])}")
-
-
 def pca_fit(x, energy_threshold: float) -> PCAModel:
     """Fit PCA keeping the minimal component count reaching the energy target.
 
     Components are the right singular vectors of the centered data; the kept
     count r is the smallest k whose cumulative explained-variance ratio is
     >= energy_threshold (zero-variance directions are never kept).  A
-    non-finite feature is an error naming its row.
+    non-finite feature is an error naming its row, checked before the shape.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "feature value")
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("PCA needs a 2-D array with at least two rows")
     if not 0.0 < energy_threshold <= 1.0:
         raise ValueError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
-    _check_finite(x)
     mean = x.mean(axis=0)
     centered = x - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -105,15 +98,9 @@ def pca_transform(model: PCAModel, x) -> np.ndarray:
 
 
 def l2_normalize(x) -> np.ndarray:
-    """Scale every row to unit Euclidean norm; errors on zero-norm rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("l2_normalize expects a 2-D array")
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm row at index {int(zero[0])}")
-    return x / norms[:, None]
+    """Scale every row to unit Euclidean norm; a non-finite or zero-norm row
+    is an error naming its index."""
+    return _unit_rows(x, "row")
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +256,13 @@ def logreg_fit(x, labels, c_grid=DEFAULT_C_GRID, validation_fraction: float = 0.
     selection.  ``validation_accuracy`` records every C that was fit and
     converged.  The winner is refit on all rows, starting from its solution
     on the fit rows.
-    Raises on a non-finite feature, if no C converges, or if the refit does
-    not.
+    Raises on a non-finite feature (naming its row, before the shape is
+    checked), if no C converges, or if the refit does not.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "feature value")
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with one label per row")
-    _check_finite(x)
     groups = LabelGroups(y)
     n_classes = groups.ids.size
     if n_classes < 2:

@@ -75,7 +75,7 @@ class Dataset:
     identity_names: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        features = np.ascontiguousarray(_finite(self.features, "feature value"))
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
@@ -84,9 +84,6 @@ class Dataset:
             raise ValueError(f"need at least one sample and one feature, got {n}x{d}")
         if labels.ndim != 1 or labels.shape[0] != n:
             raise ValueError(f"expected {n} labels, got array of shape {labels.shape}")
-        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-        if bad.size:
-            raise ValueError(f"non-finite feature value in sample {int(bad[0])}")
         # A label of n or more cannot be dense, and would size the bincount.
         if labels.min() < 0 or labels.max() >= n or not np.bincount(labels).all():
             raise ValueError("identity ids must be dense integers in [0, K)")
@@ -108,17 +105,34 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
+def _finite_rows(values: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D array, or each entry of another, is finite."""
+    finite = np.isfinite(values)
+    return finite.all(axis=1) if finite.ndim == 2 else finite
+
+
 def _finite(values, name: str) -> np.ndarray:
     """``values`` as float64; a NaN or infinity is an error that names the
     argument they came in as, ``name``, and the first bad index (of a row,
     in a 2-D array)."""
     values = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(values)
-    if finite.ndim == 2:
-        finite = finite.all(axis=1)
+    finite = _finite_rows(values)
     if not finite.all():
         raise ValueError(f"non-finite {name} at index {int(np.argmin(finite))}")
     return values
+
+
+def _unit_rows(x, name: str) -> np.ndarray:
+    """The rows of the 2-D array ``x`` scaled to unit Euclidean norm; a
+    non-finite or zero-norm row is an error naming ``name`` and its index."""
+    x = _finite(x, name)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D array of {name}s, got shape {x.shape}")
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm {name} at index {int(zero[0])}")
+    return x / norms[:, None]
 
 
 def dense_relabel(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +366,7 @@ def _read_rows(path: Path, offset: int, lineno: int, **layout) -> tuple[list, np
 
 
 def _nonfinite_problem(names: list, values: np.ndarray) -> tuple[int, str] | None:
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    bad = np.flatnonzero(~_finite_rows(values))
     return (int(bad[0]), "non-finite feature value") if bad.size else None
 
 
@@ -686,26 +700,14 @@ def build_pair_constraints(labels) -> PairConstraints:
     return PairConstraints(labels)
 
 
-def pair_batch_counts(constraints: PairConstraints, n_pairs: int,
-                      similar_fraction: float) -> tuple[int, int]:
-    """(similar, dissimilar) pair counts of a batch, checked against ``constraints``.
+def pair_batch_counts(n_pairs: int, similar_fraction: float) -> tuple[int, int]:
+    """(similar, dissimilar) pair counts of a batch of ``n_pairs`` pairs.
 
     The similar count is round(n_pairs * similar_fraction); the remainder is
-    dissimilar.
+    dissimilar.  Whether that many pairs exist is :func:`draw_pairs`' check.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    if not 0.0 <= similar_fraction <= 1.0:
-        raise ValueError(f"similar_fraction must be in [0, 1], got {similar_fraction}")
     n_similar = int(math.floor(n_pairs * similar_fraction + 0.5))
-    n_dissimilar = n_pairs - n_similar
-    if n_similar > constraints.n_similar:
-        raise ValueError(f"batch needs {n_similar} similar pairs "
-                         f"but only {constraints.n_similar} exist")
-    if n_dissimilar > constraints.n_dissimilar:
-        raise ValueError(f"batch needs {n_dissimilar} dissimilar pairs "
-                         f"but only {constraints.n_dissimilar} exist")
-    return n_similar, n_dissimilar
+    return n_similar, n_pairs - n_similar
 
 
 def draw_pairs(constraints: PairConstraints, n_similar: int, n_dissimilar: int,

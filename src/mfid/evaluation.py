@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabelGroups, _finite
+from .dataset import Dataset, LabelGroups, _finite, _unit_rows
 from .model import embed, logits
 
 
@@ -86,15 +86,6 @@ class EvalReport:
         return cls(tuple(float(x) for x in v), float(v.mean()),
                    float(v.std()), tuple((float(a), float(b)) for a, b in curve),
                    tuple(float(t) for t in thresholds))
-
-
-def _unit_rows(x) -> np.ndarray:
-    x = _finite(x, "test embedding")
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm test embedding at index {int(zero[0])}")
-    return x / norms[:, None]
 
 
 def classification_accuracy(head, features, labels) -> float:
@@ -237,7 +228,7 @@ class _TestIndex(LabelGroups):
 
     def __init__(self, embeddings, labels):
         super().__init__(labels)
-        self.unit = _unit_rows(embeddings)
+        self.unit = _unit_rows(embeddings, "test embedding")
 
     def scores(self, probe_rows, gallery_rows) -> np.ndarray:
         scores = self.unit[probe_rows] @ self.unit[gallery_rows].T

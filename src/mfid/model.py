@@ -24,6 +24,7 @@ from .dataset import (
     Dataset,
     Split,
     _container_header,
+    _finite,
     build_pair_constraints,
     dense_relabel,
     draw_pairs,
@@ -81,13 +82,11 @@ def init_head(architecture: str, input_dim: int, embed_dim: int, n_classes: int,
 
 def _forward_batch(head: EmbeddingHead, x: np.ndarray):
     """Returns (embedding, pre-activation or None, logits) for a (B, d) batch."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "feature value")
     if x.ndim != 2 or x.shape[1] != head.input_dim:
         raise ValueError(
             f"input dim {x.shape[-1] if x.ndim else '?'} does not match head input dim "
             f"{head.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value")
     return _forward_rows(head, x)
 
 
@@ -203,8 +202,6 @@ class TrainConfig:
             raise ValueError("decay_every must be at least 1")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
         if not 0.0 <= self.similar_fraction <= 1.0:
             raise ValueError("similar_fraction must be in [0, 1]")
         if not 0.0 <= self.momentum < 1.0:
@@ -253,8 +250,7 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     use_pairs = cfg.objective == "mfid"
     if use_pairs:
         constraints = build_pair_constraints(y)
-        n_similar, n_dissimilar = pair_batch_counts(constraints, cfg.batch_pairs,
-                                                    cfg.similar_fraction)
+        n_similar, n_dissimilar = pair_batch_counts(cfg.batch_pairs, cfg.similar_fraction)
     else:
         n_similar = n_dissimilar = 0
     # Rows 2k and 2k + 1 of the gathered batch are the k-th pair's images.

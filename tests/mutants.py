@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 NON_FINITE_INPUT = ("tests/test_evaluation.py::"
                     "test_library_entry_points_reject_non_finite_input")
+BAD_BOX = "tests/test_detection.py::test_load_boxes_errors_match_earlier_loader"
 
 MUTANTS = (
     Mutant("finite-scores", "dataset.py",
@@ -59,36 +60,73 @@ MUTANTS = (
            "    if found_magic != magic:", "    if False:",
            ("tests/test_dataset.py::test_binary_rejects_bad_magic",),
            "a file of another format is read as a dataset or checkpoint"),
+    Mutant("finite-row-mask", "dataset.py",
+           "finite = np.isfinite(values)", "finite = np.ones_like(values, dtype=bool)",
+           ("tests/test_dataset.py::test_dataset_rejects_non_finite_naming_row",
+            "tests/test_dataset.py::test_csv_non_finite_names_its_line",
+            "tests/test_baseline.py::test_pca_rejects_non_finite_rows",
+            "tests/test_baseline.py::test_logreg_rejects_non_finite_rows",
+            "tests/test_model.py::test_embed_rejects_non_finite_batch",
+            "tests/test_evaluation.py::"
+            "test_threshold_and_roc_entry_points_reject_non_finite_scores",
+            NON_FINITE_INPUT),
+           "the one finite-row rule passes every NaN, at every entry point"),
     Mutant("dataset-finite", "dataset.py",
-           "~np.isfinite(features).all(axis=1)", "np.zeros(n, dtype=bool)",
+           '_finite(self.features, "feature value")',
+           "np.asarray(self.features, dtype=np.float64)",
            ("tests/test_dataset.py::test_dataset_rejects_non_finite_naming_row",),
-           "a NaN feature reaches training, which no longer checks its rows"),
+           "a NaN feature reaches training, which does not check its rows again"),
     Mutant("csv-non-finite", "dataset.py",
-           "~np.isfinite(values).all(axis=1)", "np.zeros(len(values), dtype=bool)",
+           "~_finite_rows(values)", "np.zeros(len(values), dtype=bool)",
            ("tests/test_dataset.py::test_csv_non_finite_names_its_line",),
            "a NaN in a dataset CSV is reported without its line"),
+    Mutant("pca-fit-finite", "baseline.py",
+           'checked before the shape.\n    """\n    x = _finite(x, "feature value")',
+           'checked before the shape.\n    """\n    x = np.asarray(x, dtype=float)',
+           ("tests/test_baseline.py::test_pca_rejects_non_finite_rows",),
+           "a NaN feature row makes the SVD fail without naming the row"),
+    Mutant("logreg-fit-finite", "baseline.py",
+           'or if the refit does not.\n    """\n    x = _finite(x, "feature value")',
+           'or if the refit does not.\n    """\n    x = np.asarray(x, dtype=float)',
+           ("tests/test_baseline.py::test_logreg_rejects_non_finite_rows",),
+           "a NaN residual passes as converged, and every C is recorded"),
+    Mutant("forward-finite", "model.py",
+           'x = _finite(x, "feature value")', "x = np.asarray(x, dtype=float)",
+           ("tests/test_model.py::test_embed_rejects_non_finite_batch",
+            "tests/test_model.py::test_logits_rejects_non_finite_batch"),
+           "a NaN feature row is embedded as a NaN row"),
+    Mutant("unit-rows-zero-norm", "dataset.py",
+           "    if zero.size:", "    if False:",
+           ("tests/test_evaluation.py::test_score_matrix_reports_zero_norm_index",
+            "tests/test_baseline.py::test_l2_normalize_rejects_zero_row"),
+           "a zero-norm row divides to NaN, which scores as no match"),
+    Mutant("draw-pairs-supply", "dataset.py",
+           "        if count > total:", "        if False:",
+           ("tests/test_dataset.py::test_draw_pairs_names_the_kind_and_counts",
+            "tests/test_model.py::test_train_rejects_too_few_pairs_like_sample_pair_batch"),
+           "a batch of more pairs than exist fails inside rng.choice, naming no kind"),
     Mutant("range-check-before-parse-error", "dataset.py",
            "    bad = check(names, ", "    bad = None if error else check(names, ",
-           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",
+           (f"{BAD_BOX}[bad box before a bad number]",
             "tests/test_dataset.py::test_csv_reports_non_finite_before_later_malformed_line"),
-           "a bad row before a line that fails to parse is not the one reported "
-           "(the 'bad box before a bad number' case)"),
+           "a bad row before a line that fails to parse is not the one reported"),
     Mutant("box-degenerate", "detection.py",
            "degenerate = ~((numbers[:, 2] > numbers[:, 0]) & (numbers[:, 3] > numbers[:, 1]))",
            "degenerate = np.zeros(len(numbers), dtype=bool)",
-           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",),
-           "a box of zero or negative extent or a NaN corner is read (the 'degenerate box', "
-           "'NaN corner' and 'bad box before a bad number' cases)"),
+           (f"{BAD_BOX}[degenerate box]", f"{BAD_BOX}[NaN corner]",
+            f"{BAD_BOX}[bad box before a bad number]"),
+           "a box of zero or negative extent or a NaN corner is read"),
     Mutant("box-infinite", "detection.py",
            "infinite = ~np.isfinite(numbers[:, :4]).all(axis=1)",
            "infinite = np.zeros(len(numbers), dtype=bool)",
-           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",),
-           "a box with an infinite corner is read (the two 'infinite corner' cases)"),
+           (f"{BAD_BOX}[infinite corners]", f"{BAD_BOX}[infinite corner]"),
+           "a box with an infinite corner is read"),
     Mutant("box-confidence", "detection.py",
            "unscored = ~((0.0 <= numbers[:, 4:]) & (numbers[:, 4:] <= 1.0)).all(axis=1)",
            "unscored = np.zeros(len(numbers), dtype=bool)",
-           ("tests/test_detection.py::test_load_boxes_errors_match_earlier_loader",),
-           "a confidence outside [0, 1] or NaN is read (the three confidence cases)"),
+           (f"{BAD_BOX}[confidence above one]", f"{BAD_BOX}[negative confidence]",
+            f"{BAD_BOX}[NaN confidence]"),
+           "a confidence outside [0, 1] or NaN is read"),
     Mutant("kl-div-finite", "loss.py",
            '    p = _finite(p, "p")\n    q = _finite(q, "q")',
            "    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)",

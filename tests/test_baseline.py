@@ -119,7 +119,7 @@ def test_pca_rejects_non_finite_rows():
     x = np.random.default_rng(4).normal(size=(60, 5))
     x[17, 2] = np.nan
     x[40, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite feature value in row 17$"):
+    with pytest.raises(ValueError, match="^non-finite feature value at index 17$"):
         pca_fit(x, 0.99)
 
 
@@ -247,10 +247,10 @@ def test_logreg_rejects_non_finite_rows():
     x = rng.normal(size=(60, 5))
     y = np.repeat(np.arange(3), 20)
     x[33, 4] = np.nan
-    with pytest.raises(ValueError, match="non-finite feature value in row 33$"):
+    with pytest.raises(ValueError, match="^non-finite feature value at index 33$"):
         logreg_fit(x, y)
     x[33, 4] = -np.inf
-    with pytest.raises(ValueError, match="non-finite feature value in row 33$"):
+    with pytest.raises(ValueError, match="^non-finite feature value at index 33$"):
         logreg_fit(x, y)
 
 

@@ -311,9 +311,9 @@ def test_eval_indexes_each_split_once(synth_dir, trained_dir, tmp_path, monkeypa
         grouped.append(len(labels))
         group_labels(self, labels)
 
-    def counting_unit_rows(x):
+    def counting_unit_rows(x, name):
         normalized.append(len(x))
-        return unit_rows(x)
+        return unit_rows(x, name)
 
     monkeypatch.setattr(mfid.dataset.LabelGroups, "__init__", counting_groups)
     monkeypatch.setattr(mfid.evaluation, "_unit_rows", counting_unit_rows)

@@ -55,7 +55,7 @@ def test_dataset_rejects_sparse_labels():
 def test_dataset_rejects_non_finite_naming_row():
     feats = np.zeros((4, 3))
     feats[2, 1] = np.nan
-    with pytest.raises(ValueError, match="sample 2"):
+    with pytest.raises(ValueError, match="^non-finite feature value at index 2$"):
         Dataset(feats, [0, 0, 1, 1])
 
 
@@ -784,7 +784,7 @@ def test_pair_constraints_membership_matches_labels():
 def draw_batch(labels, n_pairs, similar_fraction, rng):
     """(pairs, similar mask) of one batch drawn the way ``train`` draws it."""
     pc = build_pair_constraints(labels)
-    n_similar, n_dissimilar = pair_batch_counts(pc, n_pairs, similar_fraction)
+    n_similar, n_dissimilar = pair_batch_counts(n_pairs, similar_fraction)
     return draw_pairs(pc, n_similar, n_dissimilar, rng), np.arange(n_pairs) < n_similar
 
 
@@ -849,7 +849,7 @@ def test_draw_pairs_of_nothing_is_empty():
 def test_batched_draw_equals_single_batch_draws(similar_fraction):
     labels = np.random.default_rng(7).integers(0, 5, size=40)
     pc = build_pair_constraints(labels)
-    n_similar, n_dissimilar = pair_batch_counts(pc, 5, similar_fraction)
+    n_similar, n_dissimilar = pair_batch_counts(5, similar_fraction)
     assert (n_similar, n_dissimilar) == {0.0: (0, 5), 0.4: (2, 3), 1.0: (5, 0)}[similar_fraction]
     ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
     stacked = draw_pairs(pc, n_similar, n_dissimilar, ours, batches=7)
@@ -884,7 +884,7 @@ def test_train_keeps_the_dissimilar_batch_count_message():
     ds = synth_gaussian(3, 2, 4, 1.0, 0.3, seed=1)
     split = Split(np.arange(ds.n_samples), np.empty(0, dtype=np.int64), STRATIFIED, 0)
     with pytest.raises(ValueError,
-                       match="^batch needs 14 dissimilar pairs but only 12 exist$"):
+                       match="^cannot draw 14 dissimilar pairs: only 12 exist$"):
         train(ds, split, TrainConfig(epochs=1, batch_pairs=14, similar_fraction=0.0))
 
 

@@ -83,7 +83,7 @@ def duplicated_rows_over_one(copies, k=24, dim=32):
     """``k`` identities of ``copies`` equal rows each, picked among rows whose
     unit vector times itself rounds above 1.0 (about one in four at d = 32)."""
     x = np.random.default_rng(44).normal(size=(400, dim))
-    unit = mfid.evaluation._unit_rows(x)
+    unit = mfid.evaluation._unit_rows(x, "test embedding")
     picked = x[np.diag(unit @ unit.T) > 1.0][:k]
     return np.repeat(picked, copies, axis=0), np.repeat(np.arange(k), copies)
 
@@ -108,7 +108,7 @@ def test_scores_of_equal_rows_are_clipped_to_one(monkeypatch, per_identity):
     assert max(raw) > 1.0  # a trial's product rounds past the clip
     assert max(pooled) <= 1.0
 
-    unit = mfid.evaluation._unit_rows(emb)
+    unit = mfid.evaluation._unit_rows(emb, "test embedding")
     products = unit @ unit.T
     np.fill_diagonal(products, -2.0)
     assert products.max() > 1.0  # so does verification's, self excluded
@@ -324,8 +324,8 @@ TWO_CLASSES = mfid.LogRegModel(weights=np.eye(2, 3), bias=np.zeros(2), c_value=1
 
 
 # Unchecked, a NaN probability counts as zero, a NaN feature row is
-# predicted as class 0, and a NaN confidence sorts last: every result looks
-# valid.
+# predicted as class 0, a NaN confidence sorts last, and a NaN row normalizes
+# to a NaN row: no call raises.
 @pytest.mark.parametrize("call, message", [
     (lambda: mfid.kl_div([0.5, NAN], [0.5, 0.5]), "p at index 1"),
     (lambda: mfid.kl_div([0.5, 0.5], [INF, 0.5]), "q at index 0"),
@@ -337,8 +337,9 @@ TWO_CLASSES = mfid.LogRegModel(weights=np.eye(2, 3), bias=np.zeros(2), c_value=1
                                     BAD_ROWS, [0, 1]), "x at index 1"),
     (lambda: mfid.average_precision([0.5, NAN], [True, False], 1),
      "confidences at index 1"),
+    (lambda: mfid.l2_normalize([[NAN, 1.0]]), "row at index 0"),
 ], ids=["kl_div p", "kl_div q", "sim_pair_loss", "dissim_pair_loss", "pca_transform",
-        "logreg_predict", "baseline_pipeline", "average_precision"])
+        "logreg_predict", "baseline_pipeline", "average_precision", "l2_normalize"])
 def test_library_entry_points_reject_non_finite_input(call, message):
     with pytest.raises(ValueError) as error:
         call()

@@ -2,8 +2,9 @@
 parameter of an export is passed somewhere, every member of an exported class
 is read somewhere, every module-level function and class is used, no import
 is unused, one function starts worker processes, text files are split into
-lines in one place, and each mutation row of ``tests/mutants.py`` still
-finds its line."""
+lines in one place, arrays are tested for NaN and infinity in listed
+functions only, and each mutation row of ``tests/mutants.py`` still finds
+its line."""
 
 import ast
 import dataclasses
@@ -219,6 +220,36 @@ def test_one_line_reader():
     assert calls == []
 
 
+# The functions that may test an array for NaN and infinity, and why each is
+# not the finite-row rule.
+ARRAY_FINITE_SITES = {
+    "dataset.py:_finite_rows": "the finite-row rule itself",
+    "dataset.py:_sorted_indices": "split indices, rejected as non-integral",
+    "detection.py:_box_problem": "box corners, whose message tells them from a degenerate box",
+    "model.py:_check_step_gradients": "a step's gradients, named by parameter",
+    "model.py:load_head": "checkpoint parameters, named by file and parameter",
+}
+
+
+def owned_nodes(tree, owner=None):
+    """(innermost enclosing function name or None, node) for every node."""
+    for child in ast.iter_child_nodes(tree):
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield inner, child
+        yield from owned_nodes(child, inner)
+
+
+def test_one_finite_rule():
+    # A feature row is checked for NaN and infinity by dataset._finite_rows
+    # alone (ROADMAP aim 2), so every entry point rejects it with one message
+    # form.  math.isfinite on one scalar setting is not this rule.
+    sites = {f"{path.name}:{owner}" for path in MODULES
+             for owner, node in owned_nodes(parse(path))
+             if isinstance(node, ast.Call) and call_name(node) == "isfinite"
+             and getattr(node.func.value, "id", None) == "np"}
+    assert sites == set(ARRAY_FINITE_SITES)
+
+
 def test_mutant_rows_find_their_lines():
     # tests/mutants.py breaks each row's snippet in a copy of the package; a
     # refactor that moves, duplicates or deletes the line must update the row.
@@ -226,7 +257,14 @@ def test_mutant_rows_find_their_lines():
     counts = {row.name: (PACKAGE / row.path).read_text(encoding="utf-8").count(row.snippet)
               for row in mutants}
     assert counts == {row.name: 1 for row in mutants}
-    missing = [test for row in mutants for test in row.tests
-               if f"\ndef {test.split('::')[1]}(" not in
-               (ROOT / test.split("::")[0]).read_text(encoding="utf-8")]
+    # A test may be named with one parametrized case, test_x[case], whose id
+    # is written as a string in the test's file.
+    missing = []
+    for row in mutants:
+        for test in row.tests:
+            path, node = test.split("::")
+            name, case = re.fullmatch(r"(\w+)(?:\[(.+)\])?", node).groups()
+            text = (ROOT / path).read_text(encoding="utf-8")
+            if f"\ndef {name}(" not in text or case is not None and f'"{case}"' not in text:
+                missing.append(test)
     assert missing == []

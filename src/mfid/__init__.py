@@ -71,7 +71,6 @@ from .evaluation import (
     far_thresholds,
     open_set_eval,
     probe_ranks,
-    roc_points,
     tar_at_far,
     verification_eval,
     verification_scores,

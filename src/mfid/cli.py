@@ -34,13 +34,7 @@ from .dataset import (
     synth_gaussian,
 )
 from .detection import _read_boxes, _score_boxes
-from .evaluation import (
-    TrialConfig,
-    _accept_rates,
-    _score_split,
-    classification_accuracy,
-    far_thresholds,
-)
+from .evaluation import TrialConfig, _score_split, classification_accuracy
 from .loss import LOSS_CSV_HEADER, LossConfig
 from .model import TrainConfig, load_head, save_head, train
 
@@ -227,9 +221,6 @@ def _trial_config(options: dict, seed: int) -> TrialConfig:
                        distractor_mode=options["distractor_mode"])
 
 
-_ROC_GRID = tuple(np.round(np.linspace(0.01, 1.0, 100), 10))
-
-
 def cmd_eval(options: dict) -> None:
     _require(options, "data", "model")
     protocols = [p.strip() for p in options["protocols"].split(",") if p.strip()]
@@ -266,7 +257,7 @@ def cmd_eval(options: dict) -> None:
                                       options["seed"])
                     if "classification" in protocols else None)
 
-    rows, cmc_rates, roc_tars = [], [], []
+    rows, curves = [], {}
     for i, split_stream in enumerate(split_children):
         split_seed_stream, trial_stream = split_stream.spawn(2)
         if disjoint_wanted:
@@ -276,14 +267,11 @@ def cmd_eval(options: dict) -> None:
                 split = identity_disjoint_split(ds, options["test_fraction"],
                                                 _child_seed(split_seed_stream))
             cfg = _trial_config(options, _child_seed(trial_stream))
-            scored, cmc, verification = _score_split(head, ds, split, protocols, cfg)
-            rows.extend((protocol, i, *values) for protocol, *values in scored)
-            if cmc is not None:
-                cmc_rates.append(cmc)
-            if verification is not None:
-                positives, negatives = verification
-                roc_tars.append(_accept_rates(positives,
-                                              far_thresholds(negatives, _ROC_GRID)))
+            reports = _score_split(head, ds, split, protocols, cfg)
+            for protocol, r in reports.items():
+                rows.append((protocol, i, r.mean, r.std,
+                             float(np.mean(r.thresholds)) if r.thresholds else None))
+                curves.setdefault(protocol, []).append(r.curve)
         if "classification" in protocols:
             split = strat_splits[i]
             accuracy = classification_accuracy(
@@ -299,15 +287,17 @@ def cmd_eval(options: dict) -> None:
                                         float(values.std()), None))
     _write_report(out / "metrics.csv", header,
                   "protocol,split,mean,std,threshold", metric_rows)
-    if cmc_rates:
-        averaged = np.asarray(cmc_rates).mean(axis=0)
+    # Rates are averaged across splits.  The FARs are the first split's: every
+    # split has the same grid, and a mean of equal floats can round.
+    cmc, roc = (np.asarray(curves.get(p, ())) for p in ("closed_set", "verification"))
+    if cmc.size:
         _write_report(out / "cmc.csv", header, "rank,rate",
-                      [f"{rank + 1},{float(rate)!r}" for rank, rate in enumerate(averaged)])
-    if roc_tars:
-        averaged = np.asarray(roc_tars).mean(axis=0)
+                      [f"{rank + 1},{rate!r}"
+                       for rank, rate in enumerate(cmc[:, :, 1].mean(axis=0).tolist())])
+    if roc.size:
         _write_report(out / "roc.csv", header, "far,tar",
-                      [f"{float(far)!r},{float(tar)!r}"
-                       for far, tar in zip(_ROC_GRID, averaged)])
+                      [f"{far!r},{tar!r}" for far, tar in zip(
+                          roc[0, :, 0].tolist(), roc[:, :, 1].mean(axis=0).tolist())])
 
 
 def cmd_detmetrics(options: dict) -> None:
@@ -358,10 +348,9 @@ def cmd_ablate(options: dict) -> None:
         for arm in arms:
             cfg = _train_config({**options, "objective": arm, "seed": train_seed})
             model = train(ds, split, cfg)
-            scored, _, _ = _score_split(model.head, ds, split,
-                                        ("verification", "closed_set"), trial_cfg)
-            values = {protocol: value for protocol, value, _, _ in scored}
-            metrics.append((values["verification"], values["closed_set"]))
+            reports = _score_split(model.head, ds, split,
+                                   ("verification", "closed_set"), trial_cfg)
+            metrics.append((reports["verification"].mean, reports["closed_set"].mean))
         return metrics
 
     results = list(_map_indexed(run_seed, options["seeds"], options["jobs"]))

@@ -3,9 +3,10 @@
 Matching is greedy per image: detections in descending confidence order each
 claim the unclaimed ground-truth box of highest IoU at or above the
 threshold.  Confidence ties are broken by the box corner coordinates
-(lexicographic), IoU ties by the lower ground-truth index, so results do not
-depend on input order.  Average precision uses all-point interpolation (the
-area under the precision envelope as a function of recall).
+(lexicographic), IoU ties by the lower ground-truth index.  Average precision
+is the area under the precision envelope as a function of recall (all-point
+interpolation), with tied detections entering it as one point, so results do
+not depend on input order.
 
 Box files hold ``image_id,x_min,y_min,x_max,y_max[,confidence]`` rows and are
 read by the range parser of dataset CSVs, with their rules; a line whose first
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _finite, _read_rows
+from .dataset import _finite, _finite_rows, _read_rows
 
 
 def _box_problem(image_ids: list, values: np.ndarray) -> tuple[int, str] | None:
@@ -29,7 +30,7 @@ def _box_problem(image_ids: list, values: np.ndarray) -> tuple[int, str] | None:
     else a confidence outside [0, 1]; None if every box is good."""
     numbers = np.asarray(values, dtype=np.float64)
     degenerate = ~((numbers[:, 2] > numbers[:, 0]) & (numbers[:, 3] > numbers[:, 1]))
-    infinite = ~np.isfinite(numbers[:, :4]).all(axis=1)
+    infinite = ~_finite_rows(numbers[:, :4])
     unscored = ~((0.0 <= numbers[:, 4:]) & (numbers[:, 4:] <= 1.0)).all(axis=1)
     bad = np.flatnonzero(degenerate | infinite | unscored)
     if not bad.size:
@@ -155,7 +156,7 @@ def match_detections(detections: list[BoundingBox], ground_truths: list[Bounding
 
 
 def average_precision(confidences, tp_flags, n_ground_truth: int) -> float:
-    """All-point interpolated AP from per-detection confidences and TP flags."""
+    """All-point interpolated AP, with one point per distinct confidence."""
     if n_ground_truth < 1:
         raise ValueError("average precision needs at least one ground-truth box")
     conf = _finite(confidences, "confidences")
@@ -164,11 +165,13 @@ def average_precision(confidences, tp_flags, n_ground_truth: int) -> float:
         raise ValueError("confidences and flags must align")
     if conf.size == 0:
         return 0.0
-    order = np.argsort(-conf, kind="stable")
-    tp = flags[order].astype(np.float64)
-    cum_tp = np.cumsum(tp)
+    order = np.argsort(-conf)
+    ordered = conf[order]
+    # The last detection of each run of equal confidences.
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    cum_tp = np.cumsum(flags[order])[ends]
     recall = cum_tp / n_ground_truth
-    precision = cum_tp / np.arange(1, conf.size + 1)
+    precision = cum_tp / (ends + 1)
     # Precision envelope: best precision at any recall >= r.
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev_recall = np.concatenate([[0.0], recall[:-1]])

@@ -15,7 +15,10 @@ All protocols work on cosine similarity between L2-normalized embeddings.
 * verification — per sample, one positive score (best same-identity match,
   self excluded) and one negative score per other identity; report TAR, the
   true accept rate, at a false accept rate (FAR) of ``far_target`` over the
-  negative scores, plus the full ROC.
+  negative scores, with TAR on a 100-point FAR grid as the curve.
+
+Each protocol scores one prepared test split, ``_TestIndex``, into one
+``EvalReport``; ``_score_split`` returns a split's reports by protocol.
 
 The names follow IARPA Janus Benchmark-C (Maze et al., ICB 2018): TAR at
 FAR for verification, DIR (TPIR) at FPIR for open-set search; the
@@ -203,21 +206,6 @@ def dir_at_far(mated_scores, mated_rank1_correct, nonmated_scores,
     return float(np.mean((mated >= tau) & correct)), tau
 
 
-def roc_points(positive_scores, negative_scores) -> tuple[tuple[float, float], ...]:
-    """(FAR, TAR) at every distinct pooled score, plus the accept-nothing point."""
-    pos = _finite(positive_scores, "positive_scores")
-    neg = _finite(negative_scores, "negative_scores")
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("ROC needs both positive and negative scores")
-    # The distinct pooled scores, as np.unique finds them, without the
-    # numpy.ma import that its hash path makes on numpy >= 2.3.
-    pooled = _ascending(np.concatenate([pos, neg]))
-    pooled = pooled[np.append(True, pooled[1:] != pooled[:-1])]
-    thresholds = np.append(np.nextafter(pooled[-1], np.inf), pooled[::-1])
-    return tuple(zip(_accept_rates(neg, thresholds).tolist(),
-                     _accept_rates(pos, thresholds).tolist()))
-
-
 # ---------------------------------------------------------------------------
 # protocols
 
@@ -372,40 +360,38 @@ def verification_scores(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
     return _verification_scores(_TestIndex(embeddings, labels))
 
 
+# The FAR targets of verification's curve: 0.01, 0.02, ..., 1.0.
+_ROC_GRID = tuple(np.round(np.linspace(0.01, 1.0, 100), 10))
+
+
+def _verification(index: _TestIndex, cfg: TrialConfig) -> EvalReport:
+    positives, negatives = _verification_scores(index)
+    # Sorted in place once, so the one threshold search finds them in order
+    # and copies nothing.
+    negatives.sort()
+    thresholds = far_thresholds(negatives, (cfg.far_target, *_ROC_GRID))
+    tars = _accept_rates(positives, thresholds)
+    return EvalReport.from_values(tars[:1], curve=zip(_ROC_GRID, tars[1:]),
+                                  thresholds=thresholds[:1])
+
+
 def verification_eval(embeddings, labels, cfg: TrialConfig) -> EvalReport:
-    """TAR at a FAR of ``far_target`` plus the full ROC over pooled scores."""
-    positives, negatives = verification_scores(embeddings, labels)
-    tar, tau = tar_at_far(positives, negatives, cfg.far_target)
-    curve = roc_points(positives, negatives)
-    return EvalReport.from_values([tar], curve=curve, thresholds=[tau])
+    """TAR at a FAR of ``far_target``; the curve is TAR at FAR 0.01, ..., 1.0."""
+    return _verification(_TestIndex(embeddings, labels), cfg)
 
 
-def _score_split(head, ds: Dataset, split, protocols, cfg: TrialConfig):
+_PROTOCOLS = {"closed_set": _closed_set, "open_set": _open_set,
+              "verification": _verification}
+
+
+def _score_split(head, ds: Dataset, split, protocols, cfg: TrialConfig) -> dict:
     """Embed a split's test side, index it once, and score it under each of
     ``protocols`` ("closed_set", "open_set", "verification") it names.
 
-    Returns:
-        (protocol, value, std, threshold) rows in that protocol order, the
-        threshold None for the closed set; the closed set's trial-averaged
-        CMC rates, or None; and the verification (positives, negatives), the
-        negatives in ascending order, or None.
+    Returns ``{protocol: EvalReport}``, in the order closed set, open set,
+    verification, whatever the order of ``protocols``.
     """
     index = _TestIndex(embed(head, ds.features[split.test_indices]),
                        ds.labels[split.test_indices])
-    rows, cmc, verification = [], None, None
-    if "closed_set" in protocols:
-        report = _closed_set(index, cfg)
-        rows.append(("closed_set", report.mean, report.std, None))
-        cmc = [rate for _, rate in report.curve]
-    if "open_set" in protocols:
-        report = _open_set(index, cfg)
-        rows.append(("open_set", report.mean, report.std,
-                     float(np.mean(report.thresholds))))
-    if "verification" in protocols:
-        verification = _verification_scores(index)
-        # Sorted in place once, so the threshold searches below and the
-        # caller's find them in order and copy nothing.
-        verification[1].sort()
-        tar, tau = tar_at_far(*verification, cfg.far_target)
-        rows.append(("verification", tar, 0.0, tau))
-    return rows, cmc, verification
+    return {name: score(index, cfg) for name, score in _PROTOCOLS.items()
+            if name in protocols}

@@ -117,7 +117,7 @@ MUTANTS = (
             f"{BAD_BOX}[bad box before a bad number]"),
            "a box of zero or negative extent or a NaN corner is read"),
     Mutant("box-infinite", "detection.py",
-           "infinite = ~np.isfinite(numbers[:, :4]).all(axis=1)",
+           "infinite = ~_finite_rows(numbers[:, :4])",
            "infinite = np.zeros(len(numbers), dtype=bool)",
            (f"{BAD_BOX}[infinite corners]", f"{BAD_BOX}[infinite corner]"),
            "a box with an infinite corner is read"),
@@ -143,6 +143,30 @@ MUTANTS = (
            'conf = _finite(confidences, "confidences")',
            "conf = np.asarray(confidences, dtype=float)",
            (NON_FINITE_INPUT,), "a NaN confidence sorts last and AP reads 1.0"),
+    Mutant("ap-tied-groups", "detection.py",
+           "ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))",
+           "ends = np.arange(conf.size)",
+           ("tests/test_detection.py::test_ap_counts_a_tied_group_as_one_point",
+            "tests/test_detection.py::test_ap_invariant_to_row_order",
+            "tests/test_detection.py::test_ap_matches_threshold_sweep"),
+           "tied detections enter the curve one at a time, so mAP depends on row order"),
+    Mutant("ap-envelope", "detection.py",
+           "envelope = np.maximum.accumulate(precision[::-1])[::-1]",
+           "envelope = precision",
+           ("tests/test_detection.py::test_ap_matches_threshold_sweep",),
+           "a recall step is weighted by its own precision, not the best beyond it"),
+    Mutant("dir-at-threshold", "evaluation.py",
+           "np.mean((mated >= tau) & correct)", "np.mean((mated > tau) & correct)",
+           ("tests/test_evaluation.py::test_dir_at_far_counts_accepted_rank1_probes",),
+           "a mated probe whose score ties the threshold is not counted"),
+    Mutant("far-none-qualifies", "evaluation.py",
+           "np.nextafter(ordered[-1], np.inf)", "ordered[0]",
+           ("tests/test_evaluation.py::test_far_thresholds_fall_as_the_target_grows",),
+           "when the largest score over-accepts, the threshold drops to the smallest"),
+    Mutant("roc-grid-end", "evaluation.py",
+           "thresholds[targets == 1.0] = -np.inf", "pass",
+           ("tests/test_evaluation.py::test_verification_grid_tar_rises_to_one",),
+           "a FAR of 1.0 accepts only the scores at or above the lowest negative"),
 )
 
 

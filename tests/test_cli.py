@@ -23,10 +23,8 @@ from mfid import (
     load_split,
     open_set_eval,
     save_split,
-    tar_at_far,
     train,
     verification_eval,
-    verification_scores,
 )
 from mfid.cli import _COMMANDS, _DEFAULTS, _config_hash, _resolve_options, build_parser, main
 
@@ -343,15 +341,12 @@ def test_eval_verification_rows_match_library(trained_dir, tmp_path):
                    "--split-file", ",".join(stems), "--out", str(tmp_path / "out")) == 0
 
     # the CSV values must equal a direct library-call derivation per split
-    grid = np.round(np.linspace(0.01, 1.0, 100), 10)
-    reports, grid_tars = [], []
+    reports = []
     for stem in stems:
         split = load_split(stem)
         z = embed(head, ds.features[split.test_indices])
         labels = ds.labels[split.test_indices]
         reports.append(verification_eval(z, labels, TrialConfig(far_target=0.1)))
-        positives, negatives = verification_scores(z, labels)
-        grid_tars.append([tar_at_far(positives, negatives, far)[0] for far in grid])
     rows = [row.split(",") for row in read_rows(tmp_path / "out" / "metrics.csv")]
     assert [row[:2] for row in rows] == [["verification", "0"], ["verification", "1"],
                                          ["verification", "mean"]]
@@ -362,9 +357,11 @@ def test_eval_verification_rows_match_library(trained_dir, tmp_path):
     assert (float(rows[2][2]), float(rows[2][3])) == (means.mean(), means.std())
 
     roc = [row.split(",") for row in read_rows(tmp_path / "out" / "roc.csv")]
-    assert [float(far) for far, _ in roc] == grid.tolist()
+    curves = np.array([report.curve for report in reports])
+    grid = np.round(np.linspace(0.01, 1.0, 100), 10).tolist()
+    assert [float(far) for far, _ in roc] == grid == curves[1, :, 0].tolist()
     tars = [float(tar) for _, tar in roc]
-    assert tars == np.mean(grid_tars, axis=0).tolist()
+    assert tars == curves[:, :, 1].mean(axis=0).tolist()
     assert 0.0 < tars[0] < tars[-1] == 1.0
 
 
@@ -677,7 +674,7 @@ def test_jobs_only_on_commands_that_fan_out(command):
 
 def test_single_process_commands_import_no_pool(tmp_path):
     # Nor numpy.ma: in numpy >= 2.3 a plain np.unique imports it (a few ms
-    # and over 1 MB per process).  verification_eval also runs roc_points.
+    # and over 1 MB per process).  Nor does the library's verification_eval.
     out = str(tmp_path)
     data, model = str(tmp_path / "dataset.csv"), str(tmp_path / "model.mfhd")
     script = (
@@ -862,9 +859,13 @@ def test_module_invocation():
 # x86-64; another BLAS may round the score products differently).  The
 # first line of each file carries the version, so a version bump changes
 # every digest; any other change needs its reason written down.
+# detection_metrics.csv was re-recorded when average precision began to take
+# one point per distinct confidence: its box file holds six confidence
+# values, and mAP went 0.47443557055206204 (tied rows in file order) to
+# 0.44867853767021854.
 SCORING_DIGESTS = {
     "det/detection_metrics.csv":
-        "90295990801570a970afd475993f7fd1c4b7c65ceea398410567430fcf8e9b61",
+        "4b85db1e0c2563bd2d1d870fc4475b3c00aa77848b760d6f1e72db26271fb938",
     "det/matches.csv":
         "1f7ea64b2549cf07942000d4ea52dc6fa06e6eaa69b1e4b04bb93324037f0237",
     "eval/cmc.csv":

@@ -880,7 +880,7 @@ def test_batched_draw_of_nothing_is_empty_and_needs_a_batch():
         draw_pairs(pc, 1, 1, rng, batches=0)
 
 
-def test_train_keeps_the_dissimilar_batch_count_message():
+def test_train_names_too_few_dissimilar_pairs():
     ds = synth_gaussian(3, 2, 4, 1.0, 0.3, seed=1)
     split = Split(np.arange(ds.n_samples), np.empty(0, dtype=np.int64), STRATIFIED, 0)
     with pytest.raises(ValueError,

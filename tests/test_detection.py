@@ -269,6 +269,61 @@ def test_ap_invariant_to_monotone_confidence_transform():
     assert average_precision(squashed, flags, 10) == pytest.approx(base, abs=1e-12)
 
 
+def test_ap_counts_a_tied_group_as_one_point():
+    # A TP in image a and an FP in b, both at 0.5, with 2 ground-truth boxes:
+    # one point at recall 1/2 and precision 1/2, in either row order.
+    gts = [box(0, 0, 2, 2, image="a"), box(0, 0, 2, 2, image="c")]
+    tp, fp = box(0, 0, 2, 2, conf=0.5, image="a"), box(0, 0, 2, 2, conf=0.5, image="b")
+    assert detection_report([tp, fp], gts).mean_ap == 0.25
+    assert detection_report([fp, tp], gts).mean_ap == 0.25
+
+
+# A few confidence values make ties common; the floats give the rest.
+@st.composite
+def scored_detections(draw):
+    """Confidences, TP flags, a ground-truth count and a row order."""
+    n = draw(st.integers(1, 20))
+    conf = draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    n_gt = max(sum(flags), 1) + draw(st.integers(0, 3))
+    return conf, flags, n_gt, draw(st.permutations(range(n)))
+
+
+AP_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@AP_SETTINGS
+@given(scored_detections())
+def test_ap_invariant_to_row_order(case):
+    conf, flags, n_gt, order = case
+    assert (average_precision([conf[i] for i in order], [flags[i] for i in order], n_gt)
+            == average_precision(conf, flags, n_gt))
+
+
+def threshold_sweep_ap(conf, flags, n_gt):
+    """At each distinct confidence t, high to low, the recall and precision of
+    the detections at or above t; each rise in recall is weighted by the best
+    precision at that recall or beyond."""
+    points = []
+    for t in sorted(set(conf), reverse=True):
+        kept = [flag for c, flag in zip(conf, flags) if c >= t]
+        points.append((sum(kept) / n_gt, sum(kept) / len(kept)))
+    ap, prev = 0.0, 0.0
+    for i, (recall, _) in enumerate(points):
+        ap += (recall - prev) * max(precision for _, precision in points[i:])
+        prev = recall
+    return ap
+
+
+@AP_SETTINGS
+@given(scored_detections())
+def test_ap_matches_threshold_sweep(case):
+    conf, flags, n_gt, _ = case
+    assert average_precision(conf, flags, n_gt) == pytest.approx(
+        threshold_sweep_ap(conf, flags, n_gt), abs=1e-12)
+
+
 def test_ap_requires_ground_truth():
     with pytest.raises(ValueError, match="ground-truth"):
         average_precision([0.5], [True], 0)

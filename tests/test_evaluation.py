@@ -19,7 +19,6 @@ from mfid import (
     far_thresholds,
     open_set_eval,
     probe_ranks,
-    roc_points,
     tar_at_far,
     verification_eval,
     verification_scores,
@@ -285,15 +284,6 @@ def test_threshold_metrics_invariant_to_monotone_transform():
             == dir_at_far(f(pos), correct, f(neg), 0.05)[0])
 
 
-def test_roc_points_cover_extremes():
-    points = roc_points(np.array([0.8, 0.9]), np.array([0.1, 0.2]))
-    fars = [p[0] for p in points]
-    tars = [p[1] for p in points]
-    assert points[0] == (0.0, 0.0)  # accept-nothing point
-    assert fars[-1] == 1.0 and tars[-1] == 1.0
-    assert fars == sorted(fars)
-
-
 NAN, INF = float("nan"), float("inf")
 
 
@@ -308,10 +298,8 @@ NAN, INF = float("nan"), float("inf")
      "mated_scores at index 1"),
     (lambda: dir_at_far([0.5, 0.9], [True, True], [NAN, NAN], 0.5),
      "nonmated_scores at index 0"),
-    (lambda: roc_points([0.5, 0.9], [0.1, NAN, 0.3]), "negative_scores at index 1"),
-    (lambda: roc_points([0.5, 0.9, NAN], [0.1, 0.3]), "positive_scores at index 2"),
 ], ids=["far_thresholds", "far_threshold", "tar negatives", "tar positives",
-        "dir mated", "dir nonmated", "roc negatives", "roc positives"])
+        "dir mated", "dir nonmated"])
 def test_threshold_and_roc_entry_points_reject_non_finite_scores(call, message):
     with pytest.raises(ValueError) as error:
         call()
@@ -542,16 +530,6 @@ def reference_far_threshold(nonmated_scores, far_target):
     return float(np.nextafter(values[-1], np.inf))
 
 
-def reference_roc_points(positive_scores, negative_scores):
-    """One pass over both score sets per distinct pooled score."""
-    pos = np.asarray(positive_scores, dtype=np.float64)
-    neg = np.asarray(negative_scores, dtype=np.float64)
-    pooled = np.unique(np.concatenate([pos, neg]))
-    thresholds = np.append(np.nextafter(pooled[-1], np.inf), pooled[::-1])
-    return tuple((float(np.mean(neg >= tau)), float(np.mean(pos >= tau)))
-                 for tau in thresholds)
-
-
 def reference_identity_max_scores(scores, gallery_labels):
     """One masked column max per identity."""
     ids = np.unique(gallery_labels)
@@ -651,15 +629,6 @@ def test_tar_at_far_matches_mean_over_positives(seed, tied):
         assert tar_at_far(pos, neg, target) == (float(np.mean(pos >= tau)), tau)
 
 
-@pytest.mark.parametrize("seed,tied", SCORE_CASES)
-def test_roc_points_match_reference(seed, tied):
-    rng = np.random.default_rng(140 + seed)
-    for _ in range(50):
-        pos = draw_scores(rng, int(rng.integers(1, 60)), tied) + 0.5
-        neg = draw_scores(rng, int(rng.integers(1, 60)), tied)
-        assert roc_points(pos, neg) == reference_roc_points(pos, neg)
-
-
 # 1-row blocks; 2-row blocks over 7 rows (a ragged last block); one block
 # for everything.
 @pytest.mark.parametrize("block_cells", [1, 15, 10**6])
@@ -744,21 +713,47 @@ def test_ascending_scores_are_thresholded_without_a_copy():
     assert peak < scores.nbytes / 4
 
 
-def test_score_split_hands_over_the_negatives_sorted():
-    # One in-place sort per split serves tar_at_far and the caller's ROC grid.
+def test_score_split_hands_over_the_negatives_sorted(monkeypatch):
+    # One in-place sort per split; the one threshold search, for the FAR
+    # target and the ROC grid, then finds the negatives in order.
     rng = np.random.default_rng(231)
     ds = Dataset(rng.normal(size=(60, 5)), np.repeat(np.arange(6), 10))
     head = init_head("linear", 5, 0, 6, seed=0)
     split = Split(np.arange(0, 60, 2), np.arange(1, 60, 2), STRATIFIED, 0)
-    rows, _, (positives, negatives) = _score_split(head, ds, split, ("verification",),
-                                                   TrialConfig())
-    want_positives, want_negatives = verification_scores(
+    searched = []
+
+    def far_thresholds_spy(scores, targets):
+        searched.append((scores, mfid.evaluation._ascending(scores) is scores, targets))
+        return far_thresholds(scores, targets)
+
+    monkeypatch.setattr(mfid.evaluation, "far_thresholds", far_thresholds_spy)
+    reports = _score_split(head, ds, split, ("verification",), TrialConfig(far_target=0.05))
+    positives, negatives = verification_scores(
         mfid.evaluation.embed(head, ds.features[split.test_indices]),
         ds.labels[split.test_indices])
-    assert positives.tobytes() == want_positives.tobytes()
-    assert negatives.tobytes() == np.sort(want_negatives).tobytes()
-    tar, tau = tar_at_far(want_positives, want_negatives, 0.01)
-    assert rows == [("verification", tar, 0.0, tau)]
+    grid = np.round(np.linspace(0.01, 1.0, 100), 10).tolist()
+    ((scores, in_order, targets),) = searched
+    assert scores.tobytes() == np.sort(negatives).tobytes() and in_order
+    assert targets == (0.05, *grid)
+    tar, tau = tar_at_far(positives, negatives, 0.05)
+    assert reports == {"verification": EvalReport(
+        (tar,), tar, 0.0, tuple((far, tar_at_far(positives, negatives, far)[0])
+                                for far in grid), (tau,))}
+
+
+def test_score_split_reports_in_protocol_order():
+    rng = np.random.default_rng(232)
+    ds = Dataset(rng.normal(size=(80, 5)), np.repeat(np.arange(8), 10))
+    head = init_head("linear", 5, 0, 8, seed=0)
+    split = Split(np.arange(0, 80, 2), np.arange(1, 80, 2), STRATIFIED, 0)
+    cfg = TrialConfig(trials=3, distractor_identities=2)
+    reports = _score_split(head, ds, split, ("verification", "open_set", "closed_set"), cfg)
+    z = mfid.evaluation.embed(head, ds.features[split.test_indices])
+    labels = ds.labels[split.test_indices]
+    assert reports == {"closed_set": closed_set_eval(z, labels, cfg),
+                       "open_set": open_set_eval(z, labels, cfg),
+                       "verification": verification_eval(z, labels, cfg)}
+    assert list(reports) == ["closed_set", "open_set", "verification"]
 
 
 def test_far_thresholds_reject_bad_input():
@@ -786,14 +781,23 @@ def test_verification_scores_match_reference(seed, tied):
 
 @pytest.mark.parametrize("seed,tied", SCORE_CASES)
 def test_roc_monotone_from_origin_to_one(seed, tied):
+    # Verification's curve, read as measured (FAR, TAR) pairs: a target below
+    # one negative's share accepts none of them, and the grid climbs to (1, 1).
+    grid = np.round(np.linspace(0.01, 1.0, 100), 10)
     rng = np.random.default_rng(170 + seed)
     for _ in range(30):
-        pos = draw_scores(rng, int(rng.integers(1, 60)), tied) + 0.5
-        neg = draw_scores(rng, int(rng.integers(1, 60)), tied)
-        fars, tars = (np.array(axis) for axis in zip(*roc_points(pos, neg)))
+        emb, labels = draw_labelled_embeddings(rng, tied)
+        pos, neg = verification_scores(emb, labels)
+        targets = np.append(0.5 / neg.size, grid)
+        thresholds = far_thresholds(neg, targets)
+        fars = np.array([np.mean(neg >= tau) for tau in thresholds])
+        tars = np.array([np.mean(pos >= tau) for tau in thresholds])
+        report = verification_eval(emb, labels, TrialConfig())
+        assert report.curve == tuple(zip(grid.tolist(), tars[1:].tolist()))
+        assert np.all(fars <= targets + 1e-9)
         assert np.all(np.diff(fars) >= 0.0)
         assert np.all(np.diff(tars) >= 0.0)
-        assert (fars[0], tars[0]) == (0.0, 0.0)
+        assert fars[0] == 0.0
         assert (fars[-1], tars[-1]) == (1.0, 1.0)
 
 
@@ -818,7 +822,6 @@ def test_scoring_invariant_to_row_permutation(seed, tied):
         shuffled_pos, shuffled_neg = rng.permutation(pos), rng.permutation(neg)
         assert (tar_at_far(shuffled_pos, shuffled_neg, target)
                 == tar_at_far(pos, neg, target))
-        assert roc_points(shuffled_pos, shuffled_neg) == roc_points(pos, neg)
 
         emb, labels = draw_labelled_embeddings(rng, tied)
         perm = rng.permutation(labels.size)
@@ -887,6 +890,63 @@ def permuted_scores(draw):
 def test_tar_at_far_invariant_to_score_order(positives, negatives, far):
     assert (tar_at_far(positives[1], negatives[1], far)
             == tar_at_far(positives[0], negatives[0], far))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles on tied scores, as hypothesis properties
+
+FAR_TARGETS = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([0.01, 0.5, 1.0])
+# The threshold rule counts a product target * n within 1e-9 of an integer as
+# that integer, so that 0.29 * 100 allows 29 scores.
+SLACK = 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(SCORE_VALUES, st.booleans()), min_size=1, max_size=30),
+       st.lists(SCORE_VALUES, min_size=1, max_size=30), FAR_TARGETS)
+def test_dir_at_far_counts_accepted_rank1_probes(mated, nonmated, far):
+    scores, correct = (np.asarray(column) for column in zip(*mated))
+    rate, tau = dir_at_far(scores, correct, nonmated, far)
+    assert tau == reference_far_threshold(nonmated, far)
+    assert np.mean(np.asarray(nonmated) >= tau) <= far + SLACK
+    assert rate == sum(flag and score >= tau for score, flag in mated) / len(mated)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(SCORE_VALUES, min_size=1, max_size=40),
+       st.lists(FAR_TARGETS, min_size=1, max_size=6))
+def test_far_thresholds_fall_as_the_target_grows(scores, targets):
+    targets = sorted(targets)
+    thresholds = far_thresholds(scores, targets)
+    assert np.all(thresholds[1:] <= thresholds[:-1])
+    assert all(np.mean(np.asarray(scores) >= tau) <= far + SLACK
+               for tau, far in zip(thresholds, targets))
+
+
+@st.composite
+def tied_embeddings(draw):
+    """Labelled embeddings whose entries are -1, 0 or 1, so scores tie often."""
+    n_ids = draw(st.integers(1, 4))
+    labels = np.asarray(draw(st.permutations(list(range(n_ids)) * draw(st.integers(2, 4)))))
+    rows = draw(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=3,
+                                  max_size=3).filter(any),
+                         min_size=labels.size, max_size=labels.size))
+    return np.asarray(rows), labels
+
+
+@PROPERTY_SETTINGS
+@given(tied_embeddings(), FAR_TARGETS)
+def test_verification_grid_tar_rises_to_one(case, far):
+    emb, labels = case
+    if np.unique(labels).size < 2:
+        with pytest.raises(ValueError, match="no non-mated scores"):
+            verification_eval(emb, labels, TrialConfig(far_target=far))
+        return
+    report = verification_eval(emb, labels, TrialConfig(far_target=far))
+    fars, tars = (np.asarray(axis) for axis in zip(*report.curve))
+    assert fars.tolist() == np.round(np.linspace(0.01, 1.0, 100), 10).tolist()
+    assert np.all(tars[1:] >= tars[:-1])
+    assert tars[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

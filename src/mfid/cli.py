@@ -6,37 +6,20 @@ INI file (section name = command name, keys = option names), then explicit
 flags.  Every output file starts with a comment line carrying the toolkit
 version, the resolved master seed, and a hash of the resolved options, and
 reruns with identical inputs produce byte-identical files.
+
+This module imports the standard library only.  Each command imports numpy
+and the library modules it runs when it starts, so ``--help``, ``--version``
+and a usage error return without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import gc
-import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .baseline import DEFAULT_C_GRID, baseline_pipeline
-from .dataset import (
-    Dataset,
-    Split,
-    STRATIFIED,
-    _map_indexed,
-    identity_disjoint_split,
-    load_dataset,
-    load_split,
-    save_dataset,
-    stratified_splits,
-    synth_gaussian,
-)
-from .detection import _read_boxes, _score_boxes
-from .evaluation import TrialConfig, _score_split, classification_accuracy
-from .loss import LOSS_CSV_HEADER, LossConfig
-from .model import TrainConfig, load_head, save_head, train
 
 # Option groups shared by the commands that make data, train a head, score
 # trials, or write outputs.
@@ -61,7 +44,9 @@ _DEFAULTS = {
     "ablate": {"data": None, "seeds": 10, "objectives": "mfid,cross_entropy",
                **_SYNTH, **_TRAIN, **_TRIAL, **_RUN, "jobs": 1},
     "baseline": {"data": None, "splits": 5, "test_fraction": 0.2, "energy": 0.99,
-                 "c_grid": ",".join(repr(c) for c in DEFAULT_C_GRID),
+                 # baseline.DEFAULT_C_GRID, written out so that --help loads no numpy
+                 "c_grid": "1e-05,0.0001,0.001,0.01,0.1,1.0,10.0,100.0,1000.0,10000.0,"
+                           "100000.0",
                  "validation_fraction": 0.2, **_RUN},
 }
 
@@ -94,6 +79,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         config_path = Path(args.config)
         if not config_path.is_file():
             raise ValueError(f"config file not found: {config_path}")
+        import configparser
+
         ini = configparser.ConfigParser()
         ini.read(config_path, encoding="utf-8")
         if ini.has_section(command):
@@ -116,6 +103,8 @@ def _config_hash(command: str, options: dict) -> str:
     # its final component: the same experiment read from or written to a
     # different directory, or run in parallel, must hash (and byte-compare)
     # the same.
+    import hashlib
+
     hashed = {key: value for key, value in options.items()
               if key not in ("out", "jobs")}
     for key in _PATH_OPTIONS:
@@ -157,7 +146,10 @@ def _metric_line(protocol: str, key, value: float, std: float, threshold) -> str
     return f"{protocol},{key},{value!r},{std!r},{tau}"
 
 
-def _child_seed(root: np.random.SeedSequence) -> int:
+def _child_seed(root) -> int:
+    """A seed for one stream of a ``numpy.random.SeedSequence`` tree."""
+    import numpy as np
+
     return int(root.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
 
 
@@ -165,12 +157,16 @@ def _child_seed(root: np.random.SeedSequence) -> int:
 # commands
 
 
-def _synth(options: dict, seed: int) -> Dataset:
+def _synth(options: dict, seed: int):
+    from .dataset import synth_gaussian
+
     return synth_gaussian(options["identities"], options["per_id"], options["dim"],
                           options["center_scale"], options["sigma"], seed)
 
 
 def cmd_synth(options: dict) -> None:
+    from .dataset import save_dataset
+
     ds = _synth(options, options["seed"])
     out = _out_dir(options)
     header = _header("synth", options)
@@ -182,7 +178,10 @@ def cmd_synth(options: dict) -> None:
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
 
-def _train_config(options: dict) -> TrainConfig:
+def _train_config(options: dict):
+    from .loss import LossConfig
+    from .model import TrainConfig
+
     loss_cfg = LossConfig(margin=options["margin"],
                           sim_weight=options["sim_weight"],
                           dissim_weight=options["dissim_weight"])
@@ -197,6 +196,12 @@ def _train_config(options: dict) -> TrainConfig:
 
 
 def cmd_train(options: dict) -> None:
+    import numpy as np
+
+    from .dataset import STRATIFIED, Split, load_dataset, load_split
+    from .loss import LOSS_CSV_HEADER
+    from .model import save_head, train
+
     _require(options, "data")
     ds = load_dataset(options["data"])
     if options["split"]:
@@ -212,7 +217,9 @@ def cmd_train(options: dict) -> None:
                   LOSS_CSV_HEADER, rows)
 
 
-def _trial_config(options: dict, seed: int) -> TrialConfig:
+def _trial_config(options: dict, seed: int):
+    from .evaluation import TrialConfig
+
     return TrialConfig(trials=options["trials"],
                        gallery_images_per_identity=options["gallery_per_identity"],
                        distractor_identities=options["distractors"],
@@ -222,6 +229,12 @@ def _trial_config(options: dict, seed: int) -> TrialConfig:
 
 
 def cmd_eval(options: dict) -> None:
+    import numpy as np
+
+    from .dataset import identity_disjoint_split, load_dataset, load_split, stratified_splits
+    from .evaluation import _score_split, classification_accuracy
+    from .model import load_head
+
     _require(options, "data", "model")
     protocols = [p.strip() for p in options["protocols"].split(",") if p.strip()]
     if not protocols:
@@ -301,6 +314,8 @@ def cmd_eval(options: dict) -> None:
 
 
 def cmd_detmetrics(options: dict) -> None:
+    from .detection import _read_boxes, _score_boxes
+
     _require(options, "detections", "ground_truth")
     det_ids, dets = _read_boxes(options["detections"], with_confidence=True)
     gt_ids, gts = _read_boxes(options["ground_truth"], with_confidence=False)
@@ -323,6 +338,12 @@ def cmd_detmetrics(options: dict) -> None:
 
 
 def cmd_ablate(options: dict) -> None:
+    import numpy as np
+
+    from .dataset import _map_indexed, identity_disjoint_split, load_dataset
+    from .evaluation import TrialConfig, _score_split
+    from .model import train
+
     if options["seeds"] < 1:
         raise ValueError("seeds must be at least 1")
     arms = [a.strip() for a in options["objectives"].split(",") if a.strip()]
@@ -375,6 +396,11 @@ def cmd_ablate(options: dict) -> None:
 
 
 def cmd_baseline(options: dict) -> None:
+    import numpy as np
+
+    from .baseline import baseline_pipeline
+    from .dataset import load_dataset, stratified_splits
+
     _require(options, "data")
     if options["splits"] < 1:
         raise ValueError("splits must be at least 1")

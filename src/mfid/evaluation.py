@@ -149,14 +149,18 @@ def far_thresholds(nonmated_scores, far_targets) -> np.ndarray:
     bad = targets[~((targets > 0.0) & (targets <= 1.0))]
     if bad.size:
         raise ValueError(f"far_target must be in (0, 1], got {float(bad[0])}")
+    # ``allowed`` is the largest k with k / n <= target.  The 1e-9 absorbs a
+    # product that rounds below an integer (0.29 * 100 = 28.999999999999996),
+    # and the correction takes back a k it lifts past the target.
+    allowed = np.floor(targets * ordered.size + 1e-9).astype(np.int64)
+    allowed -= allowed / ordered.size > targets
     # A value v qualifies when at most ``allowed`` scores are >= v, i.e. when
     # v lies above the score at ascending rank n - allowed - 1.
-    rank = ordered.size - 1 - np.floor(targets * ordered.size + 1e-9).astype(np.int64)
+    rank = ordered.size - 1 - allowed
     above = np.searchsorted(ordered, ordered[np.maximum(rank, 0)], side="right")
     thresholds = np.where(above < ordered.size,
                           ordered[np.minimum(above, ordered.size - 1)],
                           np.nextafter(ordered[-1], np.inf))
-    thresholds[rank < 0] = ordered[0]
     thresholds[targets == 1.0] = -np.inf
     return thresholds
 
@@ -165,7 +169,9 @@ def far_threshold(nonmated_scores, far_target: float) -> float:
     """Smallest observed score value whose accept rate over the non-mated
     scores (FAR, or FPIR for open-set search) is <= target.
 
-    Acceptance is ``score >= threshold``.  If even the largest observed value
+    Acceptance is ``score >= threshold``.  Of n scores the threshold accepts
+    at most k, the largest k with ``k / n <= target`` in float64, so a target
+    a hair below k / n allows k - 1.  If even the largest observed value
     over-accepts, the threshold moves one float ulp above it; a target of 1.0
     returns -inf (accept everything).
     """

@@ -167,6 +167,20 @@ MUTANTS = (
            "thresholds[targets == 1.0] = -np.inf", "pass",
            ("tests/test_evaluation.py::test_verification_grid_tar_rises_to_one",),
            "a FAR of 1.0 accepts only the scores at or above the lowest negative"),
+    Mutant("far-target-correction", "evaluation.py",
+           "allowed -= allowed / ordered.size > targets", "pass",
+           ("tests/test_evaluation.py::test_far_threshold_never_accepts_beyond_its_target",),
+           "a target a hair below k / n accepts k scores, a FAR above the target"),
+    Mutant("cli-eager-numpy", "cli.py",
+           "from . import __version__", "import numpy as np\n\nfrom . import __version__",
+           ("tests/test_cli.py::test_help_version_and_usage_errors_load_no_numpy",),
+           "--help, --version and a usage error load numpy before reading the arguments"),
+    Mutant("init-eager-exports", "__init__.py",
+           "_one_blas_thread_unless_chosen()\n",
+           "_one_blas_thread_unless_chosen()\nfrom .dataset import Dataset\n",
+           ("tests/test_cli.py::test_import_loads_a_module_when_a_name_is_first_read",
+            "tests/test_cli.py::test_help_version_and_usage_errors_load_no_numpy"),
+           "import mfid loads numpy and a library module that nothing asked for"),
 )
 
 

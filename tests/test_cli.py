@@ -587,7 +587,7 @@ def test_ablate_trains_with_every_training_option(tmp_path, monkeypatch):
         configs.append(cfg)
         return train(ds, split, cfg)
 
-    monkeypatch.setattr("mfid.cli.train", recording_train)
+    monkeypatch.setattr("mfid.model.train", recording_train)
     assert run_cli(*_SMALL_ABLATE, "--sim-weight", "0.5", "--dissim-weight", "2.0",
                    "--similar-fraction", "0.25", "--momentum", "0.9",
                    "--out", str(tmp_path)) == 0
@@ -670,6 +670,67 @@ def test_jobs_only_on_commands_that_fan_out(command):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(command, "--jobs", "2")
     assert exit_info.value.code == 2
+
+
+def modules_loaded_by(*argv):
+    """The exit status of the console entry point run on ``argv`` in a fresh
+    interpreter, and the sorted names of numpy and the package modules it
+    loaded."""
+    script = ("import sys\n"
+              "from mfid.cli import run\n"
+              f"sys.argv = ['mfid', *{list(argv)!r}]\n"
+              "try:\n"
+              "    run()\n"
+              "except SystemExit as exit:\n"
+              "    print(exit.code)\n"
+              "print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('mfid.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    *_, code, modules = proc.stdout.splitlines()
+    return int(code), modules.split()
+
+
+@pytest.mark.parametrize("argv", [(command, "--help") for command in _COMMANDS]
+                         + [("--version",), ("eval", "--no-such-option")], ids=" ".join)
+def test_help_version_and_usage_errors_load_no_numpy(argv):
+    assert modules_loaded_by(*argv) == (2 if "--no-such-option" in argv else 0, ["mfid.cli"])
+
+
+# The library modules each command loads, numpy aside.
+COMMAND_MODULES = {
+    "synth": ("dataset",),
+    "train": ("dataset", "loss", "model"),
+    "eval": ("dataset", "loss", "model", "evaluation"),
+    "ablate": ("dataset", "loss", "model", "evaluation"),
+    "baseline": ("dataset", "baseline"),
+    "detmetrics": ("dataset", "detection"),
+}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    data = str(tmp_path / "dataset.csv")
+    (tmp_path / "truth.csv").write_text("img0,0,0,4,4\n")
+    (tmp_path / "found.csv").write_text("img0,0,0,4,4,0.9\n")
+    small = ("--identities", "8", "--per-id", "6", "--dim", "3")
+    runs = {
+        "synth": small,
+        "train": ("--data", data, "--epochs", "1"),
+        "eval": ("--data", data, "--model", str(tmp_path / "model.mfhd"),
+                 "--protocols", "classification,closed,open,verif", "--splits", "1",
+                 "--trials", "2", "--distractors", "2", "--test-fraction", "0.5"),
+        "ablate": ("--seeds", "1", *small, "--epochs", "1", "--test-fraction", "0.5",
+                   "--trials", "2"),
+        "baseline": ("--data", data, "--splits", "1", "--c-grid", "1.0"),
+        "detmetrics": ("--detections", str(tmp_path / "found.csv"),
+                       "--ground-truth", str(tmp_path / "truth.csv")),
+    }
+    assert set(runs) == set(COMMAND_MODULES) == set(_COMMANDS)
+    loaded = {command: modules_loaded_by(command, *argv, "--out", str(tmp_path))
+              for command, argv in runs.items()}
+    assert loaded == {command: (0, sorted(["mfid.cli", "numpy",
+                                           *(f"mfid.{module}" for module in modules)]))
+                      for command, modules in COMMAND_MODULES.items()}
 
 
 def test_single_process_commands_import_no_pool(tmp_path):
@@ -765,6 +826,12 @@ def test_option_schema_is_pinned(command, tmp_path):
         assert typed_items(options) == typed_items(pinned)
 
 
+def test_baseline_c_grid_default_is_the_library_grid():
+    # The schema writes the grid out, so that --help need not load baseline.
+    assert (_DEFAULTS["baseline"]["c_grid"]
+            == ",".join(repr(c) for c in mfid.baseline.DEFAULT_C_GRID))
+
+
 def test_subcommand_set_is_pinned():
     assert sorted(PINNED_OPTIONS) == sorted(_DEFAULTS) == sorted(_COMMANDS) == [
         "ablate", "baseline", "detmetrics", "eval", "synth", "train"]
@@ -820,13 +887,17 @@ def test_output_headers_carry_seed_and_hash(synth_dir, trained_dir):
 
 
 def test_console_entry_point(tmp_path):
-    exe = shutil.which("mfid")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "synth", "--identities", "2", "--per-id", "3",
-                           "--dim", "4", "--out", str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+    # The [project.scripts] target, called as an installed console script
+    # calls it, so that nothing needs installing.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'\[project\.scripts\]\nmfid = "([\w.]+):(\w+)"',
+                                 pyproject).groups()
+    script = f"import sys\nfrom {module} import {function}\nsys.argv[0] = 'mfid'\n" \
+             f"sys.exit({function}())\n"
+    proc = subprocess.run([sys.executable, "-c", script, "synth", "--identities", "2",
+                           "--per-id", "3", "--dim", "4", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dataset.csv").is_file()
 
 
@@ -1038,3 +1109,34 @@ def test_import_runs_blas_on_one_thread_unless_chosen(chosen, expected):
         capture_output=True, text=True, env={**env, **chosen})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+
+
+def test_import_loads_a_module_when_a_name_is_first_read():
+    script = ("import sys, mfid\n"
+              "def loaded():\n"
+              "    print(*sorted(m for m in sys.modules"
+              " if m == 'numpy' or m.startswith('mfid.')))\n"
+              "loaded()\n"
+              "mfid.save_dataset\n"
+              "loaded()\n"
+              "mfid.far_threshold\n"
+              "loaded()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "", "mfid.dataset numpy", "mfid.dataset mfid.evaluation mfid.loss mfid.model numpy"]
+
+
+def test_every_export_resolves_and_an_unknown_name_raises():
+    assert len(set(mfid.__all__)) == len(mfid.__all__) == 55
+    for name in mfid.__all__:
+        value = getattr(mfid, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    namespace = {}
+    exec("from mfid import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(mfid.__all__)
+    assert {*mfid.__all__, "dataset", "detection", "__version__"} <= set(dir(mfid))
+    assert mfid.detection.iou is mfid.iou
+    with pytest.raises(AttributeError, match="module 'mfid' has no attribute 'no_such_name'"):
+        mfid.no_such_name

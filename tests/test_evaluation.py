@@ -520,7 +520,7 @@ def reference_far_threshold(nonmated_scores, far_target):
     scores = np.asarray(nonmated_scores, dtype=np.float64)
     if far_target == 1.0:
         return float("-inf")
-    allowed = math.floor(far_target * scores.size + 1e-9)
+    allowed = max(k for k in range(scores.size + 1) if k / scores.size <= far_target)
     values = np.unique(scores)
     ordered = np.sort(scores)
     count_at_or_above = scores.size - np.searchsorted(ordered, values, side="left")
@@ -613,9 +613,17 @@ def test_far_threshold_guard_decides_the_floor():
     assert far_threshold(scores, 0.29) == 71.0
     assert reference_far_threshold(scores, 0.29) == 71.0
     assert np.sum(scores >= 71.0) == 29
-    # Just below 1.0 the guard allows all n scores: the threshold is the minimum.
-    assert far_threshold(scores, 1.0 - 1e-12) == 0.0
-    assert reference_far_threshold(scores, 1.0 - 1e-12) == 0.0
+    # Just below 1.0 the guard does not allow all n scores: 100 / 100 > target.
+    assert far_threshold(scores, 1.0 - 1e-12) == 1.0
+    assert reference_far_threshold(scores, 1.0 - 1e-12) == 1.0
+
+
+def test_far_threshold_never_accepts_beyond_its_target():
+    # floor(target * n + 1e-9) is 1 here, and accepting the one score is FAR 1.0.
+    below_one = np.nextafter(1.0, 0.0)
+    assert far_threshold([-1.0], below_one) == np.nextafter(-1.0, np.inf)
+    assert far_thresholds([0.0, 1.0, 2.0], [2 / 3, np.nextafter(2 / 3, 0.0)]).tolist() == [
+        1.0, 2.0]
 
 
 @pytest.mark.parametrize("seed,tied", SCORE_CASES)
@@ -794,7 +802,7 @@ def test_roc_monotone_from_origin_to_one(seed, tied):
         tars = np.array([np.mean(pos >= tau) for tau in thresholds])
         report = verification_eval(emb, labels, TrialConfig())
         assert report.curve == tuple(zip(grid.tolist(), tars[1:].tolist()))
-        assert np.all(fars <= targets + 1e-9)
+        assert np.all(fars <= targets)
         assert np.all(np.diff(fars) >= 0.0)
         assert np.all(np.diff(tars) >= 0.0)
         assert fars[0] == 0.0
@@ -896,9 +904,6 @@ def test_tar_at_far_invariant_to_score_order(positives, negatives, far):
 # brute-force oracles on tied scores, as hypothesis properties
 
 FAR_TARGETS = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([0.01, 0.5, 1.0])
-# The threshold rule counts a product target * n within 1e-9 of an integer as
-# that integer, so that 0.29 * 100 allows 29 scores.
-SLACK = 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -908,7 +913,7 @@ def test_dir_at_far_counts_accepted_rank1_probes(mated, nonmated, far):
     scores, correct = (np.asarray(column) for column in zip(*mated))
     rate, tau = dir_at_far(scores, correct, nonmated, far)
     assert tau == reference_far_threshold(nonmated, far)
-    assert np.mean(np.asarray(nonmated) >= tau) <= far + SLACK
+    assert np.mean(np.asarray(nonmated) >= tau) <= far
     assert rate == sum(flag and score >= tau for score, flag in mated) / len(mated)
 
 
@@ -919,7 +924,7 @@ def test_far_thresholds_fall_as_the_target_grows(scores, targets):
     targets = sorted(targets)
     thresholds = far_thresholds(scores, targets)
     assert np.all(thresholds[1:] <= thresholds[:-1])
-    assert all(np.mean(np.asarray(scores) >= tau) <= far + SLACK
+    assert all(np.mean(np.asarray(scores) >= tau) <= far
                for tau, far in zip(thresholds, targets))
 
 

@@ -1,7 +1,7 @@
 """Checks over the package source: every export has a caller, every defaulted
 parameter of an export is passed somewhere, every member of an exported class
 is read somewhere, every module-level function and class is used, no import
-is unused, one function starts worker processes, text files are split into
+at any level is unused, one function starts worker processes, text files are split into
 lines in one place, arrays are tested for NaN and infinity in listed
 functions only, and each mutation row of ``tests/mutants.py`` still finds
 its line."""
@@ -44,14 +44,19 @@ def referenced_names(tree):
     return names
 
 
-def module_imports(tree):
-    """(bound name, line) of each module-level import, __future__ aside."""
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+def scope_imports(scope):
+    """(bound name, line) of each import that binds in ``scope``, a module or
+    a function, __future__ aside: a nested function or class binds its own."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], node.lineno
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def test_exports_are_documented_and_called():
@@ -61,7 +66,7 @@ def test_exports_are_documented_and_called():
     assert "draw_pairs" in documented
     assert [name for name in documented if not hasattr(mfid, name)] == []
 
-    exports = [name for name, _ in module_imports(parse(PACKAGE / "__init__.py"))]
+    exports = mfid.__all__
     assert "draw_pairs" in exports
     called = set().union(*(referenced_names(parse(path)) for path in MODULES),
                          referenced_names(parse(ROOT / "tests" / "test_acceptance.py")))
@@ -100,7 +105,7 @@ def test_defaulted_parameters_have_a_caller():
     keywords, positions = passed_arguments(
         [parse(path) for path in MODULES] + [parse(ROOT / "tests" / "test_acceptance.py")])
     unpassed = set()
-    for name, _ in module_imports(parse(PACKAGE / "__init__.py")):
+    for name in mfid.__all__:
         params = inspect.signature(getattr(mfid, name)).parameters.values()
         for position, param in enumerate(params):
             by_position = (param.kind is param.POSITIONAL_OR_KEYWORD
@@ -155,7 +160,7 @@ def test_class_members_have_a_reader():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = set()
-    for name, _ in module_imports(parse(PACKAGE / "__init__.py")):
+    for name in mfid.__all__:
         cls = getattr(mfid, name)
         if inspect.isclass(cls):
             unread.update(f"{name}.{member}" for member in class_members(cls, classes[name])
@@ -163,21 +168,25 @@ def test_class_members_have_a_reader():
     assert unread == set(UNREAD_MEMBERS)
 
 
-def test_no_unused_module_imports():
-    # __init__.py imports only to re-export; the test above checks those names.
+def test_no_unused_imports():
+    # At every level: the commands import their modules inside the function
+    # that runs them, and such an import must be read in that function (or a
+    # function nested in it), as a module-level one must be in the module.
     unused = []
-    for path in MODULES:
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = parse(path)
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line}: {name}"
-                   for name, line in module_imports(tree) if name not in read]
+        for scope in [tree, *(node for node in ast.walk(tree)
+                              if isinstance(node, ast.FunctionDef))]:
+            read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line}: {name}"
+                       for name, line in scope_imports(scope) if name not in read]
     assert unused == []
 
 
 def test_module_level_definitions_are_used():
     # A function or class that no package module reads and __init__ does not
     # export is an orphan: its last caller went away and it stayed behind.
-    exports = {name for name, _ in module_imports(parse(PACKAGE / "__init__.py"))}
+    exports = set(mfid.__all__)
     trees = {path.name: parse(path) for path in MODULES}
     read = set().union(*(referenced_names(tree) for tree in trees.values()))
     orphans = [f"{module}:{node.lineno}: {node.name}"

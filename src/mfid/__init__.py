@@ -30,9 +30,9 @@ _one_blas_thread_unless_chosen()
 # The exported names, by the module that defines them.
 _EXPORTS = {
     "dataset": (
-        "Dataset", "PairConstraints", "Split", "build_pair_constraints", "draw_pairs",
-        "identity_disjoint_split", "load_dataset", "load_split", "save_dataset",
-        "save_split", "stratified_splits", "synth_gaussian"),
+        "Dataset", "PairConstraints", "Split", "draw_pairs", "identity_disjoint_split",
+        "load_dataset", "load_split", "save_dataset", "save_split", "stratified_splits",
+        "synth_gaussian"),
     "loss": ("LossConfig", "LossReport", "dissim_pair_loss", "kl_div", "sim_pair_loss",
              "total_loss"),
     "model": ("EmbeddingHead", "TrainConfig", "TrainedModel", "backprop", "embed",

@@ -9,19 +9,18 @@ Two file formats are supported; the file suffix chooses one:
 
 * CSV with header ``id,label,f0,...,f{d-1}``; feature values are written
   with full round-trip precision.  Text is written in chunks of about 1 MiB,
-  and read in ranges of at least 1 MiB (a file under 2 MiB is one), each
-  converted in a forked worker, one per CPU the process may use
-  (:func:`_map_indexed`); the bytes written and the dataset read do not
-  depend on how many.  A name that holds a comma or a line break, or that
-  two identities share, is rejected before writing.
+  each formatted in a forked worker, one per CPU the process may use
+  (:func:`_map_indexed`); the bytes written do not depend on how many.  It
+  is read in one pass in the calling process.  A name that holds a comma or
+  a line break, or that two identities share, is rejected before writing.
 * A binary container (``.bin`` or ``.mfid``): magic ``MFID``, version u32,
   ``n`` u64, ``d`` u64, row-major little-endian float64 features, then u32
   label ids.
 
-Every text input is split into lines (at LF, CRLF or a lone CR) by
-:func:`_range_lines`, and dataset CSVs and box files (:mod:`mfid.detection`)
-are parsed by :func:`_parse_csv_range`, which checks the rows of a range as
-one array and names the first bad line.
+Every text input is split into lines (at LF, CRLF or a lone CR) and decoded
+by :func:`_text_lines`, and dataset CSVs and box files (:mod:`mfid.detection`)
+are parsed by :func:`_read_rows`, which converts each batch of lines with
+numpy's tokenizer, checks its rows as one array and names the first bad line.
 
 Rows are grouped by identity in one place, :class:`LabelGroups` (the stable
 label order, and each group's label, start and count in it), which the
@@ -33,12 +32,9 @@ per group: one ``rng.integers`` call when each group gives one row, else one
 
 from __future__ import annotations
 
-import io
 import math
-import mmap
 import os
 import struct
-from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,9 +48,13 @@ BINARY_SUFFIXES = (".bin", ".mfid")
 STRATIFIED = "stratified-by-sample"
 DISJOINT = "disjoint-by-identity"
 
-# CSV text is converted in chunks of about this many bytes, across the CPUs
-# the process may use.  A file of less than two is read in the process.
+# CSV text is written in chunks of about this many bytes, formatted across
+# the CPUs the process may use.
 _CSV_CHUNK_BYTES = 1 << 20
+# Text is read in blocks of at least this many bytes, and its rows are
+# converted in batches of about this many characters: small, so that a batch
+# and the tokenizer's buffers add little to the features read.
+_READ_BYTES = 1 << 16
 # The longest repr of a float64, e.g. -2.2250738585072014e-308.
 _REPR_WIDTH = 24
 
@@ -197,7 +197,7 @@ def _map_indexed(work, count: int, jobs: int):
 
 
 def _csv_workers() -> int:
-    """The number of CPUs this process may run on, the CSV worker count."""
+    """The number of CPUs this process may run on, the CSV writer's worker count."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -267,102 +267,83 @@ def _save_csv(ds: Dataset, path: Path, header_comment: str | None) -> None:
                 fh.write(text)
 
 
-def _csv_ranges(path: Path, start: int) -> list[tuple[int, int]]:
-    """Byte ranges that cover ``path`` from ``start``, each of at least
-    ``_CSV_CHUNK_BYTES`` unless it is the only one: a tail shorter than that
-    joins the range before it.  Each ends just after a newline byte or at the
-    end of the file, so no line, UTF-8 sequence or CRLF pair straddles two."""
-    size = path.stat().st_size
-    bounds = [start]
-    if size - start > _CSV_CHUNK_BYTES:
-        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            while size - bounds[-1] > _CSV_CHUNK_BYTES:
-                newline = mm.find(b"\n", bounds[-1] + _CSV_CHUNK_BYTES - 1)
-                if newline < 0:
-                    break
-                bounds.append(newline + 1)
-    if len(bounds) > 1 and size - bounds[-1] < _CSV_CHUNK_BYTES:
-        bounds.pop()
-    return list(zip(bounds, bounds[1:] + [size])) if start < size else []
+def _text_lines(path):
+    """(number, text) of each line of ``path``, ended by LF, CRLF or a lone CR,
+    its end kept.  Every text file is split into lines here, read in blocks
+    of at least ``_READ_BYTES``; each line is decoded from UTF-8 on its own."""
+    with open(path, "rb") as fh:
+        lineno, tail, block = 0, b"", None
+        while block != b"":  # the read at the end of the file
+            # A line longer than a block doubles the read: joining stays linear.
+            block = fh.read(max(_READ_BYTES, len(tail)))
+            lines = (tail + block).splitlines(keepends=True)
+            # The last line may go on in the next block, as may a CRLF.
+            tail = lines.pop() if block and lines else b""
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+                yield lineno, text
 
 
-def _range_lines(path: Path, lo: int, hi: int):
-    """The lines in bytes ``lo:hi`` of ``path``, which begin and end on line
-    boundaries, read with universal newlines (LF, CRLF or a lone CR) and
-    their line ends kept.  Every text file is split into lines here."""
-    with open(path, "rb") as raw:
-        raw.seek(lo)
-        # newline="" ends lines as newline=None does but keeps their bytes, so
-        # the lines' lengths in UTF-8 (O(1) for ASCII) add up to the range.
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
-            if hi >= os.fstat(raw.fileno()).st_size:
-                yield from fh
-                return
-            left = hi - lo
-            for line in fh:
-                yield line
-                left -= len(line) if line.isascii() else len(line.encode("utf-8"))
-                if left <= 0:
-                    return
-
-
-def _parse_csv_range(path: Path, lo: int, hi: int, n_fields: int, name_at: int,
-                     values_at: int, malformed: str, check, header: str | None = None):
-    """Parse the rows in bytes ``lo:hi`` of ``path``: stripped lines of
+def _read_rows(path, lines, n_fields: int, name_at: int, values_at: int,
+               malformed: str, check, header: str | None = None) -> tuple[list, np.ndarray]:
+    """The names and the ``(rows, values)`` array of the rows in ``lines``
+    (:func:`_text_lines` of ``path``, closed here): stripped lines of
     ``n_fields`` comma-separated fields, named by field ``name_at``, with
-    float values from field ``values_at`` on (else the error ``malformed``).
-    Blank and ``#`` lines and a line whose first field is ``header`` are
-    skipped.  ``check(names, values)`` gets the rows as one array and gives
-    None or the first bad row and its error, which precedes a parse error.
-
-    Returns (float64 values as bytes, names, lines read, error): error is
-    None, or the message for the first bad line, the last line read.
-    """
-    # One flat array of float64 values, not a Python float per value, and
-    # one str per distinct name, which pickling sends once.
-    values, names, distinct, lines, error = array("d"), [], {}, [], None
-    for lineno, raw in enumerate(_range_lines(path, lo, hi), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if fields[0] == header:
-            continue
-        if len(fields) != n_fields:
-            error = f"expected {n_fields} fields, got {len(fields)}"
-            break
-        try:
-            values.fromlist(list(map(float, fields[values_at:])))
-        except ValueError:
-            error = malformed
-            break
-        names.append(distinct.setdefault(fields[name_at], fields[name_at]))
-        lines.append(lineno)
-    bad = check(names, np.frombuffer(values).reshape(len(names), n_fields - values_at))
-    if bad is not None:
-        return None, None, lines[bad[0]], bad[1]
-    if error is not None:
-        return None, None, lineno, error
-    # As bytes, which unpickle without the copy an array makes.
-    return values.tobytes(), names, lineno, None
-
-
-def _read_rows(path: Path, offset: int, lineno: int, **layout) -> tuple[list, np.ndarray]:
-    """The names and the ``(rows, values)`` array of the rows of ``path`` after
-    byte ``offset`` (line ``lineno``), parsed by :func:`_parse_csv_range` with ``layout``."""
-    ranges = _csv_ranges(path, offset)
+    numbers from field ``values_at`` on (else the error ``malformed``).  Blank
+    and ``#`` lines and a line whose first field is ``header`` are skipped.
+    Each batch of about ``_READ_BYTES`` characters is converted by one call of
+    numpy's tokenizer and checked by ``check(names, values)``, which gives None
+    or its first bad row and error.  The first bad line is reported."""
     values, names = bytearray(), []
-    with closing(_map_indexed(lambda c: _parse_csv_range(path, *ranges[c], **layout),
-                              len(ranges), _csv_workers())) as chunks:
-        for chunk_values, chunk_names, n_lines, error in chunks:
-            lineno += n_lines
-            if error is not None:
-                raise ValueError(f"{path}: line {lineno}: {error}")
-            values += chunk_values
-            names += chunk_names
-            del chunk_values  # not held while the next chunk arrives
-    width = layout["n_fields"] - layout["values_at"]
-    return names, np.frombuffer(values, dtype=np.float64).reshape(len(names), width)
+    batch, numbers, batch_names, size = [], [], [], 0
+
+    def convert(lo: int, hi: int) -> None:
+        try:
+            block = np.loadtxt(batch[lo:hi], dtype=np.float64, delimiter=",", comments=None,
+                               quotechar=None, usecols=range(values_at, n_fields), ndmin=2)
+        except ValueError:
+            if hi - lo == 1:
+                raise ValueError(f"{path}: line {numbers[lo]}: {malformed}") from None
+            # On the error path only: the batch line by line, up to the line
+            # that fails, so a bad row before it is reported first.
+            for row in range(lo, hi):
+                convert(row, row + 1)
+            return
+        bad = check(batch_names[lo:hi], block)
+        if bad is not None:
+            raise ValueError(f"{path}: line {numbers[lo + bad[0]]}: {bad[1]}")
+        values.extend(block)
+        names.extend(batch_names[lo:hi])
+
+    with closing(lines):
+        try:
+            for lineno, raw in lines:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                head = line.split(",", 2)
+                if head[0] == header:
+                    continue
+                count = line.count(",") + 1
+                if count != n_fields:
+                    raise ValueError(f"{path}: line {lineno}: expected {n_fields} fields, "
+                                     f"got {count}")
+                batch.append(line)
+                numbers.append(lineno)
+                batch_names.append(head[name_at])
+                size += len(line)
+                if size >= _READ_BYTES:
+                    convert(0, len(batch))
+                    batch, numbers, batch_names, size = [], [], [], 0
+        finally:
+            # Also after an error: a bad row still here precedes the line that
+            # failed.  A batch that failed is still here and fails again.
+            if batch:
+                convert(0, len(batch))
+    return names, np.frombuffer(values).reshape(len(names), n_fields - values_at)
 
 
 def _nonfinite_problem(names: list, values: np.ndarray) -> tuple[int, str] | None:
@@ -371,21 +352,20 @@ def _nonfinite_problem(names: list, values: np.ndarray) -> tuple[int, str] | Non
 
 
 def _load_csv(path: Path) -> Dataset:
-    # The header is the first line that is neither blank nor a comment.
-    offset = 0
-    for lineno, raw in enumerate(_range_lines(path, 0, path.stat().st_size), start=1):
-        offset += len(raw.encode("utf-8"))
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
-        raise ValueError(f"{path}: empty file")
-    fields = line.split(",")
-    if fields[:2] != ["id", "label"] or len(fields) < 3:
-        raise ValueError(f"{path}: line {lineno}: expected header 'id,label,f0,...'")
-    names, features = _read_rows(path, offset, lineno, n_fields=len(fields), name_at=1,
-                                 values_at=2, malformed="malformed feature value",
-                                 check=_nonfinite_problem)
+    with closing(_text_lines(path)) as lines:
+        # The header is the first line that is neither blank nor a comment.
+        for lineno, raw in lines:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                break
+        else:
+            raise ValueError(f"{path}: empty file")
+        fields = line.split(",")
+        if fields[:2] != ["id", "label"] or len(fields) < 3:
+            raise ValueError(f"{path}: line {lineno}: expected header 'id,label,f0,...'")
+        names, features = _read_rows(path, lines, n_fields=len(fields), name_at=1,
+                                     values_at=2, malformed="malformed feature value",
+                                     check=_nonfinite_problem)
     if not names:
         raise ValueError(f"{path}: no data rows")
     return Dataset(features, *_labels_from_names(names))
@@ -590,8 +570,8 @@ def load_split(stem, n_samples: int | None = None) -> Split:
     sides, headers, named = {}, {}, {}
     for side in ("train", "test"):
         path = stem.with_name(stem.name + f".{side}.txt")
-        with closing(_range_lines(path, 0, path.stat().st_size)) as lines:
-            if not (first := next(lines, "")).startswith("#"):
+        with closing(_text_lines(path)) as lines:
+            if not (first := next(lines, (1, ""))[1]).startswith("#"):
                 raise ValueError(f"{path}: missing split header")
             header = dict(item.split("=", 1) for item in first[1:].split() if "=" in item)
             if "mode" not in header or "seed" not in header:
@@ -602,7 +582,7 @@ def load_split(stem, n_samples: int | None = None) -> Split:
                 raise ValueError(f"{path}: malformed seed {header['seed']!r}") from None
             named[side] = path, header.get("side", side)
             indices = []
-            for lineno, line in enumerate(lines, start=2):
+            for lineno, line in lines:
                 if line.strip():
                     try:
                         indices.append(int(line))
@@ -693,11 +673,6 @@ class PairConstraints:
             same_between = np.searchsorted(self._key, self._key[s] + r, side="right") - s - 1
             j = i + 1 + r + same_between
         return np.column_stack([i, j])
-
-
-def build_pair_constraints(labels) -> PairConstraints:
-    """The n(n-1)/2 unordered index pairs, partitioned by label equality."""
-    return PairConstraints(labels)
 
 
 def pair_batch_counts(n_pairs: int, similar_fraction: float) -> tuple[int, int]:

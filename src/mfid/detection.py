@@ -9,19 +9,19 @@ interpolation), with tied detections entering it as one point, so results do
 not depend on input order.
 
 Box files hold ``image_id,x_min,y_min,x_max,y_max[,confidence]`` rows and are
-read by the range parser of dataset CSVs, with their rules; a line whose first
+read by the row parser of dataset CSVs, with their rules; a line whose first
 field is ``image_id`` is a header and is skipped.  The parser checks the boxes
-of each range as one array, by the rule :class:`BoundingBox` applies to one.
+of each batch of lines as one array, by the rule :class:`BoundingBox`
+applies to one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import _finite, _finite_rows, _read_rows
+from .dataset import _finite, _finite_rows, _read_rows, _text_lines
 
 
 def _box_problem(image_ids: list, values: np.ndarray) -> tuple[int, str] | None:
@@ -207,6 +207,6 @@ def _read_boxes(path, with_confidence: bool) -> tuple[list[str], np.ndarray]:
     """Image ids and one float64 array of the rows of a box file: ``(n, 5)``
     corners and confidence, or ``(n, 4)`` corners.  The first bad line is
     reported by number, a box that :class:`BoundingBox` would reject too."""
-    return _read_rows(Path(path), 0, 0, n_fields=6 if with_confidence else 5, name_at=0,
-                      values_at=1, malformed="malformed number", check=_box_problem,
-                      header="image_id")
+    return _read_rows(path, _text_lines(path), n_fields=6 if with_confidence else 5,
+                      name_at=0, values_at=1, malformed="malformed number",
+                      check=_box_problem, header="image_id")

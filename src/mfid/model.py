@@ -22,10 +22,10 @@ import numpy as np
 
 from .dataset import (
     Dataset,
+    PairConstraints,
     Split,
     _container_header,
     _finite,
-    build_pair_constraints,
     dense_relabel,
     draw_pairs,
     pair_batch_counts,
@@ -249,7 +249,7 @@ def train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel:
     steps = max(1, math.ceil(n_train / batch_images))
     use_pairs = cfg.objective == "mfid"
     if use_pairs:
-        constraints = build_pair_constraints(y)
+        constraints = PairConstraints(y)
         n_similar, n_dissimilar = pair_batch_counts(cfg.batch_pairs, cfg.similar_fraction)
     else:
         n_similar = n_dissimilar = 0

@@ -37,6 +37,9 @@ class Mutant(NamedTuple):
 NON_FINITE_INPUT = ("tests/test_evaluation.py::"
                     "test_library_entry_points_reject_non_finite_input")
 BAD_BOX = "tests/test_detection.py::test_load_boxes_errors_match_earlier_loader"
+CSV_BEFORE_LATER = ("tests/test_dataset.py::"
+                    "test_csv_reports_a_non_finite_row_before_a_later_bad_line")
+LATE_CHUNK = "tests/test_dataset.py::test_chunked_csv_error_names_the_line_in_a_late_chunk"
 
 MUTANTS = (
     Mutant("finite-scores", "dataset.py",
@@ -106,10 +109,39 @@ MUTANTS = (
             "tests/test_model.py::test_train_rejects_too_few_pairs_like_sample_pair_batch"),
            "a batch of more pairs than exist fails inside rng.choice, naming no kind"),
     Mutant("range-check-before-parse-error", "dataset.py",
-           "    bad = check(names, ", "    bad = None if error else check(names, ",
+           "for row in range(lo, hi):", "for row in reversed(range(lo, hi)):",
            (f"{BAD_BOX}[bad box before a bad number]",
             "tests/test_dataset.py::test_csv_reports_non_finite_before_later_malformed_line"),
            "a bad row before a line that fails to parse is not the one reported"),
+    Mutant("pending-rows-before-line-error", "dataset.py",
+           "        finally:\n            # Also after",
+           "        except ValueError:\n            raise\n"
+           "        else:\n            # Also after",
+           (f"{CSV_BEFORE_LATER}[bad byte]", f"{CSV_BEFORE_LATER}[short row]"),
+           "a bad row still waiting for its batch is passed over for a later line's error"),
+    Mutant("malformed-line-locator", "dataset.py",
+           "            if hi - lo == 1:", "            if True:",
+           ("tests/test_dataset.py::test_csv_malformed_value_names_line",
+            f"{BAD_BOX}[malformed number]"),
+           "a malformed number is reported on the first line of its batch"),
+    Mutant("batch-line-numbers", "dataset.py",
+           "                    batch, numbers, batch_names, size = [], [], [], 0",
+           "                    batch, batch_names, size = [], [], 0",
+           (LATE_CHUNK,
+            "tests/test_detection.py::test_box_file_in_chunks_matches_earlier_loader"),
+           "a row in a later batch is reported with the line number of an earlier one"),
+    Mutant("block-boundary-line", "dataset.py",
+           'tail = lines.pop() if block and lines else b""',
+           'tail = lines[-1] if block and lines else b""',
+           ("tests/test_dataset.py::test_chunked_csv_reads_universal_newlines",
+            "tests/test_detection.py::test_box_file_in_chunks_matches_earlier_loader"),
+           "the line a read block ends in is read again at the head of the next block"),
+    Mutant("decode-error-line", "dataset.py",
+           '(f"{path}: line {lineno}: not UTF-8 text")', '(f"{path}: not UTF-8 text")',
+           ("tests/test_dataset.py::test_csv_undecodable_byte_names_its_line",
+            "tests/test_dataset.py::test_split_file_undecodable_byte_names_its_line",
+            "tests/test_detection.py::test_box_file_undecodable_byte_names_its_line"),
+           "a byte that is not UTF-8 is reported without its line"),
     Mutant("box-degenerate", "detection.py",
            "degenerate = ~((numbers[:, 2] > numbers[:, 0]) & (numbers[:, 3] > numbers[:, 1]))",
            "degenerate = np.zeros(len(numbers), dtype=bool)",

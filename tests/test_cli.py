@@ -506,6 +506,21 @@ def test_detmetrics_malformed_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_undecodable_input_names_its_file_and_line(tmp_path, capsys):
+    truth = tmp_path / "gt.csv"
+    truth.write_bytes(b"image_id,x_min,y_min,x_max,y_max\nimg0,0,0,4,4\nimg1\xff,0,0,4,4\n")
+    (tmp_path / "det.csv").write_text("img0,0,0,4,4,0.9\n")
+    assert run_cli("detmetrics", "--detections", str(tmp_path / "det.csv"),
+                   "--ground-truth", str(truth), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {truth}: line 3: not UTF-8 text"]
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"id,label,f0\n0,a,1.0\n1,\xffb,2.0\n")
+    assert run_cli("train", "--data", str(data), "--epochs", "1",
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: line 3: not UTF-8 text"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_detmetrics_rejects_infinite_corner(tmp_path, capsys):
     (tmp_path / "gt.csv").write_text("im1,0,0,4,4\n")
     (tmp_path / "det.csv").write_text("im1,0,0,4,4,0.9\nim1,-inf,0,inf,2,0.5\n")
@@ -736,8 +751,23 @@ def test_each_command_loads_only_its_modules(tmp_path):
 def test_single_process_commands_import_no_pool(tmp_path):
     # Nor numpy.ma: in numpy >= 2.3 a plain np.unique imports it (a few ms
     # and over 1 MB per process).  Nor does the library's verification_eval.
+    # Text inputs are read in the process whatever their size: a CSV and box
+    # files of over 2 MiB each, written here without the package's writer.
     out = str(tmp_path)
     data, model = str(tmp_path / "dataset.csv"), str(tmp_path / "model.mfhd")
+    rng = np.random.default_rng(3)
+    big = tmp_path / "big.csv"
+    with open(big, "w", encoding="utf-8") as fh:
+        fh.write("id,label," + ",".join(f"f{j}" for j in range(128)) + "\n")
+        for i, row in enumerate(rng.normal(size=(1000, 128)).tolist()):
+            fh.write(f"{i},id{i % 50},{','.join(map(repr, row))}\n")
+    corners = np.column_stack([np.zeros((40000, 2)), 1.0 + rng.uniform(size=(40000, 2))])
+    for name, suffix in (("truth.csv", ""), ("found.csv", ",0.5")):
+        (tmp_path / name).write_text("".join(f"img{i},{x0!r},{y0!r},{x1!r},{y1!r}{suffix}\n"
+                                             for i, (x0, y0, x1, y1)
+                                             in enumerate(corners.tolist())))
+    sizes = [(tmp_path / name).stat().st_size for name in ("big.csv", "truth.csv", "found.csv")]
+    assert min(sizes) > 2 << 20
     script = (
         "import sys\n"
         "from mfid.cli import main\n"
@@ -753,6 +783,10 @@ def test_single_process_commands_import_no_pool(tmp_path):
         f"assert main(['ablate', '--jobs', '1', '--seeds', '1', '--identities', '6',"
         f" '--per-id', '6', '--dim', '3', '--epochs', '1', '--test-fraction', '0.5',"
         f" '--trials', '2', '--out', {out!r}]) == 0\n"
+        f"assert main(['train', '--data', {str(big)!r}, '--epochs', '1',"
+        f" '--out', {str(tmp_path / 'big')!r}]) == 0\n"
+        f"assert main(['detmetrics', '--detections', {str(tmp_path / 'found.csv')!r},"
+        f" '--ground-truth', {str(tmp_path / 'truth.csv')!r}, '--out', {out!r}]) == 0\n"
         "import numpy as np, mfid\n"
         "assert mfid.verification_eval(np.eye(4), [0, 0, 1, 1], mfid.TrialConfig()).curve\n"
         "print(sorted(m for m in sys.modules"
@@ -1129,7 +1163,7 @@ def test_import_loads_a_module_when_a_name_is_first_read():
 
 
 def test_every_export_resolves_and_an_unknown_name_raises():
-    assert len(set(mfid.__all__)) == len(mfid.__all__) == 55
+    assert len(set(mfid.__all__)) == len(mfid.__all__) == 54
     for name in mfid.__all__:
         value = getattr(mfid, name)
         assert getattr(sys.modules[value.__module__], name) is value

@@ -4,15 +4,19 @@ import math
 import multiprocessing
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_detection import reference_load_boxes
 
 import mfid.model
 from mfid import (
     Dataset,
+    PairConstraints,
     TrainConfig,
-    build_pair_constraints,
     draw_pairs,
     identity_disjoint_split,
     load_dataset,
@@ -25,6 +29,7 @@ from mfid import (
 )
 from mfid.dataset import (DISJOINT, STRATIFIED, LabelGroups, Split, dense_relabel,
                           pair_batch_counts)
+from mfid.detection import _read_boxes
 
 
 def random_dataset(rng, n_identities=8, per_identity=6, dim=5):
@@ -327,9 +332,11 @@ def reference_load_csv(path):
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}workers")
 def chunked(request, monkeypatch):
-    """CSV chunks of 256 bytes, converted by 1, 2 or 3 workers."""
+    """CSV chunks of 256 bytes, written by 1, 2 or 3 workers, and read in
+    blocks and batches of 61, 122 or 183 bytes."""
     monkeypatch.setattr(mfid.dataset, "_CSV_CHUNK_BYTES", 256)
     monkeypatch.setattr(mfid.dataset, "_csv_workers", lambda: request.param)
+    monkeypatch.setattr(mfid.dataset, "_READ_BYTES", 61 * request.param)
     return request.param
 
 
@@ -473,23 +480,6 @@ def test_chunked_csv_reads_names_beyond_ascii(tmp_path, chunked):
     assert "\u00e9t\u00e9\u4e2d" in load_dataset(path).identity_names.values()
 
 
-@pytest.mark.parametrize("n_bytes", [1, 255, 256, 511, 512, 700, 4000])
-def test_csv_ranges_fold_a_short_tail(tmp_path, monkeypatch, n_bytes):
-    monkeypatch.setattr(mfid.dataset, "_CSV_CHUNK_BYTES", 256)
-    path = tmp_path / "d.csv"
-    path.write_bytes(b"".join(b"x" * 20 + b"\n" for _ in range(n_bytes // 21))
-                     + b"y" * (n_bytes % 21))
-    ranges = mfid.dataset._csv_ranges(path, 0)
-    # contiguous, each ending after a newline or at the end of the file
-    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-    assert ranges[-1][1] == n_bytes
-    assert all(path.read_bytes()[hi - 1:hi] == b"\n" for _, hi in ranges[:-1])
-    # every range is a chunk or more, so a file under two chunks is one range
-    assert len(ranges) == 1 or min(hi - lo for lo, hi in ranges) >= 256
-    assert len(ranges) == 1 or n_bytes >= 512
-    assert len(ranges) > 1 or n_bytes < 1000
-
-
 def test_chunked_csv_error_leaves_no_worker_running(tmp_path, chunked):
     lines = messy_csv_lines(n_rows=200)
     bad = data_line(lines, 40)
@@ -499,6 +489,264 @@ def test_chunked_csv_error_leaves_no_worker_running(tmp_path, chunked):
     with pytest.raises(ValueError, match=f"line {bad}: expected"):
         load_dataset(path)
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# text lines: UTF-8, line ends, and what a number is
+
+
+def test_csv_undecodable_byte_names_its_line(tmp_path, chunked):
+    lines = messy_csv_lines()
+    header = next(number for number, line in enumerate(lines, start=1)
+                  if line.startswith("id,"))
+    path = tmp_path / "bad.csv"
+    for bad in (header, data_line(lines, len(lines) - 4)):
+        raw = [line.encode("utf-8") for line in lines]
+        raw[bad - 1] = raw[bad - 1][:5] + b"\xff" + raw[bad - 1][5:]
+        path.write_bytes(b"\r".join(raw) + b"\r")
+        assert load_error(path) == f"{path}: line {bad}: not UTF-8 text"
+
+
+@pytest.mark.parametrize("later", [b"2,b,1.0\xff", b"2,b"], ids=["bad byte", "short row"])
+def test_csv_reports_a_non_finite_row_before_a_later_bad_line(tmp_path, later):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"id,label,f0\n0,a,1.0\n1,a,nan\n" + later + b"\n3,b,1.0\n")
+    assert load_error(path) == f"{path}: line 3: non-finite feature value"
+
+
+@pytest.mark.parametrize("bad", [1, 3])
+def test_split_file_undecodable_byte_names_its_line(tmp_path, bad):
+    lines = [SPLIT_HEADER.strip().encode("utf-8"), b"0", b"2"]
+    lines[bad - 1] += b"\xc3"  # the first byte of a two-byte sequence, alone
+    (tmp_path / "fold.train.txt").write_bytes(b"\n".join(lines) + b"\n")
+    (tmp_path / "fold.test.txt").write_text(SPLIT_HEADER.replace("train", "test") + "1\n")
+    with pytest.raises(ValueError) as info:
+        load_split(tmp_path / "fold")
+    assert str(info.value) == f"{tmp_path / 'fold.train.txt'}: line {bad}: not UTF-8 text"
+
+
+def test_text_lines_hold_a_block_of_a_lone_cr_file(tmp_path, monkeypatch):
+    # Read as LF-ended lines, the whole file would be one line.
+    monkeypatch.setattr(mfid.dataset, "_READ_BYTES", 1 << 12)
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"0,a,1.0\r" * 200_000)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in mfid.dataset._text_lines(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 200_000
+    assert peak < path.stat().st_size / 4
+
+
+def test_csv_numbers_read_as_float_reads_them(tmp_path):
+    spellings = [" 1.5 ", ".5", "5.", "+1", "-0", "007", "1E-5", "1e+5", "5e-324",
+                 "2.4703282292062328e-324", "1.7976931348623157e308", "-2.5e-308"]
+    path = tmp_path / "d.csv"
+    path.write_text("id,label," + ",".join(f"f{j}" for j in range(len(spellings)))
+                    + "\n0,a," + ",".join(spellings) + "\n")
+    assert load_dataset(path).features.tobytes() == np.array(
+        [[float(text) for text in spellings]]).tobytes()
+
+
+@pytest.mark.parametrize("value", ["1_0", "١٢"], ids=["separator", "arabic"])
+def test_numbers_follow_numpy_grammar_not_float(tmp_path, value):
+    # float() reads a digit separator and non-ASCII digits; numpy's
+    # tokenizer, which reads every text table, does not.
+    assert float(value) in (10.0, 12.0)
+    path = tmp_path / "d.csv"
+    path.write_text(f"id,label,f0\n0,a,1.0\n1,b,{value}\n", encoding="utf-8")
+    assert load_error(path) == f"{path}: line 3: malformed feature value"
+    path.write_text(f"a,0,0,4,4\nb,0,0,{value},4\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        _read_boxes(path, with_confidence=False)
+    assert str(info.value) == f"{path}: line 2: malformed number"
+
+
+# ---------------------------------------------------------------------------
+# text readers against their oracles, as hypothesis properties
+
+LINE_ENDS = ("\n", "\r\n", "\r")
+SKIPPED_LINES = ("", "  ", "# a comment", " # commentaire, été")
+NAMES = ("a", "b", "été", "中文", "x y")
+NON_FINITE = ("nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+INF", "1e309", "-1e400")
+
+
+def parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+MALFORMED = st.text("0123456789.eE+- naifNI", max_size=6).filter(
+    lambda text: not parses_as_float(text))
+
+
+@st.composite
+def number_text(draw, n, shift, signs):
+    """A spelling of the exact decimal n * 10**shift, n >= 0: the digits of n
+    and some zeros, a point among them or none, an exponent that makes up for
+    both, a sign from ``signs`` or none, and maybe leading zeros and spaces."""
+    digits = str(n) + "0" * draw(st.integers(0, 2))
+    point = draw(st.integers(0, len(digits)))
+    exponent = shift + len(str(n)) - point
+    text = digits[:point] + "." + digits[point:]
+    if point == len(digits) and draw(st.booleans()):
+        text = digits
+    if exponent or draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + (
+            draw(st.sampled_from(["", "+"])) if exponent >= 0 else "") + str(exponent)
+    sign = draw(st.sampled_from(["", *signs]))
+    return (draw(st.sampled_from(["", " "])) + sign + "0" * draw(st.integers(0, 1)) + text
+            + draw(st.sampled_from(["", "  "])))
+
+
+def replaced_field(line, first, values):
+    """A strategy of ``line`` with one of its fields from ``first`` on replaced
+    by a draw of ``values``."""
+    fields = line.split(",")
+    return st.tuples(st.integers(first, len(fields) - 1), values).map(
+        lambda pick: ",".join(fields[:pick[0]] + [pick[1]] + fields[pick[0] + 1:]))
+
+
+@st.composite
+def text_file(draw, lines, rows, values_at, damages=None):
+    """(bytes, bad_at): ``lines``, each ended by LF, CRLF or a lone CR (the
+    last maybe by none), with at most one damaged: a data row (an index in
+    ``rows``) with a field too many or too few, a malformed or non-finite
+    value from field ``values_at`` on, or a ``damages`` draw; or any line with
+    a byte that is not UTF-8, whose offset is ``bad_at`` (else None)."""
+    damages = {
+        "field count": lambda line: st.sampled_from([line + ",1", line.rsplit(",", 1)[0]]),
+        "malformed": lambda line: replaced_field(line, values_at, MALFORMED),
+        "non-finite": lambda line: replaced_field(line, values_at,
+                                                  st.sampled_from(NON_FINITE)),
+        **(damages or {})}
+    kind = draw(st.sampled_from([None, "bad byte", *damages]))
+    lines = list(lines)
+    if kind in damages:
+        row = draw(st.sampled_from(rows))
+        lines[row] = draw(damages[kind](lines[row]))
+    encoded = [line.encode("utf-8") for line in lines]
+    bad = None
+    if kind == "bad byte":
+        bad = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(encoded[bad])))
+        byte = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe4\xb8"]))
+        encoded[bad] = encoded[bad][:cut] + byte + encoded[bad][cut:]
+        assume(not parses_as_utf8(encoded[bad]))
+    ends = [draw(st.sampled_from(LINE_ENDS)).encode() for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = b""
+    data = b"".join(line + end for line, end in zip(encoded, ends))
+    bad_at = None if bad is None else sum(map(len, encoded[:bad] + ends[:bad]))
+    return data, bad_at
+
+
+def parses_as_utf8(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@st.composite
+def csv_files(draw):
+    width = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=2))
+    lines.append("id,label," + ",".join(f"f{j}" for j in range(width)))
+    rows = []
+    for i in range(draw(st.integers(1, 10))):
+        lines += draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=1))
+        values = [draw(number_text(draw(st.integers(0, 10 ** 6)), draw(st.integers(-12, 8)),
+                                   "+-")) for _ in range(width)]
+        rows.append(len(lines))
+        lines.append(",".join([str(i), draw(st.sampled_from(NAMES)), *values]))
+    return draw(text_file(lines, rows, values_at=2))
+
+
+@st.composite
+def box_files(draw, with_confidence):
+    header = "image_id,x_min,y_min,x_max,y_max" + (",confidence" if with_confidence else "")
+    lines, rows = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        lines += draw(st.lists(st.sampled_from(SKIPPED_LINES + (header,)), max_size=1))
+        x, y = draw(st.integers(0, 99)), draw(st.integers(0, 99))
+        w, h = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+        shift = draw(st.integers(-2, 2))  # one scale for all corners keeps their order
+        values = [draw(number_text(v, shift, "+")) for v in (x, y, x + w, y + h)]
+        if with_confidence:
+            values.append(draw(number_text(draw(st.integers(0, 100)), -2, "+")))
+        rows.append(len(lines))
+        lines.append(",".join([draw(st.sampled_from(NAMES)), *values]))
+    degenerate = {"degenerate": lambda line: st.just(
+        ",".join((fields := line.split(","))[:3] + fields[1:2] + fields[4:]))}
+    return draw(text_file(lines, rows, values_at=1, damages=degenerate))
+
+
+def outcome(load, path):
+    """``load(path)``, or the message of the ValueError it raises."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_outcome(reference, path, data, bad_at):
+    """The outcome of ``reference`` on the file ``data`` at ``path``, whose line
+    at byte ``bad_at``, if not None, is not UTF-8: an error of a line before
+    that line, else that line's error."""
+    path.write_bytes(data if bad_at is None else data[:bad_at])
+    result = outcome(reference, path)
+    if bad_at is None or isinstance(result, str) and result.startswith(f"{path}: line "):
+        return result
+    return f"{path}: line {len(data[:bad_at].splitlines()) + 1}: not UTF-8 text"
+
+
+def dataset_rows(ds):
+    return ds.features.tobytes(), [ds.identity_names[label] for label in ds.labels.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files(), st.sampled_from([7, 61, 1 << 16]))
+def test_csv_reader_matches_its_oracle(tmp_path, file, read_bytes):
+    data, bad_at = file
+    path = tmp_path / "d.csv"
+
+    def reference(path):
+        features, names = reference_load_csv(path)
+        return features.tobytes(), names
+
+    expected = reference_outcome(reference, path, data, bad_at)
+    path.write_bytes(data)
+    with mock.patch.object(mfid.dataset, "_READ_BYTES", read_bytes):
+        assert outcome(lambda path: dataset_rows(load_dataset(path)), path) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.booleans().flatmap(lambda conf: st.tuples(st.just(conf), box_files(conf))),
+       st.sampled_from([7, 61, 1 << 16]))
+def test_box_reader_matches_its_oracle(tmp_path, case, read_bytes):
+    with_confidence, (data, bad_at) = case
+    path = tmp_path / "boxes.csv"
+
+    def reference(path):
+        boxes = reference_load_boxes(path, with_confidence)
+        rows = [[*b.corners(), *([b.confidence] if with_confidence else [])] for b in boxes]
+        return np.array(rows, dtype=np.float64).reshape(len(boxes), -1).tobytes(), [
+            b.image_id for b in boxes]
+
+    expected = reference_outcome(reference, path, data, bad_at)
+    path.write_bytes(data)
+    with mock.patch.object(mfid.dataset, "_READ_BYTES", read_bytes):
+        got = outcome(lambda path: _read_boxes(path, with_confidence), path)
+    assert (got if isinstance(got, str) else (got[1].tobytes(), got[0])) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +997,13 @@ def pair_set(pc, kind):
 
 
 def test_pair_constraints_tiny():
-    pc = build_pair_constraints(np.array([0, 0, 1]))
+    pc = PairConstraints(np.array([0, 0, 1]))
     assert pair_set(pc, "similar") == {(0, 1)}
     assert pair_set(pc, "dissimilar") == {(0, 2), (1, 2)}
 
 
 def test_pair_constraints_single_identity():
-    pc = build_pair_constraints(np.zeros(4, dtype=int))
+    pc = PairConstraints(np.zeros(4, dtype=int))
     assert pc.n_similar == 6
     assert pc.n_dissimilar == 0
 
@@ -763,14 +1011,14 @@ def test_pair_constraints_single_identity():
 def test_pair_constraints_total_count():
     rng = np.random.default_rng(21)
     labels = rng.integers(0, 5, size=30)
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     assert pc.n_similar + pc.n_dissimilar == 30 * 29 // 2
 
 
 def test_pair_constraints_membership_matches_labels():
     rng = np.random.default_rng(22)
     labels = rng.integers(0, 4, size=12)
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     for a, b in pair_set(pc, "similar"):
         assert labels[a] == labels[b] and a < b
     for a, b in pair_set(pc, "dissimilar"):
@@ -783,7 +1031,7 @@ def test_pair_constraints_membership_matches_labels():
 
 def draw_batch(labels, n_pairs, similar_fraction, rng):
     """(pairs, similar mask) of one batch drawn the way ``train`` draws it."""
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     n_similar, n_dissimilar = pair_batch_counts(n_pairs, similar_fraction)
     return draw_pairs(pc, n_similar, n_dissimilar, rng), np.arange(n_pairs) < n_similar
 
@@ -832,13 +1080,13 @@ def test_pair_batch_rejects_impossible_composition():
     ((1, 3), "cannot draw 3 dissimilar pairs: only 2 exist"),
 ])
 def test_draw_pairs_names_the_kind_and_counts(counts, message):
-    pc = build_pair_constraints([0, 0, 1])
+    pc = PairConstraints([0, 0, 1])
     with pytest.raises(ValueError, match=f"^{message}$"):
         draw_pairs(pc, *counts, np.random.default_rng(0))
 
 
 def test_draw_pairs_of_nothing_is_empty():
-    pc = build_pair_constraints([0, 0, 1])
+    pc = PairConstraints([0, 0, 1])
     rng = np.random.default_rng(0)
     pairs = draw_pairs(pc, 0, 0, rng)
     assert pairs.shape == (0, 2) and pairs.dtype == np.int64
@@ -848,7 +1096,7 @@ def test_draw_pairs_of_nothing_is_empty():
 @pytest.mark.parametrize("similar_fraction", [0.0, 0.4, 1.0])
 def test_batched_draw_equals_single_batch_draws(similar_fraction):
     labels = np.random.default_rng(7).integers(0, 5, size=40)
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     n_similar, n_dissimilar = pair_batch_counts(5, similar_fraction)
     assert (n_similar, n_dissimilar) == {0.0: (0, 5), 0.4: (2, 3), 1.0: (5, 0)}[similar_fraction]
     ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
@@ -866,13 +1114,13 @@ def test_batched_draw_equals_single_batch_draws(similar_fraction):
     ((1, -2), "negative dissimilar pair count -2"),
 ])
 def test_batched_draw_names_the_kind_and_counts(counts, message):
-    pc = build_pair_constraints([0, 0, 1])
+    pc = PairConstraints([0, 0, 1])
     with pytest.raises(ValueError, match=f"^{message}$"):
         draw_pairs(pc, *counts, np.random.default_rng(0), batches=4)
 
 
 def test_batched_draw_of_nothing_is_empty_and_needs_a_batch():
-    pc = build_pair_constraints([0, 0, 1])
+    pc = PairConstraints([0, 0, 1])
     rng = np.random.default_rng(0)
     assert draw_pairs(pc, 0, 0, rng, batches=3).shape == (0, 2)
     assert rng.random() == np.random.default_rng(0).random()
@@ -931,7 +1179,7 @@ LABEL_CASES = {
 @pytest.mark.parametrize("name", sorted(LABEL_CASES))
 def test_pair_ranks_decode_to_reference(name):
     labels = LABEL_CASES[name]
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     ref = reference_pair_constraints(labels)
     for kind in ("similar", "dissimilar"):
         total = ref.arrays[kind].shape[0]
@@ -944,7 +1192,7 @@ def test_pair_ranks_decode_to_reference(name):
 @pytest.mark.parametrize("name", sorted(LABEL_CASES))
 def test_pair_frozensets_match_reference(name):
     labels = LABEL_CASES[name]
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     ref = reference_pair_constraints(labels)
     for kind in ("similar", "dissimilar"):
         assert pair_set(pc, kind) == set(map(tuple, ref.arrays[kind].tolist()))
@@ -957,7 +1205,7 @@ def test_pair_ranks_decode_random_label_sequences():
         values = rng.choice([-4, 0, 1, 7, 30, 31, 99], size=int(rng.integers(1, 8)),
                             replace=False)
         labels = rng.choice(values, size=int(rng.integers(1, 40)))
-        pc = build_pair_constraints(labels)
+        pc = PairConstraints(labels)
         ref = reference_pair_constraints(labels)
         for kind in ("similar", "dissimilar"):
             decoded = pc.pairs_at(kind, np.arange(ref.arrays[kind].shape[0]))
@@ -967,7 +1215,7 @@ def test_pair_ranks_decode_random_label_sequences():
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_draw_matches_reference_stream(seed):
     labels = np.random.default_rng(seed).integers(0, 6, size=80)
-    pc = build_pair_constraints(labels)
+    pc = PairConstraints(labels)
     ref = reference_pair_constraints(labels)
     ours, theirs = np.random.default_rng(seed + 9), np.random.default_rng(seed + 9)
     for count in (1, 5, 16, 40):
@@ -979,7 +1227,7 @@ def test_pair_draw_matches_reference_stream(seed):
 
 
 def test_pair_ranks_reject_out_of_range_and_unknown_kind():
-    pc = build_pair_constraints([0, 0, 1])
+    pc = PairConstraints([0, 0, 1])
     with pytest.raises(ValueError, match="out of range"):
         pc.pairs_at("similar", [1])
     with pytest.raises(ValueError, match="out of range"):
@@ -990,7 +1238,7 @@ def test_pair_ranks_reject_out_of_range_and_unknown_kind():
 
 def test_pair_constraints_reject_empty_labels():
     with pytest.raises(ValueError, match="nonempty"):
-        build_pair_constraints([])
+        PairConstraints([])
 
 
 @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
@@ -1000,7 +1248,7 @@ def test_train_bit_identical_with_reference_constraints(monkeypatch, architectur
     cfg = TrainConfig(epochs=3, batch_pairs=6, initial_lr=0.05, seed=4,
                       architecture=architecture, embed_dim=7, similar_fraction=0.4)
     ours = train(ds, split, cfg)
-    monkeypatch.setattr(mfid.model, "build_pair_constraints", reference_pair_constraints)
+    monkeypatch.setattr(mfid.model, "PairConstraints", reference_pair_constraints)
     theirs = train(ds, split, cfg)
     assert ours.loss_history == theirs.loss_history
     for name in ours.head.params:
@@ -1038,7 +1286,7 @@ def test_pair_sampling_bounded_memory_at_50k_rows():
     rng = np.random.default_rng(6)
     tracemalloc.start()
     try:
-        pc = build_pair_constraints(ds.labels)
+        pc = PairConstraints(ds.labels)
         batches = [draw_pairs(pc, 8, 8, rng) for _ in range(100)]
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -608,11 +608,19 @@ def test_load_boxes_errors_match_earlier_loader(tmp_path, with_confidence, text,
     assert str(ours.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_box_file_in_chunks_matches_earlier_loader(tmp_path, monkeypatch, workers):
-    # 256-byte ranges, so the file spans many of them
-    monkeypatch.setattr(mfid.dataset, "_CSV_CHUNK_BYTES", 256)
-    monkeypatch.setattr(mfid.dataset, "_csv_workers", lambda: workers)
+def test_box_file_undecodable_byte_names_its_line(tmp_path):
+    path = tmp_path / "boxes.csv"
+    path.write_bytes(b"image_id,x_min,y_min,x_max,y_max\na,0,0,4,4\n"
+                     b"b\xff,0,0,4,4\na,0,0,4\n")
+    with pytest.raises(ValueError) as info:
+        _read_boxes(path, with_confidence=False)
+    assert str(info.value) == f"{path}: line 3: not UTF-8 text"
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_box_file_in_chunks_matches_earlier_loader(tmp_path, monkeypatch, blocks):
+    # blocks and batches of 85, 170 or 255 bytes, so the file spans many of them
+    monkeypatch.setattr(mfid.dataset, "_READ_BYTES", 85 * blocks)
     rng = np.random.default_rng(5)
     lines = ["image_id,x_min,y_min,x_max,y_max,confidence"]
     for i in range(150):

@@ -28,8 +28,8 @@ from mfid import (
 from mfid.dataset import (
     STRATIFIED,
     Dataset,
+    PairConstraints,
     Split,
-    build_pair_constraints,
     dense_relabel,
     draw_pairs,
     identity_disjoint_split,
@@ -370,7 +370,7 @@ def reference_train(ds: Dataset, split: Split, cfg: TrainConfig) -> TrainedModel
     steps = max(1, math.ceil(n_train / batch_images))
     use_pairs = cfg.objective == "mfid"
     if use_pairs:
-        constraints = build_pair_constraints(y)
+        constraints = PairConstraints(y)
         n_similar, n_dissimilar = pair_batch_counts(cfg.batch_pairs, cfg.similar_fraction)
         # Row 2k and 2k + 1 of the gathered batch are the k-th pair's images.
         similar = [k < n_similar for k in range(cfg.batch_pairs)]
@@ -530,7 +530,7 @@ def test_train_steps_on_the_rows_single_draws_give(monkeypatch, objective,
     # The rows the per-step draws of the same stream give, step by step.
     steps = math.ceil(ds.n_samples / 10)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-    pc = build_pair_constraints(ds.labels)
+    pc = PairConstraints(ds.labels)
     n_similar, n_dissimilar = pair_batch_counts(5, similar_fraction)
     expected = []
     for _ in range(cfg.epochs * steps):

@@ -221,14 +221,16 @@ def test_one_parallel_mechanism():
 
 
 def test_one_line_reader():
-    # Text inputs are split into lines by dataset._range_lines alone (ROADMAP
-    # aim 2), so every format ends lines at LF, CRLF or a lone CR and nowhere
-    # else; str.splitlines also ends them at \x0c, \x1c and others.
-    calls = [f"{path.name}:{node.lineno}: {call_name(node)}"
-             for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(parse(path))
+    # Text inputs are split into lines by dataset._text_lines alone (ROADMAP
+    # aim 2), with bytes.splitlines, so every format ends lines at LF, CRLF or
+    # a lone CR and nowhere else; str.splitlines also ends them at \x0c, \x1c
+    # and others.
+    calls = [f"{path.name}:{owner}: {call_name(node)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for owner, node in owned_nodes(parse(path))
              if isinstance(node, ast.Call)
              and call_name(node) in ("splitlines", "readlines", "read_text")]
-    assert calls == []
+    assert calls == ["dataset.py:_text_lines: splitlines"]
 
 
 # The functions that may test an array for NaN and infinity, and why each is
